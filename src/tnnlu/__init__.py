@@ -53,7 +53,7 @@ from .identities import (
     vanishing_check,
     vanishing_check_dual,
 )
-from .mclass import ClassDesc, detect_class, greedy_leaders, in_class_M
+from .mclass import ClassDesc, Elimination, detect_class, eliminate, greedy_leaders, in_class_M
 from .neville import (
     DeleteRow,
     Eliminate,
@@ -94,6 +94,8 @@ __all__ = [
     "in_class_U",
     "ClassDesc",
     "in_class_M",
+    "Elimination",
+    "eliminate",
     "detect_class",
     "greedy_leaders",
     "LUPair",

@@ -27,7 +27,7 @@ from .errors import (
     SizeGuardError,
 )
 from .identities import selftest
-from .mclass import ClassDesc, detect_class, greedy_leaders
+from .mclass import ClassDesc, detect_class
 from .explicit import explicit_decompose, reconstruct_lu
 from .neville import format_trace, neville_decompose
 from .tnn import is_tnn, random_tnn
@@ -86,15 +86,13 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         pair, trace = neville_decompose(
             A, check_tnn=not args.unchecked, max_size=args.max_bruteforce
         )
+    elif args.method == "reconstruct":
+        pair, trace = reconstruct_lu(A), None
     else:
-        if args.unchecked:
-            desc = greedy_leaders(A)
-        else:
-            desc = detect_class(A, max_size=args.max_bruteforce)
+        desc = detect_class(A)
         if desc is None:
             raise NotInClassError("matrix belongs to no class")
-        decompose = reconstruct_lu if args.method == "reconstruct" else explicit_decompose
-        pair = decompose(A, desc, check=False)
+        pair = explicit_decompose(A, desc, check=False)
         trace = None
         if args.method == "auto":
             report = is_tnn(A, max_size=args.max_bruteforce)
@@ -130,7 +128,7 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
 
 def _cmd_detect(args: argparse.Namespace) -> dict:
     A = _read_matrix(args)
-    desc = detect_class(A, max_size=args.max_bruteforce)
+    desc = detect_class(A)
     return {
         "command": "detect",
         "class": _class_payload(desc),
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=8,
                 metavar="N",
-                help="size guard for exhaustive minor enumeration (default 8)",
+                help="size guard for the exhaustive TNN sweeps; detect is unguarded (default 8)",
             )
 
     p = sub.add_parser("decompose", help="factor a matrix as L*U with its class")
@@ -234,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unchecked",
         action="store_true",
-        help="skip class/TNN precondition checks; hard errors may surface instead",
+        help="skip neville's up-front TNN sweep; the class certificate always runs",
     )
     p.set_defaults(func=_cmd_decompose)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import ParseError
+from .errors import ParseError, SizeGuardError
 
 Scalar = Fraction
 ScalarLike = Union[int, str, Fraction]
@@ -41,6 +41,7 @@ __all__ = [
     "delete_col",
     "all_minors",
     "iter_minor_layers",
+    "size_guard",
     "parse_matrix",
     "format_matrix",
 ]
@@ -439,6 +440,15 @@ def iter_minor_layers(
                 layer[(I, J)] = Fraction(acc, denom)
         yield s, layer
         prev = layer_int
+
+
+def size_guard(A: Mat, max_size: int) -> None:
+    """Refuse an exhaustive minor sweep of A when min(m, n) > ``max_size``."""
+    if min(A.nrows, A.ncols) > max_size:
+        raise SizeGuardError(
+            f"brute-force minor enumeration refused for {A.nrows}x{A.ncols} "
+            f"(min dimension > {max_size}); pass a larger max_size to override"
+        )
 
 
 def all_minors(A: Mat, max_order: Optional[int] = None) -> dict[MinorKey, Fraction]:

@@ -50,20 +50,7 @@ def is_upper_echelon(U: Mat) -> EchelonReport:
 
 def is_lower_echelon(L: Mat) -> EchelonReport:
     """Check the lower staircase pattern column by column."""
-    leads: list[int] = []
-    saw_zero_col = False
-    for j in range(1, L.ncols + 1):
-        col = L.col(j)
-        lead = next((i for i, x in enumerate(col, start=1) if x != 0), None)
-        if lead is None:
-            saw_zero_col = True
-            continue
-        if saw_zero_col:
-            return _NOT_ECHELON
-        if leads and lead <= leads[-1]:
-            return _NOT_ECHELON
-        leads.append(lead)
-    return EchelonReport(True, not saw_zero_col, IndexSet(leads))
+    return is_upper_echelon(L.transpose())
 
 
 def in_class_L(L: Mat, r: IndexSetLike, starred: bool = False) -> bool:
@@ -75,13 +62,9 @@ def in_class_L(L: Mat, r: IndexSetLike, starred: bool = False) -> bool:
         raise ValueError(f"{L.nrows}x{L.ncols} matrix needs {L.ncols} leaders, got {len(leaders)}")
     if leaders and leaders[-1] > L.nrows:
         raise ValueError(f"leader row {leaders[-1]} out of range for {L.nrows} rows")
-    for j, rj in enumerate(leaders, start=1):
-        lead = L.entry(rj, j)
-        if lead == 0 or (starred and lead != 1):
-            return False
-        if any(L.entry(i, j) != 0 for i in range(1, rj)):
-            return False
-    return True
+    if starred and any(L.entry(rj, j) != 1 for j, rj in enumerate(leaders, start=1)):
+        return False
+    return in_class_U(L.transpose(), leaders)
 
 
 def in_class_U(U: Mat, c: IndexSetLike) -> bool:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .core import Mat, minor
 from .errors import NotInClassError
-from .mclass import ClassDesc, in_class_M
+from .mclass import ClassDesc, eliminate, in_class_M
 
 
 @dataclass(frozen=True)
@@ -75,36 +76,14 @@ def explicit_decompose(
 
 
 def reconstruct_lu(
-    A: Mat, desc: ClassDesc, check: bool = True, max_size: int = 8
+    A: Mat, desc: Optional[ClassDesc] = None, check: bool = True
 ) -> LUPair:
-    """Forward substitution: each row of U, then the matching column of L.
-
-    Row s+1 of U is the residual of row r_{s+1} of A after subtracting the
-    already-known contributions; column s+1 of L divides the analogous
-    column residual by the new pivot.  Agrees entrywise with
-    `explicit_decompose` on class members.
+    """Forward substitution: `eliminate` pivoting on ``desc``'s leaders, or
+    on those its scan finds when ``desc`` is None.  With ``check`` the class
+    certificate must hold.  Agrees with `explicit_decompose` on members.
     """
-    if check and not in_class_M(A, desc, max_size):
-        raise NotInClassError("not in declared class")
-    r = desc.r.indices
-    c = desc.c.indices
-    t = len(r)
-    m, n = A.nrows, A.ncols
-    L = [[Fraction(0)] * t for _ in range(m)]
-    U = [[Fraction(0)] * n for _ in range(t)]
-    for s in range(1, t + 1):
-        arow = A.row(r[s - 1])
-        for j in range(1, n + 1):
-            acc = arow[j - 1]
-            for k in range(1, s):
-                acc -= L[r[s - 1] - 1][k - 1] * U[k - 1][j - 1]
-            U[s - 1][j - 1] = acc
-        pivot = U[s - 1][c[s - 1] - 1]
-        if pivot == 0:
-            raise NotInClassError("not in declared class")
-        for i in range(1, m + 1):
-            acc = A.entry(i, c[s - 1])
-            for k in range(1, s):
-                acc -= L[i - 1][k - 1] * U[k - 1][c[s - 1] - 1]
-            L[i - 1][s - 1] = acc / pivot
-    return LUPair(Mat.from_rows(L, ncols=t), Mat.from_rows(U, ncols=n), desc)
+    elim = eliminate(A, desc)
+    if check and not elim.certified:
+        reason = "matrix belongs to no class" if desc is None else "not in declared class"
+        raise NotInClassError(reason)
+    return LUPair(elim.L, elim.U, elim.desc)

@@ -9,10 +9,12 @@ A matrix belongs to at most one such class, and may belong to none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .core import IndexSet, IndexSetLike, Mat, iter_minor_layers, minor, rank
-from .errors import SizeGuardError
+from .core import IndexSet, Mat, iter_minor_layers, rank, size_guard
+from .echelon import in_class_L, in_class_U
+from .errors import NotInClassError
 
 
 @dataclass(frozen=True)
@@ -36,14 +38,6 @@ def _validate_desc(A: Mat, desc: ClassDesc) -> None:
         raise ValueError(f"column leader {desc.c[-1]} out of range for {A.nrows}x{A.ncols}")
 
 
-def _guard(A: Mat, max_size: int) -> None:
-    if min(A.nrows, A.ncols) > max_size:
-        raise SizeGuardError(
-            f"exhaustive minor enumeration refused for {A.nrows}x{A.ncols} "
-            f"(min dimension > {max_size}); pass a larger max_size to override"
-        )
-
-
 def in_class_M(A: Mat, desc: ClassDesc, max_size: int = 8) -> bool:
     """Exhaustive class membership test.
 
@@ -53,7 +47,7 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = 8) -> bool:
     hence the size guard.
     """
     _validate_desc(A, desc)
-    _guard(A, max_size)
+    size_guard(A, max_size)
     t = len(desc.r)
     if rank(A) != t:
         return False
@@ -74,39 +68,76 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = 8) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class Elimination:
+    """Leaders and factors found by `eliminate`; `vanished` means L·U == A."""
+
+    desc: ClassDesc
+    L: Mat
+    U: Mat
+    vanished: bool
+
+    @property
+    def certified(self) -> bool:
+        """Polynomial class certificate: L in L*(r), U in U(c), L·U == A.  By
+        Cauchy-Binet such a product is in class (r, c), and a member's unique
+        factors are the ones elimination recovers, so this equals `in_class_M`."""
+        r, c = self.desc.r, self.desc.c
+        return self.vanished and in_class_L(self.L, r, starred=True) and in_class_U(self.U, c)
+
+
+def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
+    """Lexicographic Schur-complement elimination over exact rationals.
+
+    Keeps A = L·U + R, from R = A: each pivot (i, j) appends row i of R to U
+    and column j of R over the pivot to L, then subtracts their product from
+    R, so after pivots (r, c), R[i, j] = [r, i | c, j] / [r | c].  Without
+    ``desc`` each pivot is the first nonzero of R, row-major, below and right
+    of the last; with ``desc`` they are its leaders and a zero one raises.
+    """
+    if desc is not None:
+        _validate_desc(A, desc)
+    m, n = A.nrows, A.ncols
+    R = A.to_rows()
+    lrows: list[list[Fraction]] = [[] for _ in range(m)]
+    urows: list[list[Fraction]] = []
+    pivots: list[tuple[int, int]] = []
+
+    def scan() -> Optional[tuple[int, int]]:
+        i0, j0 = pivots[-1] if pivots else (0, 0)
+        cells = ((i, j) for i in range(i0 + 1, m + 1) for j in range(j0 + 1, n + 1))
+        return next(((i, j) for i, j in cells if R[i - 1][j - 1]), None)
+
+    for i, j in iter(scan, None) if desc is None else zip(desc.r, desc.c):
+        urow = list(R[i - 1])
+        pivot = urow[j - 1]
+        if not pivot:
+            raise NotInClassError(f"not in declared class: zero pivot at ({i},{j})")
+        support = [(k, x) for k, x in enumerate(urow) if x]
+        for lrow, row in zip(lrows, R):
+            f = row[j - 1] / pivot
+            lrow.append(f)
+            if f:
+                for k, x in support:
+                    row[k] -= f * x
+        urows.append(urow)
+        pivots.append((i, j))
+    leaders = ClassDesc(IndexSet(i for i, _ in pivots), IndexSet(j for _, j in pivots))
+    L, U = Mat.from_rows(lrows, ncols=len(pivots)), Mat.from_rows(urows, ncols=n)
+    return Elimination(leaders, L, U, vanished=not any(map(any, R)))
+
+
 def greedy_leaders(A: Mat) -> Optional[ClassDesc]:
-    """Unverified candidate leader pair, grown one rank step at a time.
-
-    At each step the scan picks the lexicographically first (i, j) beyond
-    the previous leaders whose bordered leading minor is nonzero.  For a
-    matrix that is in some class this provably finds its leaders, but the
-    result is only trustworthy after `in_class_M` confirms it.
-    """
-    r: list[int] = []
-    c: list[int] = []
-    for _ in range(rank(A)):
-        found = None
-        for i in range((r[-1] if r else 0) + 1, A.nrows + 1):
-            for j in range((c[-1] if c else 0) + 1, A.ncols + 1):
-                if minor(A, r + [i], c + [j]) != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            return None
-        r.append(found[0])
-        c.append(found[1])
-    return ClassDesc(IndexSet(r), IndexSet(c))
+    """Uncertified leaders: the pivots of `eliminate`'s scan (each the first
+    (i, j) past the last with a nonzero bordered leading minor), or None if
+    it stops short of the rank.  `detect_class` adds the certificate."""
+    elim = eliminate(A)
+    return elim.desc if elim.vanished else None
 
 
-def detect_class(A: Mat, max_size: int = 8) -> Optional[ClassDesc]:
-    """The unique class of A, or None when A belongs to no class.
-
-    Greedy leader growth proposes a candidate; exhaustive verification by
-    `in_class_M` is mandatory, so absence is reported rather than guessed.
-    """
-    desc = greedy_leaders(A)
-    if desc is None:
-        return None
-    return desc if in_class_M(A, desc, max_size) else None
+def detect_class(A: Mat) -> Optional[ClassDesc]:
+    """The unique class of A, or None when A belongs to no class: `eliminate`
+    proposes leaders and factors, and `Elimination.certified` decides in
+    polynomial time, so absence is reported rather than guessed."""
+    elim = eliminate(A)
+    return elim.desc if elim.certified else None

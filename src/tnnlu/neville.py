@@ -11,11 +11,11 @@ form:
   multiple of the row directly above it, applying the inverse update to L.
 
 On totally nonnegative input every multiplier is nonnegative and both
-factors stay totally nonnegative throughout.  States that a TNN matrix
-can never reach (they would imply a negative 2x2 minor, see
-`tnn.cauchon_check`) raise instead of producing a wrong answer.  A run
-is fully described by its move list, which can be serialized, parsed
-back, and replayed.
+factors stay totally nonnegative throughout.  A negative multiplier, or a
+state a TNN matrix can never reach (see `tnn.cauchon_check`), raises; but
+the final U is not tested, so past the size guard some non-TNN inputs
+still factor.  A run is fully described by its move list, which can be
+serialized, parsed back, and replayed.
 """
 
 from __future__ import annotations
@@ -128,12 +128,12 @@ def _echelon_state(rows: Rows, width: int) -> tuple[bool, bool]:
     return ok, saw_zero
 
 
-def _find_move(rows: Rows, ncols: int) -> tuple[int, int, Fraction]:
-    """Locate the next elimination move (s, t, multiplier).
+def _find_move(rows: Rows, ncols: int, index: int) -> tuple[int, int, Fraction]:
+    """Locate move number ``index``: (s, t, multiplier).
 
     Assumes no zero rows and that the full matrix is not in upper echelon
-    form.  Any structural state a TNN matrix cannot reach raises
-    NotTotallyNonnegativeError.
+    form.  Any structural state a TNN matrix cannot reach, and a negative
+    multiplier, raise NotTotallyNonnegativeError.
     """
     m = len(rows)
     leftmost = next(
@@ -157,7 +157,13 @@ def _find_move(rows: Rows, ncols: int) -> tuple[int, int, Fraction]:
     failure = _move_precondition_failure(rows, s, t)
     if failure is not None:
         raise NotTotallyNonnegativeError(f"input not totally nonnegative: {failure}")
-    return s, t, rows[s][t - 1] / rows[s - 1][t - 1]
+    lam = rows[s][t - 1] / rows[s - 1][t - 1]
+    if lam < 0:
+        raise NotTotallyNonnegativeError(
+            f"input not totally nonnegative: move {index} (s={s}, t={t}) "
+            f"has negative multiplier {format_scalar(lam)}"
+        )
+    return s, t, lam
 
 
 def _snapshot(work_l: Rows, work_u: Rows, width: int, ncols: int) -> tuple[Mat, Mat]:
@@ -186,7 +192,7 @@ def neville_decompose(
 
     Total nonnegativity is verified brute-force up front when the matrix
     is small enough (and ``check_tnn`` is left on); beyond the size guard
-    it is enforced dynamically, move by move.  With ``check_invariants``
+    it is only policed move by move.  With ``check_invariants``
     the running product L·U is compared against A after every move.
     """
     if check_tnn and min(A.nrows, A.ncols) <= max_size:
@@ -215,7 +221,7 @@ def neville_decompose(
             width -= 1
             moves.append(DeleteRow(i))
         else:
-            s, t, lam = _find_move(work_u, A.ncols)
+            s, t, lam = _find_move(work_u, A.ncols, len(moves) + 1)
             _apply_move(work_u, s, lam)
             for lrow in work_l:
                 lrow[s - 1] = lrow[s - 1] + lam * lrow[s]

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import IndexSet, Mat, iter_minor_layers
-from .errors import SizeGuardError
+from .core import IndexSet, Mat, iter_minor_layers, size_guard
 
 Witness = tuple[IndexSet, IndexSet, Fraction]
 
@@ -33,17 +32,9 @@ class TnnReport:
     witness: Optional[Witness] = None
 
 
-def _guard(A: Mat, max_size: int) -> None:
-    if min(A.nrows, A.ncols) > max_size:
-        raise SizeGuardError(
-            f"brute-force minor enumeration refused for {A.nrows}x{A.ncols} "
-            f"(min dimension > {max_size}); pass a larger max_size to override"
-        )
-
-
 def is_tnn(A: Mat, max_size: int = 8) -> TnnReport:
     """Sweep all square minors for a negative one."""
-    _guard(A, max_size)
+    size_guard(A, max_size)
     for s, layer in iter_minor_layers(A):
         if s == 0:
             continue
@@ -56,7 +47,7 @@ def is_tnn(A: Mat, max_size: int = 8) -> TnnReport:
 def is_tp(A: Mat, max_size: int = 8) -> TnnReport:
     """Variant demanding strict positivity: `is_tnn` is True iff every
     minor is > 0, and the witness is the first minor <= 0."""
-    _guard(A, max_size)
+    size_guard(A, max_size)
     for s, layer in iter_minor_layers(A):
         if s == 0:
             continue

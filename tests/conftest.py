@@ -7,8 +7,9 @@ against (n <= 5 keeps it affordable).
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from tnnlu import IndexSet, Mat
+from tnnlu import ClassDesc, IndexSet, Mat
 
 
 def det_cofactor(rows):
@@ -31,6 +32,14 @@ def det_cofactor(rows):
 def minor_cofactor(A, I, J):
     """Minor of A via the naive oracle; I, J are iterables of 1-based indices."""
     return det_cofactor([[A.entry(i, j) for j in J] for i in I])
+
+
+def all_candidate_descs(m, n):
+    """Every leader pair (r, c) an m x n matrix could have, by rank."""
+    for t in range(0, min(m, n) + 1):
+        for r in combinations(range(1, m + 1), t):
+            for c in combinations(range(1, n + 1), t):
+                yield ClassDesc(IndexSet(r), IndexSet(c))
 
 
 def random_rational_matrix(rng, m, n, span=4, denoms=(1, 1, 2, 3)):

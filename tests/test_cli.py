@@ -115,6 +115,46 @@ def test_unchecked_skips_verification(capsys):
     assert json.loads(out)["class"] == {"r": [1, 2], "c": [1, 2]}
 
 
+@pytest.mark.parametrize("method", ["auto", "explicit", "reconstruct"])
+def test_unchecked_still_certifies_the_class(capsys, method):
+    # the scan's candidate leaders ({1,2}, {2,3}) fail the certificate: the
+    # residual row 2 is 1 0 -1, which does not lead at column 3
+    code, out, err = run_cli(
+        capsys, "decompose", "--inline", "0 1 1; 1 1 0", "--method", method, "--unchecked"
+    )
+    assert code == 4 and out == ""
+    assert "class-not-found" in err
+
+
+def pascal_inline(n, bent=None):
+    """n x n Pascal matrix C(i+j, i) as an --inline string, one entry optionally replaced."""
+    from math import comb
+
+    rows = [[comb(i + j, i) for j in range(n)] for i in range(n)]
+    if bent is not None:
+        (i, j), value = bent
+        rows[i - 1][j - 1] = value
+    return ";".join(" ".join(str(x) for x in row) for row in rows)
+
+
+def test_neville_rejects_negative_multiplier_beyond_the_guard(capsys):
+    # [1,2|1,2] = -98 < 0, but min dimension 9 skips the up-front sweep
+    inline = pascal_inline(9, bent=((1, 2), 100))
+    code, out, err = run_cli(capsys, "decompose", "--inline", inline, "--method", "neville")
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: not-tnn: input not totally nonnegative: "
+        "move 15 (s=2, t=2) has negative multiplier -1/98\n"
+    )
+
+
+def test_detect_is_not_size_guarded(capsys):
+    code, out, _ = run_cli(capsys, "detect", "--inline", pascal_inline(12))
+    assert code == 0
+    leaders = ",".join(str(i) for i in range(1, 13))
+    assert out == f"class: r = {{{leaders}}}, c = {{{leaders}}}\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "decompose", "--inline", "1 x; 2 3")
     assert code == 3

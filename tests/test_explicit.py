@@ -77,7 +77,7 @@ def test_unchecked_hits_hard_error_on_zero_leading_minor():
     bad = ClassDesc(IndexSet((1,)), IndexSet((1,)))  # a[1,1] = 0
     with pytest.raises(NotInClassError):
         explicit_decompose(CRYER, bad, check=False)
-    with pytest.raises(NotInClassError):
+    with pytest.raises(NotInClassError, match=r"zero pivot at \(1,1\)"):
         reconstruct_lu(CRYER, bad, check=False)
 
 

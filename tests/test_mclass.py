@@ -1,8 +1,12 @@
-from itertools import combinations
-
 import pytest
 
-from conftest import random_ascending_subset, random_class_L, random_class_U, seeded
+from conftest import (
+    all_candidate_descs,
+    random_ascending_subset,
+    random_class_L,
+    random_class_U,
+    seeded,
+)
 from tnnlu import (
     ClassDesc,
     IndexSet,
@@ -18,13 +22,6 @@ from tnnlu import (
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
 NO_CLASS = Mat.from_rows([[0, 1], [1, 1]])
-
-
-def all_candidate_descs(m, n):
-    for t in range(0, min(m, n) + 1):
-        for r in combinations(range(1, m + 1), t):
-            for c in combinations(range(1, n + 1), t):
-                yield ClassDesc(IndexSet(r), IndexSet(c))
 
 
 def test_in_class_M_examples():
@@ -64,13 +61,11 @@ def test_greedy_candidate_can_fail_verification():
 
 def test_size_guard():
     big = Mat.identity(9)
+    full = ClassDesc(IndexSet(range(1, 10)), IndexSet(range(1, 10)))
     with pytest.raises(SizeGuardError):
-        in_class_M(big, ClassDesc(IndexSet(range(1, 10)), IndexSet(range(1, 10))))
-    with pytest.raises(SizeGuardError):
-        detect_class(big)
-    # explicit override
-    desc = detect_class(big, max_size=9)
-    assert desc == ClassDesc(IndexSet(range(1, 10)), IndexSet(range(1, 10)))
+        in_class_M(big, full)
+    # detection is polynomial (elimination plus certificate): no guard to override
+    assert detect_class(big) == full
 
 
 def test_product_of_class_factors_is_class_member():

@@ -1,0 +1,110 @@
+"""Property tests: the elimination kernel against the exhaustive oracles.
+
+`detect_class` and `reconstruct_lu` run one Schur-complement elimination
+plus a polynomial certificate; here they are held to `in_class_M` over
+every candidate class, to `explicit_decompose`, and to the original
+definition of the greedy leaders by bordered minors.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    all_candidate_descs,
+    random_ascending_subset,
+    random_class_L,
+    random_class_U,
+    seeded,
+)
+from tnnlu import (
+    ClassDesc,
+    IndexSet,
+    Mat,
+    NotInClassError,
+    detect_class,
+    explicit_decompose,
+    greedy_leaders,
+    in_class_M,
+    matmul,
+    minor,
+    rank,
+    reconstruct_lu,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Up to 4x5, entries of both signs with zero three times as likely as any other."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+    return Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n)))
+
+
+@st.composite
+def class_products(draw):
+    """(A, desc) with A = L·U for random L in class L(r) and U in class U(c)."""
+    rng = seeded(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, min(m, n)))
+    r = random_ascending_subset(rng, m, t)
+    c = random_ascending_subset(rng, n, t)
+    return matmul(random_class_L(rng, m, r), random_class_U(rng, n, c)), ClassDesc(r, c)
+
+
+def greedy_by_minors(A):
+    """The greedy leaders by definition: one bordered minor per candidate."""
+    r, c = [], []
+    for _ in range(rank(A)):
+        found = next(
+            (
+                (i, j)
+                for i in range((r[-1] if r else 0) + 1, A.nrows + 1)
+                for j in range((c[-1] if c else 0) + 1, A.ncols + 1)
+                if minor(A, r + [i], c + [j]) != 0
+            ),
+            None,
+        )
+        if found is None:
+            return None
+        r.append(found[0])
+        c.append(found[1])
+    return ClassDesc(IndexSet(r), IndexSet(c))
+
+
+def certifies(A, desc):
+    """Whether `reconstruct_lu`'s certificate accepts A in class ``desc``."""
+    try:
+        reconstruct_lu(A, desc)
+    except NotInClassError:
+        return False
+    return True
+
+
+@SETTINGS
+@given(small_integer_matrices())
+def test_certificate_matches_exhaustive_search(A):
+    candidates = list(all_candidate_descs(A.nrows, A.ncols))
+    passing = [d for d in candidates if in_class_M(A, d)]
+    assert len(passing) <= 1
+    assert detect_class(A) == (passing[0] if passing else None)
+    assert [d for d in candidates if certifies(A, d)] == passing
+
+
+@SETTINGS
+@given(small_integer_matrices())
+def test_scan_finds_the_bordered_minor_leaders(A):
+    assert greedy_leaders(A) == greedy_by_minors(A)
+
+
+@SETTINGS
+@given(class_products())
+def test_reconstruct_matches_explicit_on_members(sample):
+    A, desc = sample
+    assert detect_class(A) == desc
+    lu = explicit_decompose(A, desc)
+    assert reconstruct_lu(A, desc) == lu
+    assert reconstruct_lu(A) == lu
