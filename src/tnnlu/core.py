@@ -28,6 +28,7 @@ __all__ = [
     "IndexSetLike",
     "Mat",
     "as_scalar",
+    "parse_int",
     "parse_scalar",
     "format_scalar",
     "indexset_leq",
@@ -64,16 +65,24 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
+def parse_int(token: str, signed: bool = True) -> int:
+    """Parse an ASCII decimal integer token, "[+-]?[0-9]+" (or "[0-9]+"
+    when not ``signed``); anything else, "1_000" or non-ASCII digits
+    included, raises ParseError."""
+    digits = token[1:] if signed and token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_scalar(token: str) -> Fraction:
     """Parse an integer or "p/q" token (q > 0) into an exact rational."""
     text = token.strip()
     num, sep, den = text.partition("/")
     try:
-        if sep:
-            p, q = int(num), int(den)
-        else:
-            return Fraction(int(text))
-    except ValueError:
+        p = parse_int(num)
+        q = parse_int(den, signed=False) if sep else 1
+    except ParseError:
         raise ParseError(f"not an exact rational: {token!r}") from None
     if q <= 0:
         raise ParseError(f"denominator must be positive: {token!r}")
@@ -471,8 +480,8 @@ def parse_matrix(text: str) -> Mat:
     if len(header) != 2:
         raise ParseError(f"header must be 'm n', got {lines[0]!r}")
     try:
-        nrows, ncols = int(header[0]), int(header[1])
-    except ValueError:
+        nrows, ncols = parse_int(header[0]), parse_int(header[1])
+    except ParseError:
         raise ParseError(f"header must be 'm n', got {lines[0]!r}") from None
     if nrows < 0 or ncols < 0:
         raise ParseError(f"negative dimensions in header: {lines[0]!r}")

@@ -10,6 +10,8 @@ of each column (resp. row) to a prescribed index list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .core import IndexSet, IndexSetLike, Mat
 
@@ -31,21 +33,19 @@ class EchelonReport:
 _NOT_ECHELON = EchelonReport(False, False, IndexSet())
 
 
+def row_leads(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[int]:
+    """Each row's leftmost nonzero column, or ``ncols + 1`` for a zero row."""
+    return [next((j for j, x in enumerate(row, start=1) if x != 0), ncols + 1) for row in rows]
+
+
 def is_upper_echelon(U: Mat) -> EchelonReport:
-    """Check the upper staircase pattern row by row."""
-    leads: list[int] = []
-    saw_zero_row = False
-    for row in U.iter_rows():
-        lead = next((j for j, x in enumerate(row, start=1) if x != 0), None)
-        if lead is None:
-            saw_zero_row = True
-            continue
-        if saw_zero_row:
-            return _NOT_ECHELON
-        if leads and lead <= leads[-1]:
-            return _NOT_ECHELON
-        leads.append(lead)
-    return EchelonReport(True, not saw_zero_row, IndexSet(leads))
+    """Check the upper staircase pattern: each lead left of the next one,
+    or the next row zero."""
+    leads = row_leads(U.iter_rows(), U.ncols)
+    if any(a >= b and b <= U.ncols for a, b in zip(leads, leads[1:])):
+        return _NOT_ECHELON
+    pivots = [j for j in leads if j <= U.ncols]
+    return EchelonReport(True, len(pivots) == len(leads), IndexSet(pivots))
 
 
 def is_lower_echelon(L: Mat) -> EchelonReport:
@@ -75,9 +75,4 @@ def in_class_U(U: Mat, c: IndexSetLike) -> bool:
         raise ValueError(f"{U.nrows}x{U.ncols} matrix needs {U.nrows} leaders, got {len(leaders)}")
     if leaders and leaders[-1] > U.ncols:
         raise ValueError(f"leader column {leaders[-1]} out of range for {U.ncols} columns")
-    for i, ci in enumerate(leaders, start=1):
-        if U.entry(i, ci) == 0:
-            return False
-        if any(U.entry(i, j) != 0 for j in range(1, ci)):
-            return False
-    return True
+    return row_leads(U.iter_rows(), U.ncols) == list(leaders)

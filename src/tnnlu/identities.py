@@ -26,7 +26,6 @@ from .core import (
     inversion_count,
     matmul,
     minor,
-    submatrix,
 )
 
 IndexPair = tuple[IndexSet, IndexSet]
@@ -140,18 +139,9 @@ def laplace_sum_rows(A: Mat, I: IndexSetLike, J1: IndexSetLike, J2: IndexSetLike
 
 
 def laplace_sum_cols(A: Mat, J: IndexSetLike, I1: IndexSetLike, I2: IndexSetLike) -> Fraction:
-    """Column dual: signed sum over splits J = J1 ⊔ J2 of [I1|J1]·[I2|J2]."""
-    J = IndexSet.coerce(J)
-    I1 = IndexSet.coerce(I1)
-    I2 = IndexSet.coerce(I2)
-    if len(I1) + len(I2) != len(J):
-        raise ValueError(f"|I1| + |I2| must equal |J|: {I1!r}, {I2!r}, {J!r}")
-    total = Fraction(0)
-    for chosen in combinations(J.indices, len(I1)):
-        J1 = IndexSet(chosen)
-        J2 = J.difference(J1)
-        total += _sign(inversion_count(J1, J2)) * minor(A, I1, J1) * minor(A, I2, J2)
-    return total
+    """Column dual: signed sum over splits J = J1 ⊔ J2 of [I1|J1]·[I2|J2],
+    which is `laplace_sum_rows` on the transpose."""
+    return laplace_sum_rows(A.transpose(), J, I1, I2)
 
 
 def vanishing_check(A: Mat, I: IndexSetLike, J: IndexSetLike, J1: IndexSetLike) -> bool:
@@ -177,20 +167,8 @@ def vanishing_check(A: Mat, I: IndexSetLike, J: IndexSetLike, J1: IndexSetLike) 
 
 
 def vanishing_check_dual(A: Mat, I: IndexSetLike, J: IndexSetLike, I1: IndexSetLike) -> bool:
-    """Row-fixing dual of `vanishing_check`."""
-    I = IndexSet.coerce(I)
-    J = IndexSet.coerce(J)
-    I1 = IndexSet.coerce(I1)
-    if len(I) != len(J):
-        raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
-    if not I1.issubset(I):
-        raise ValueError(f"I1 = {I1!r} must be contained in I = {I!r}")
-    hypothesis = all(
-        minor(A, I1, IndexSet(sub)) == 0 for sub in combinations(J.indices, len(I1))
-    )
-    if not hypothesis:
-        return True
-    return minor(A, I, J) == 0
+    """Row-fixing dual of `vanishing_check`, which it runs on the transpose."""
+    return vanishing_check(A.transpose(), J, I, I1)
 
 
 def cauchy_binet_check(A: Mat, B: Mat, I: IndexSetLike, J: IndexSetLike) -> bool:
@@ -260,6 +238,8 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
     """
     if size < 3:
         raise ValueError("size must be at least 3")
+    if instances < 0:
+        raise ValueError(f"instances must be nonnegative, got {instances}")
     rng = random.Random(seed)
     results: dict[str, dict[str, int]] = {}
 
@@ -267,7 +247,7 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
         failures = sum(0 if attempt() else 1 for _ in range(instances))
         results[name] = {"instances": instances, "failures": failures}
 
-    def laplace_rows_instance() -> bool:
+    def laplace_instance(dual: bool) -> bool:
         n = rng.randint(2, size)
         A = _random_matrix(rng, n, n)
         si = rng.randint(1, n)
@@ -281,31 +261,14 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
             if len(rest) < si - s1:
                 return True
             J2 = IndexSet(sorted(rng.sample(rest, si - s1)))
-        value = laplace_sum_rows(A, I, J1, J2)
+        if dual:  # I is then a column set, J1 and J2 row sets
+            value, B = laplace_sum_cols(A, I, J1, J2), A.transpose()
+        else:
+            value, B = laplace_sum_rows(A, I, J1, J2), A
         if not J1.isdisjoint(J2):
             return value == 0
         union = J1.disjoint_union(J2)
-        return value == _sign(inversion_count(J1, J2)) * minor(A, I, union)
-
-    def laplace_cols_instance() -> bool:
-        n = rng.randint(2, size)
-        A = _random_matrix(rng, n, n)
-        sj = rng.randint(1, n)
-        J = _random_subset(rng, n, sj)
-        s1 = rng.randint(0, sj)
-        I1 = _random_subset(rng, n, s1)
-        if rng.random() < 0.5 and s1 and sj - s1:
-            I2 = _random_subset(rng, n, sj - s1)
-        else:
-            rest = [i for i in range(1, n + 1) if i not in I1]
-            if len(rest) < sj - s1:
-                return True
-            I2 = IndexSet(sorted(rng.sample(rest, sj - s1)))
-        value = laplace_sum_cols(A, J, I1, I2)
-        if not I1.isdisjoint(I2):
-            return value == 0
-        union = I1.disjoint_union(I2)
-        return value == _sign(inversion_count(I1, I2)) * minor(A, union, J)
+        return value == _sign(inversion_count(J1, J2)) * minor(B, I, union)
 
     def cauchy_binet_instance() -> bool:
         m = rng.randint(1, size)
@@ -338,8 +301,8 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
         Q = IndexSet(sorted(rng.sample(free_cols, ext)))
         return evaluate_identity(muir_extend(base, P, Q), A) == 0
 
-    run("laplace_rows", laplace_rows_instance)
-    run("laplace_cols", laplace_cols_instance)
+    run("laplace_rows", lambda: laplace_instance(dual=False))
+    run("laplace_cols", lambda: laplace_instance(dual=True))
     run("cauchy_binet", cauchy_binet_instance)
     run("sylvester", sylvester_instance)
     run("muir_extended", muir_instance)

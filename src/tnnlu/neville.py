@@ -15,7 +15,8 @@ factors stay totally nonnegative throughout.  A negative multiplier, or a
 state a TNN matrix can never reach (see `tnn.cauchon_check`), raises; but
 the final U is not tested, so past the size guard some non-TNN inputs
 still factor.  A run is fully described by its move list, which can be
-serialized, parsed back, and replayed.
+serialized, parsed back, and replayed; the run and its replay apply each
+move through the same validated step.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import Mat, format_scalar, matmul, parse_scalar
-from .echelon import is_lower_echelon, is_upper_echelon
+from .core import Mat, format_scalar, matmul, parse_int, parse_scalar
+from .echelon import is_lower_echelon, is_upper_echelon, row_leads
 from .errors import (
     MovePreconditionError,
     NotTotallyNonnegativeError,
@@ -111,40 +112,23 @@ def neville_move(U: Mat, s: int, t: int) -> Mat:
     return Mat.from_rows(rows, ncols=U.ncols)
 
 
-def _echelon_state(rows: Rows, width: int) -> tuple[bool, bool]:
-    """(is_echelon, has_zero_row) for the first ``width`` columns."""
-    last_lead = 0
-    saw_zero = False
-    ok = True
-    for row in rows:
-        lead = next((j for j in range(1, width + 1) if row[j - 1] != 0), None)
-        if lead is None:
-            saw_zero = True
-        elif saw_zero or lead <= last_lead:
-            ok = False
-            break
-        else:
-            last_lead = lead
-    return ok, saw_zero
+def _find_move(rows: Rows, leads: list[int]) -> Eliminate:
+    """Locate the next elimination move from the rows' leading columns.
 
-
-def _find_move(rows: Rows, ncols: int, index: int) -> tuple[int, int, Fraction]:
-    """Locate move number ``index``: (s, t, multiplier).
-
-    Assumes no zero rows and that the full matrix is not in upper echelon
-    form.  Any structural state a TNN matrix cannot reach, and a negative
-    multiplier, raise NotTotallyNonnegativeError.
+    Assumes no zero rows and leads not strictly increasing.  The move
+    clears column t, the leftmost one whose column prefix breaks the
+    staircase: the smallest lead at or left of some lead above it.  Any
+    structural state a TNN matrix cannot reach raises
+    NotTotallyNonnegativeError.
     """
     m = len(rows)
-    leftmost = next(
-        (j for j in range(1, ncols + 1) if any(row[j - 1] != 0 for row in rows)), None
-    )
-    if leftmost is not None and rows[0][leftmost - 1] == 0:
+    leftmost = min(leads)
+    if leads[0] != leftmost:
         raise NotTotallyNonnegativeError(
             "input not totally nonnegative: "
             f"leftmost nonzero column {leftmost} has a zero uppermost entry"
         )
-    t = next(t for t in range(1, ncols + 1) if not _echelon_state(rows, t)[0])
+    t = min(b for k, b in enumerate(leads[1:], start=1) if max(leads[:k]) >= b)
     s = next(
         (s for s in range(m - 1, 0, -1) if rows[s - 1][t - 1] != 0 and rows[s][t - 1] != 0),
         None,
@@ -154,20 +138,44 @@ def _find_move(rows: Rows, ncols: int, index: int) -> tuple[int, int, Fraction]:
             f"input not totally nonnegative: column {t} breaks the staircase "
             "but has no adjacent nonzero pair"
         )
-    failure = _move_precondition_failure(rows, s, t)
+    return Eliminate(s, t, rows[s][t - 1] / rows[s - 1][t - 1])
+
+
+def _step(work_l: Rows, work_u: Rows, move: Move) -> Optional[str]:
+    """Apply one validated move to the running factors in place.
+
+    Returns the violated condition instead, leaving the factors untouched:
+    a row out of range or not zero, a failed elimination precondition, or
+    a multiplier that does not match the state.
+    """
+    if isinstance(move, DeleteRow):
+        i = move.i
+        if not 1 <= i <= len(work_u):
+            return f"row {i} out of range"
+        if any(x != 0 for x in work_u[i - 1]):
+            return f"row {i} is not a zero row"
+        del work_u[i - 1]
+        for lrow in work_l:
+            del lrow[i - 1]
+        return None
+    s, t = move.s, move.t
+    failure = _move_precondition_failure(work_u, s, t)
     if failure is not None:
-        raise NotTotallyNonnegativeError(f"input not totally nonnegative: {failure}")
-    lam = rows[s][t - 1] / rows[s - 1][t - 1]
-    if lam < 0:
-        raise NotTotallyNonnegativeError(
-            f"input not totally nonnegative: move {index} (s={s}, t={t}) "
-            f"has negative multiplier {format_scalar(lam)}"
+        return failure
+    lam = work_u[s][t - 1] / work_u[s - 1][t - 1]
+    if lam != move.multiplier:
+        return (
+            f"multiplier {format_scalar(move.multiplier)} does not "
+            f"match state value {format_scalar(lam)}"
         )
-    return s, t, lam
+    _apply_move(work_u, s, lam)
+    for lrow in work_l:
+        lrow[s - 1] = lrow[s - 1] + lam * lrow[s]
+    return None
 
 
-def _snapshot(work_l: Rows, work_u: Rows, width: int, ncols: int) -> tuple[Mat, Mat]:
-    return Mat.from_rows(work_l, ncols=width), Mat.from_rows(work_u, ncols=ncols)
+def _snapshot(work_l: Rows, work_u: Rows, ncols: int) -> tuple[Mat, Mat]:
+    return Mat.from_rows(work_l, ncols=len(work_u)), Mat.from_rows(work_u, ncols=ncols)
 
 
 def _read_class(L: Mat, U: Mat) -> ClassDesc:
@@ -185,15 +193,15 @@ def neville_decompose(
     record_stages: bool = False,
     *,
     check_tnn: bool = True,
-    check_invariants: bool = False,
     max_size: int = 8,
 ) -> tuple[LUPair, NevilleTrace]:
     """Run the elimination on a totally nonnegative matrix.
 
     Total nonnegativity is verified brute-force up front when the matrix
     is small enough (and ``check_tnn`` is left on); beyond the size guard
-    it is only policed move by move.  With ``check_invariants``
-    the running product L·U is compared against A after every move.
+    it is only policed move by move.  With ``record_stages`` the trace
+    keeps a snapshot of (L, U) after every move.  The finished factors
+    must multiply back to A.
     """
     if check_tnn and min(A.nrows, A.ncols) <= max_size:
         report = is_tnn(A, max_size=max_size)
@@ -205,35 +213,32 @@ def neville_decompose(
             )
     work_u = A.to_rows()
     work_l = Mat.identity(A.nrows).to_rows()
-    width = A.nrows
     moves: list[Move] = []
     stages: list[tuple[Mat, Mat]] = []
 
     while True:
-        zero_rows = [k for k in range(1, width + 1) if all(x == 0 for x in work_u[k - 1])]
-        if not zero_rows and _echelon_state(work_u, A.ncols)[0]:
-            break
+        leads = row_leads(work_u, A.ncols)
+        zero_rows = [k for k, lead in enumerate(leads, start=1) if lead > A.ncols]
         if zero_rows:
-            i = zero_rows[-1]
-            del work_u[i - 1]
-            for lrow in work_l:
-                del lrow[i - 1]
-            width -= 1
-            moves.append(DeleteRow(i))
+            move: Move = DeleteRow(zero_rows[-1])
+        elif all(a < b for a, b in zip(leads, leads[1:])):
+            break
         else:
-            s, t, lam = _find_move(work_u, A.ncols, len(moves) + 1)
-            _apply_move(work_u, s, lam)
-            for lrow in work_l:
-                lrow[s - 1] = lrow[s - 1] + lam * lrow[s]
-            moves.append(Eliminate(s, t, lam))
-        if record_stages or check_invariants:
-            Lm, Um = _snapshot(work_l, work_u, width, A.ncols)
-            if check_invariants and matmul(Lm, Um) != A:
-                raise RuntimeError(f"invariant violated after move {len(moves)}: L*U != A")
-            if record_stages:
-                stages.append((Lm, Um))
+            move = _find_move(work_u, leads)
+        failure = _step(work_l, work_u, move)
+        if failure is not None:
+            raise NotTotallyNonnegativeError(f"input not totally nonnegative: {failure}")
+        # after the step, so that a failed precondition is the one reported
+        if isinstance(move, Eliminate) and move.multiplier < 0:
+            raise NotTotallyNonnegativeError(
+                f"input not totally nonnegative: move {len(moves) + 1} (s={move.s}, "
+                f"t={move.t}) has negative multiplier {format_scalar(move.multiplier)}"
+            )
+        moves.append(move)
+        if record_stages:
+            stages.append(_snapshot(work_l, work_u, A.ncols))
 
-    Lm, Um = _snapshot(work_l, work_u, width, A.ncols)
+    Lm, Um = _snapshot(work_l, work_u, A.ncols)
     if matmul(Lm, Um) != A:
         raise NotTotallyNonnegativeError(
             "input not totally nonnegative: elimination lost the factorization"
@@ -252,31 +257,11 @@ def replay(A: Mat, trace: NevilleTrace) -> LUPair:
     """
     work_u = A.to_rows()
     work_l = Mat.identity(A.nrows).to_rows()
-    width = A.nrows
     for step, move in enumerate(trace.moves, start=1):
-        if isinstance(move, DeleteRow):
-            if not 1 <= move.i <= width:
-                raise ReplayError(f"step {step}: row {move.i} out of range")
-            if any(x != 0 for x in work_u[move.i - 1]):
-                raise ReplayError(f"step {step}: row {move.i} is not a zero row")
-            del work_u[move.i - 1]
-            for lrow in work_l:
-                del lrow[move.i - 1]
-            width -= 1
-        else:
-            failure = _move_precondition_failure(work_u, move.s, move.t)
-            if failure is not None:
-                raise ReplayError(f"step {step}: {failure}")
-            lam = work_u[move.s][move.t - 1] / work_u[move.s - 1][move.t - 1]
-            if lam != move.multiplier:
-                raise ReplayError(
-                    f"step {step}: multiplier {format_scalar(move.multiplier)} does not "
-                    f"match state value {format_scalar(lam)}"
-                )
-            _apply_move(work_u, move.s, lam)
-            for lrow in work_l:
-                lrow[move.s - 1] = lrow[move.s - 1] + lam * lrow[move.s]
-    Lm, Um = _snapshot(work_l, work_u, width, A.ncols)
+        failure = _step(work_l, work_u, move)
+        if failure is not None:
+            raise ReplayError(f"step {step}: {failure}")
+    Lm, Um = _snapshot(work_l, work_u, A.ncols)
     if not is_upper_echelon(Um).is_strict:
         raise ReplayError("trace does not finish the elimination")
     if matmul(Lm, Um) != A:
@@ -304,10 +289,11 @@ def parse_trace(text: str) -> NevilleTrace:
             continue
         try:
             if tokens[0] == "D" and len(tokens) == 2:
-                moves.append(DeleteRow(int(tokens[1])))
+                moves.append(DeleteRow(parse_int(tokens[1])))
                 continue
             if tokens[0] == "E" and len(tokens) == 4:
-                moves.append(Eliminate(int(tokens[1]), int(tokens[2]), parse_scalar(tokens[3])))
+                s, t = parse_int(tokens[1]), parse_int(tokens[2])
+                moves.append(Eliminate(s, t, parse_scalar(tokens[3])))
                 continue
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad trace line {line!r}") from exc

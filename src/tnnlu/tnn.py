@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import IndexSet, Mat, iter_minor_layers, size_guard
 
@@ -32,29 +32,29 @@ class TnnReport:
     witness: Optional[Witness] = None
 
 
-def is_tnn(A: Mat, max_size: int = 8) -> TnnReport:
-    """Sweep all square minors for a negative one."""
+def _sweep(A: Mat, max_size: int, fails: Callable[[int], bool]) -> TnnReport:
+    """Scan the square minors in order for the first one whose numerator
+    ``fails`` flags; a Fraction's denominator is positive, so the
+    numerator carries its sign."""
     size_guard(A, max_size)
     for s, layer in iter_minor_layers(A):
         if s == 0:
             continue
         for (rows, cols), value in layer.items():
-            if value < 0:
+            if fails(value.numerator):
                 return TnnReport(False, (IndexSet(rows), IndexSet(cols), value))
     return TnnReport(True)
+
+
+def is_tnn(A: Mat, max_size: int = 8) -> TnnReport:
+    """Sweep all square minors for a negative one."""
+    return _sweep(A, max_size, lambda p: p < 0)
 
 
 def is_tp(A: Mat, max_size: int = 8) -> TnnReport:
     """Variant demanding strict positivity: `is_tnn` is True iff every
     minor is > 0, and the witness is the first minor <= 0."""
-    size_guard(A, max_size)
-    for s, layer in iter_minor_layers(A):
-        if s == 0:
-            continue
-        for (rows, cols), value in layer.items():
-            if value <= 0:
-                return TnnReport(False, (IndexSet(rows), IndexSet(cols), value))
-    return TnnReport(True)
+    return _sweep(A, max_size, lambda p: p <= 0)
 
 
 def cauchon_check(A: Mat) -> Union[bool, tuple[int, int, int, int]]:

@@ -161,6 +161,12 @@ def test_parse_error_exit_code(capsys):
     assert "parse-error" in err
 
 
+def test_underscore_integer_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "check-tnn", "--inline", "1_0 1; 1 1")
+    assert (code, out) == (3, "")
+    assert err == "error: parse-error: not an exact rational: '1_0'\n"
+
+
 def test_missing_file_is_parse_error(capsys):
     code, _, err = run_cli(capsys, "detect", "/nonexistent/matrix.txt")
     assert code == 3
@@ -203,6 +209,12 @@ def test_identities_selftest(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(entry["failures"] == 0 for entry in payload["results"].values())
+
+
+def test_identities_selftest_rejects_negative_instances(capsys):
+    code, out, err = run_cli(capsys, "identities-selftest", "--instances", "-3")
+    assert (code, out) == (7, "")
+    assert "bad-input" in err and "instances" in err
 
 
 def test_output_is_deterministic(capsys):

@@ -205,9 +205,13 @@ class TestScalarsAndText:
     def test_parse_format_scalar(self):
         assert parse_scalar("7") == 7
         assert parse_scalar("-3/6") == Fraction(-1, 2)
+        assert parse_scalar("+5") == 5
+        assert parse_scalar("3/4") == Fraction(3, 4)
         assert format_scalar(Fraction(8, 4)) == "2"
         assert format_scalar(Fraction(-1, 2)) == "-1/2"
-        for bad in ("1.5", "1/0", "1/-2", "x", "", "2/"):
+        # int() accepts the parts of the last four: an underscore, a non-ASCII
+        # digit, a signed denominator, spaces around the slash
+        for bad in ("1.5", "1/0", "1/-2", "x", "", "2/", "1_0", "\u0663", "3/+4", " 3 / 4"):
             with pytest.raises(ParseError):
                 parse_scalar(bad)
 
@@ -248,6 +252,8 @@ class TestScalarsAndText:
             "1 1\n0.5\n",
             "-1 2\n",
             "0 0\n1\n",
+            "1 \u0661\n7\n",
+            "1_0 1\n" + "1\n" * 10,
         ):
             with pytest.raises(ParseError):
                 parse_matrix(text)

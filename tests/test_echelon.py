@@ -12,6 +12,7 @@ from tnnlu import (
     is_upper_echelon,
     minor,
 )
+from tnnlu.echelon import row_leads
 
 
 def test_upper_echelon_examples():
@@ -25,6 +26,12 @@ def test_upper_echelon_examples():
 
     rep = is_upper_echelon(Mat.from_rows([[0, 1], [1, 0]]))
     assert not rep.is_echelon
+
+
+def test_row_leads_marks_zero_rows_past_the_last_column():
+    rows = Mat.from_rows([[0, 2, 0], [0, 0, 0], [5, 0, 1]]).to_rows()
+    assert row_leads(rows, 3) == [2, 4, 1]
+    assert row_leads([], 3) == []
 
 
 def test_zero_row_above_nonzero_is_not_echelon():

@@ -1,9 +1,12 @@
-"""Property tests: the elimination kernel against the exhaustive oracles.
+"""Property tests: the elimination kernels against the exhaustive oracles.
 
 `detect_class` and `reconstruct_lu` run one Schur-complement elimination
 plus a polynomial certificate; here they are held to `in_class_M` over
 every candidate class, to `explicit_decompose`, and to the original
-definition of the greedy leaders by bordered minors.
+definition of the greedy leaders by bordered minors.  Neville elimination
+reads its breaking column off the rows' leading columns; here it is held
+to the definition (the first column prefix that is not upper echelon), to
+its own replay, and to `reconstruct_lu`.
 """
 
 from hypothesis import given, settings
@@ -18,17 +21,25 @@ from conftest import (
 )
 from tnnlu import (
     ClassDesc,
+    Eliminate,
     IndexSet,
     Mat,
     NotInClassError,
     detect_class,
     explicit_decompose,
+    format_trace,
     greedy_leaders,
     in_class_M,
+    is_upper_echelon,
     matmul,
     minor,
+    neville_decompose,
+    parse_trace,
+    random_tnn,
     rank,
     reconstruct_lu,
+    replay,
+    submatrix,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -108,3 +119,25 @@ def test_reconstruct_matches_explicit_on_members(sample):
     lu = explicit_decompose(A, desc)
     assert reconstruct_lu(A, desc) == lu
     assert reconstruct_lu(A) == lu
+
+
+def first_broken_prefix(U):
+    """The smallest t whose first t columns of U are not upper echelon."""
+    return next(
+        t
+        for t in range(1, U.ncols + 1)
+        if not is_upper_echelon(submatrix(U, range(1, U.nrows + 1), range(1, t + 1))).is_echelon
+    )
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10**6))
+def test_neville_moves_replay_and_agree_with_reconstruct(m, n, seed):
+    A = random_tnn(m, n, seed)
+    pair, trace = neville_decompose(A, record_stages=True)
+    before = [A] + [U for _, U in trace.stages[:-1]]
+    for U, move in zip(before, trace.moves):
+        if isinstance(move, Eliminate):
+            assert move.t == first_broken_prefix(U)
+    assert replay(A, parse_trace(format_trace(trace))) == pair
+    assert reconstruct_lu(A) == pair
