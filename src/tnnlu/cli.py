@@ -81,7 +81,6 @@ def _read_matrix(args: argparse.Namespace) -> Mat:
 
 def _cmd_decompose(args: argparse.Namespace) -> dict:
     A = _read_matrix(args)
-    trace_text: Optional[str] = None
     if args.method == "neville":
         pair, trace = neville_decompose(
             A, check_tnn=not args.unchecked, max_size=args.max_bruteforce
@@ -89,19 +88,11 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
     elif args.method == "reconstruct":
         pair, trace = reconstruct_lu(A), None
     else:
-        desc = detect_class(A)
-        if desc is None:
-            raise NotInClassError("matrix belongs to no class")
-        pair = explicit_decompose(A, desc, check=False)
-        trace = None
-        if args.method == "auto":
-            report = is_tnn(A, max_size=args.max_bruteforce)
-            if report.is_tnn:
-                nev_pair, trace = neville_decompose(A, check_tnn=False)
-                if nev_pair.L != pair.L or nev_pair.U != pair.U:
-                    raise RuntimeError("cross-check mismatch between methods")
-    if args.trace and trace is not None:
-        trace_text = format_trace(trace)
+        pair, trace = explicit_decompose(A), None
+        if args.method == "auto" and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
+            nev_pair, trace = neville_decompose(A, check_tnn=False)
+            if nev_pair != pair:
+                raise RuntimeError("cross-check mismatch between methods")
     payload = {
         "command": "decompose",
         "method": args.method,
@@ -109,8 +100,6 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         "L": _matrix_rows(pair.L),
         "U": _matrix_rows(pair.U),
     }
-    if args.trace:
-        payload["trace"] = trace_text.splitlines() if trace_text else None
     lines = [
         f"method: {args.method}",
         f"class: {_class_text(pair.desc)}",
@@ -120,8 +109,8 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         format_matrix(pair.U).rstrip("\n"),
     ]
     if args.trace:
-        lines.append("trace:")
-        lines.append(trace_text.rstrip("\n") if trace_text else "unavailable")
+        payload["trace"] = None if trace is None else format_trace(trace).splitlines()
+        lines += ["trace:"] + (["unavailable"] if trace is None else payload["trace"])
     payload["_text"] = "\n".join(lines) + "\n"
     return payload
 

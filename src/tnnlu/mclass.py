@@ -70,20 +70,27 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = 8) -> bool:
 
 @dataclass(frozen=True)
 class Elimination:
-    """Leaders and factors found by `eliminate`; `vanished` means L·U == A."""
+    """Leaders and factors found by `eliminate`; `residue` is the first (i, j),
+    row-major, where A - L·U is nonzero, or None."""
 
     desc: ClassDesc
     L: Mat
     U: Mat
-    vanished: bool
+    residue: Optional[tuple[int, int]]
 
     @property
-    def certified(self) -> bool:
-        """Polynomial class certificate: L in L*(r), U in U(c), L·U == A.  By
-        Cauchy-Binet such a product is in class (r, c), and a member's unique
-        factors are the ones elimination recovers, so this equals `in_class_M`."""
+    def failure(self) -> Optional[str]:
+        """The first failed clause of the class certificate (L in L*(r), U in
+        U(c), L·U == A), or None.  By Cauchy-Binet and the uniqueness of a
+        member's factors, which elimination recovers, None equals `in_class_M`."""
         r, c = self.desc.r, self.desc.c
-        return self.vanished and in_class_L(self.L, r, starred=True) and in_class_U(self.U, c)
+        if not in_class_L(self.L, r, starred=True):
+            return f"L does not lead with 1 at rows {list(r)}"
+        if not in_class_U(self.U, c):
+            return f"U does not lead at columns {list(c)}"
+        if self.residue is not None:
+            return "A - L*U is nonzero at ({},{})".format(*self.residue)
+        return None
 
 
 def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
@@ -124,7 +131,19 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
         pivots.append((i, j))
     leaders = ClassDesc(IndexSet(i for i, _ in pivots), IndexSet(j for _, j in pivots))
     L, U = Mat.from_rows(lrows, ncols=len(pivots)), Mat.from_rows(urows, ncols=n)
-    return Elimination(leaders, L, U, vanished=not any(map(any, R)))
+    residue = next(((i, j) for i, row in enumerate(R, 1) for j, x in enumerate(row, 1) if x), None)
+    return Elimination(leaders, L, U, residue)
+
+
+def certify(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
+    """`eliminate` gated by its certificate, the one test every factorization
+    route passes: a failed clause raises NotInClassError naming it."""
+    elim = eliminate(A, desc)
+    failure = elim.failure
+    if failure is not None:
+        verdict = "matrix belongs to no class" if desc is None else "not in declared class"
+        raise NotInClassError(f"{verdict}: {failure}")
+    return elim
 
 
 def greedy_leaders(A: Mat) -> Optional[ClassDesc]:
@@ -132,12 +151,12 @@ def greedy_leaders(A: Mat) -> Optional[ClassDesc]:
     (i, j) past the last with a nonzero bordered leading minor), or None if
     it stops short of the rank.  `detect_class` adds the certificate."""
     elim = eliminate(A)
-    return elim.desc if elim.vanished else None
+    return elim.desc if elim.residue is None else None
 
 
 def detect_class(A: Mat) -> Optional[ClassDesc]:
     """The unique class of A, or None when A belongs to no class: `eliminate`
-    proposes leaders and factors, and `Elimination.certified` decides in
+    proposes leaders and factors, and `Elimination.failure` decides in
     polynomial time, so absence is reported rather than guessed."""
     elim = eliminate(A)
-    return elim.desc if elim.certified else None
+    return elim.desc if elim.failure is None else None

@@ -11,12 +11,13 @@ form:
   multiple of the row directly above it, applying the inverse update to L.
 
 On totally nonnegative input every multiplier is nonnegative and both
-factors stay totally nonnegative throughout.  A negative multiplier, or a
-state a TNN matrix can never reach (see `tnn.cauchon_check`), raises; but
-the final U is not tested, so past the size guard some non-TNN inputs
-still factor.  A run is fully described by its move list, which can be
-serialized, parsed back, and replayed; the run and its replay apply each
-move through the same validated step.
+factors stay totally nonnegative throughout.  A negative multiplier, a
+state a TNN matrix can never reach (see `tnn.cauchon_check`), or a
+negative entry in the final L or U raises; these checks are necessary
+only, so past the size guard some non-TNN inputs still factor.  A run is
+fully described by its move list, which can be serialized, parsed back,
+and replayed through the same validated step; both end by accepting only
+the certified pair of `mclass.eliminate`, whose class they take.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import Mat, format_scalar, matmul, parse_int, parse_scalar
-from .echelon import is_lower_echelon, is_upper_echelon, row_leads
+from .core import Mat, format_scalar, parse_int, parse_scalar
+from .echelon import is_upper_echelon, row_leads
 from .errors import (
     MovePreconditionError,
     NotTotallyNonnegativeError,
@@ -34,7 +35,7 @@ from .errors import (
     ReplayError,
 )
 from .explicit import LUPair
-from .mclass import ClassDesc
+from .mclass import eliminate
 from .tnn import is_tnn
 
 Rows = list[list[Fraction]]
@@ -178,14 +179,11 @@ def _snapshot(work_l: Rows, work_u: Rows, ncols: int) -> tuple[Mat, Mat]:
     return Mat.from_rows(work_l, ncols=len(work_u)), Mat.from_rows(work_u, ncols=ncols)
 
 
-def _read_class(L: Mat, U: Mat) -> ClassDesc:
-    lrep = is_lower_echelon(L)
-    urep = is_upper_echelon(U)
-    if not (lrep.is_strict and urep.is_strict):
-        raise NotTotallyNonnegativeError(
-            "input not totally nonnegative: elimination finished without echelon factors"
-        )
-    return ClassDesc(lrep.pivots, urep.pivots)
+def _class_pair(A: Mat, L: Mat, U: Mat) -> Optional[LUPair]:
+    """The finished factors with their class, or None unless they are the
+    certified pair of `eliminate(A)`."""
+    elim = eliminate(A)
+    return LUPair(L, U, elim.desc) if elim.failure is None and (elim.L, elim.U) == (L, U) else None
 
 
 def neville_decompose(
@@ -199,9 +197,9 @@ def neville_decompose(
 
     Total nonnegativity is verified brute-force up front when the matrix
     is small enough (and ``check_tnn`` is left on); beyond the size guard
-    it is only policed move by move.  With ``record_stages`` the trace
-    keeps a snapshot of (L, U) after every move.  The finished factors
-    must multiply back to A.
+    it is only policed move by move and by the signs of the factors.  With
+    ``record_stages`` the trace keeps a snapshot of (L, U) after every
+    move.  The finished factors must be A's certified class factorization.
     """
     if check_tnn and min(A.nrows, A.ncols) <= max_size:
         report = is_tnn(A, max_size=max_size)
@@ -238,12 +236,20 @@ def neville_decompose(
         if record_stages:
             stages.append(_snapshot(work_l, work_u, A.ncols))
 
-    Lm, Um = _snapshot(work_l, work_u, A.ncols)
-    if matmul(Lm, Um) != A:
+    pair = _class_pair(A, *_snapshot(work_l, work_u, A.ncols))
+    if pair is None:
         raise NotTotallyNonnegativeError(
-            "input not totally nonnegative: elimination lost the factorization"
+            "input not totally nonnegative: elimination did not end at the class factorization"
         )
-    pair = LUPair(Lm, Um, _read_class(Lm, Um))
+    negative = [
+        f"{name}[{i},{j}] = {format_scalar(x)}"
+        for name, rows in (("L", work_l), ("U", work_u))
+        for i, row in enumerate(rows, start=1)
+        for j, x in enumerate(row, start=1)
+        if x < 0
+    ]
+    if negative:
+        raise NotTotallyNonnegativeError(f"input not totally nonnegative: {negative[0]}")
     trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
     return pair, trace
 
@@ -264,9 +270,10 @@ def replay(A: Mat, trace: NevilleTrace) -> LUPair:
     Lm, Um = _snapshot(work_l, work_u, A.ncols)
     if not is_upper_echelon(Um).is_strict:
         raise ReplayError("trace does not finish the elimination")
-    if matmul(Lm, Um) != A:
-        raise ReplayError("replayed factors do not multiply back to the input")
-    return LUPair(Lm, Um, _read_class(Lm, Um))
+    pair = _class_pair(A, Lm, Um)
+    if pair is None:
+        raise ReplayError("replayed factors are not the class factorization of the input")
+    return pair
 
 
 def format_trace(trace: NevilleTrace) -> str:

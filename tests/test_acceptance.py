@@ -244,8 +244,8 @@ def test_criterion_03_triple_path_agreement(capsys, corpus, corpus_runs):
         3, f"triple-path agreement on {len(corpus)} corpus matrices", budget=60.0
     ):
         for A, pair, _ in corpus_runs:
-            lu_explicit = explicit_decompose(A, pair.desc, check=False)
-            lu_rebuilt = reconstruct_lu(A, pair.desc, check=False)
+            lu_explicit = explicit_decompose(A, pair.desc)
+            lu_rebuilt = reconstruct_lu(A, pair.desc)
             assert lu_explicit.L == pair.L == lu_rebuilt.L
             assert lu_explicit.U == pair.U == lu_rebuilt.U
             assert matmul(pair.L, pair.U) == A

@@ -60,6 +60,26 @@ def test_trace_emitted_for_neville(capsys):
     assert payload["trace"] == ["E 3 2 3", "E 2 2 1/2", "E 1 2 2", "D 2", "E 2 4 1", "D 3"]
 
 
+@pytest.mark.parametrize("method", ["auto", "neville"])
+def test_trace_with_no_moves_is_empty_not_unavailable(capsys, method):
+    argv = ("decompose", "--inline", "1 0; 0 1", "--method", method, "--trace")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.endswith("U:\n2 2\n1 0\n0 1\ntrace:\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["trace"] == []
+
+
+def test_trace_with_no_moves_on_stdin(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 3\n"))
+    code, out, _ = run_cli(capsys, "decompose", "--method", "neville", "--trace")
+    assert code == 0
+    assert out.endswith("U:\n0 3\ntrace:\n")
+
+
 def test_trace_unavailable_for_explicit(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -123,7 +143,10 @@ def test_unchecked_still_certifies_the_class(capsys, method):
         capsys, "decompose", "--inline", "0 1 1; 1 1 0", "--method", method, "--unchecked"
     )
     assert code == 4 and out == ""
-    assert "class-not-found" in err
+    assert err == (
+        "error: class-not-found: matrix belongs to no class: "
+        "U does not lead at columns [2, 3]\n"
+    )
 
 
 def pascal_inline(n, bent=None):
@@ -146,6 +169,16 @@ def test_neville_rejects_negative_multiplier_beyond_the_guard(capsys):
         "error: not-tnn: input not totally nonnegative: "
         "move 15 (s=2, t=2) has negative multiplier -1/98\n"
     )
+
+
+def test_neville_rejects_negative_factor_entry_beyond_the_guard(capsys):
+    # needs no move, so no multiplier goes negative; the final U has u[1,2] = -1
+    rows = [["1" if i == j else "0" for j in range(9)] for i in range(9)]
+    rows[0][1] = "-1"
+    inline = ";".join(" ".join(row) for row in rows)
+    code, out, err = run_cli(capsys, "decompose", "--inline", inline, "--method", "neville")
+    assert (code, out) == (5, "")
+    assert err == "error: not-tnn: input not totally nonnegative: U[1,2] = -1\n"
 
 
 def test_detect_is_not_size_guarded(capsys):

@@ -71,14 +71,25 @@ def test_not_in_class_checked():
         explicit_decompose(CRYER, ClassDesc(IndexSet((1,)), IndexSet((1,))))
     with pytest.raises(NotInClassError):
         reconstruct_lu(CRYER, ClassDesc(IndexSet((1,)), IndexSet((1,))))
+    # each failed clause of the certificate is named
+    column = Mat.from_rows([[1], [1]])
+    for A, desc, clause in (
+        (column, ClassDesc((2,), (1,)), r"L does not lead with 1 at rows \[2\]"),
+        (CRYER, ClassDesc((2,), (3,)), r"U does not lead at columns \[3\]"),
+        (Mat.identity(2), ClassDesc((1,), (1,)), r"A - L\*U is nonzero at \(2,2\)"),
+    ):
+        for method in (explicit_decompose, reconstruct_lu):
+            with pytest.raises(NotInClassError, match=f"^not in declared class: {clause}$"):
+                method(A, desc)
+    with pytest.raises(NotInClassError, match=r"^matrix belongs to no class: A - L\*U"):
+        reconstruct_lu(Mat.from_rows([[0, 1], [1, 1]]))
 
 
 def test_unchecked_hits_hard_error_on_zero_leading_minor():
     bad = ClassDesc(IndexSet((1,)), IndexSet((1,)))  # a[1,1] = 0
-    with pytest.raises(NotInClassError):
-        explicit_decompose(CRYER, bad, check=False)
-    with pytest.raises(NotInClassError, match=r"zero pivot at \(1,1\)"):
-        reconstruct_lu(CRYER, bad, check=False)
+    for method in (explicit_decompose, reconstruct_lu):
+        with pytest.raises(NotInClassError, match=r"zero pivot at \(1,1\)"):
+            method(CRYER, bad)
 
 
 def test_factorization_invariants_on_corpus():
@@ -88,14 +99,14 @@ def test_factorization_invariants_on_corpus():
         A = random_tnn(m, n, seed=rng.randint(0, 10**6))
         desc = detect_class(A)
         assert desc is not None
-        lu = explicit_decompose(A, desc, check=False)
+        lu = explicit_decompose(A, desc)
         assert matmul(lu.L, lu.U) == A
         assert in_class_L(lu.L, desc.r, starred=True)
         assert in_class_U(lu.U, desc.c)
         # the column-j leading entry of L is exactly 1
         for j, rj in enumerate(desc.r, start=1):
             assert lu.L.entry(rj, j) == 1
-        assert reconstruct_lu(A, desc, check=False) == lu
+        assert reconstruct_lu(A, desc) == lu
 
 
 def test_three_paths_agree_and_factors_are_tnn():
@@ -104,8 +115,8 @@ def test_three_paths_agree_and_factors_are_tnn():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = random_tnn(m, n, seed=rng.randint(0, 10**6))
         desc = detect_class(A)
-        explicit = explicit_decompose(A, desc, check=False)
-        rebuilt = reconstruct_lu(A, desc, check=False)
+        explicit = explicit_decompose(A, desc)
+        rebuilt = reconstruct_lu(A, desc)
         eliminated, _ = neville_decompose(A, check_tnn=False)
         assert explicit == rebuilt
         assert eliminated.L == explicit.L and eliminated.U == explicit.U
@@ -124,7 +135,7 @@ def test_leading_minors_factor_through_the_pair():
         m, n = rng.randint(1, 5), rng.randint(1, 6)
         A = random_tnn(m, n, seed=rng.randint(0, 10**6))
         desc = detect_class(A)
-        lu = explicit_decompose(A, desc, check=False)
+        lu = explicit_decompose(A, desc)
         lead = list(range(1, len(desc.r) + 1))
         for s in range(0, len(desc.r) + 1):
             left = minor(A, desc.r.prefix(s), desc.c.prefix(s))

@@ -6,9 +6,11 @@ every candidate class, to `explicit_decompose`, and to the original
 definition of the greedy leaders by bordered minors.  Neville elimination
 reads its breaking column off the rows' leading columns; here it is held
 to the definition (the first column prefix that is not upper echelon), to
-its own replay, and to `reconstruct_lu`.
+its own replay, and to `reconstruct_lu`; on signed input, whenever it
+returns, its factors are the class factorization and nonnegative.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from tnnlu import (
     IndexSet,
     Mat,
     NotInClassError,
+    NotTotallyNonnegativeError,
     detect_class,
     explicit_decompose,
     format_trace,
@@ -87,11 +90,15 @@ def greedy_by_minors(A):
 
 
 def certifies(A, desc):
-    """Whether `reconstruct_lu`'s certificate accepts A in class ``desc``."""
+    """Whether `reconstruct_lu`'s certificate accepts A in class ``desc``;
+    `explicit_decompose` must raise exactly when it does, else agree."""
     try:
-        reconstruct_lu(A, desc)
+        lu = reconstruct_lu(A, desc)
     except NotInClassError:
+        with pytest.raises(NotInClassError):
+            explicit_decompose(A, desc)
         return False
+    assert explicit_decompose(A, desc) == lu
     return True
 
 
@@ -141,3 +148,15 @@ def test_neville_moves_replay_and_agree_with_reconstruct(m, n, seed):
             assert move.t == first_broken_prefix(U)
     assert replay(A, parse_trace(format_trace(trace))) == pair
     assert reconstruct_lu(A) == pair
+
+
+@SETTINGS
+@given(small_integer_matrices())
+def test_neville_returns_only_the_nonnegative_class_factorization(A):
+    try:
+        pair, _ = neville_decompose(A, check_tnn=False)
+    except NotTotallyNonnegativeError:
+        return
+    assert matmul(pair.L, pair.U) == A
+    assert reconstruct_lu(A) == pair
+    assert all(x >= 0 for M in (pair.L, pair.U) for row in M.iter_rows() for x in row)
