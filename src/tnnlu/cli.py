@@ -17,15 +17,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .core import Mat, format_matrix, format_scalar, parse_matrix
-from .errors import (
-    MovePreconditionError,
-    NotInClassError,
-    NotTotallyNonnegativeError,
-    ParseError,
-    ReplayError,
-    SizeGuardError,
-)
+from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix
+from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, detect_class
 from .explicit import explicit_decompose, reconstruct_lu
@@ -37,8 +30,6 @@ _EXIT_CODES = (
     (NotInClassError, "class-not-found", 4),
     (NotTotallyNonnegativeError, "not-tnn", 5),
     (SizeGuardError, "size-guard", 6),
-    (MovePreconditionError, "bad-input", 7),
-    (ReplayError, "bad-input", 7),
     (IndexError, "bad-input", 7),
     (ValueError, "bad-input", 7),
 )
@@ -204,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--max-bruteforce",
                 type=int,
-                default=8,
+                default=MAX_BRUTEFORCE,
                 metavar="N",
-                help="size guard for the exhaustive TNN sweeps; detect is unguarded (default 8)",
+                help="size guard (N >= 0) for the exhaustive TNN sweeps; detect is unguarded "
+                "(default %(default)s)",
             )
 
     p = sub.add_parser("decompose", help="factor a matrix as L*U with its class")
@@ -259,6 +251,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_bruteforce", 0) < 0:
+            raise ValueError(f"--max-bruteforce must be nonnegative, got {args.max_bruteforce}")
         payload = args.func(args)
     except tuple(exc for exc, _, _ in _EXIT_CODES) as exc:
         for exc_type, category, code in _EXIT_CODES:

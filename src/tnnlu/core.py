@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ParseError, SizeGuardError
 
@@ -42,7 +42,9 @@ __all__ = [
     "delete_col",
     "all_minors",
     "iter_minor_layers",
+    "MAX_BRUTEFORCE",
     "size_guard",
+    "first_minor",
     "parse_matrix",
     "format_matrix",
 ]
@@ -256,9 +258,6 @@ class Mat:
             (self._cells[i * self.ncols + j] for j in range(self.ncols) for i in range(self.nrows)),
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self._cells)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Mat):
             return (
@@ -410,6 +409,9 @@ def rank(A: Mat) -> int:
 
 MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
 
+# Default size guard of every exhaustive minor sweep: min(m, n) at most this.
+MAX_BRUTEFORCE = 8
+
 
 def iter_minor_layers(
     A: Mat, max_order: Optional[int] = None
@@ -458,6 +460,24 @@ def size_guard(A: Mat, max_size: int) -> None:
             f"brute-force minor enumeration refused for {A.nrows}x{A.ncols} "
             f"(min dimension > {max_size}); pass a larger max_size to override"
         )
+
+
+def first_minor(
+    A: Mat,
+    fails: Callable[[tuple[int, ...], tuple[int, ...], Fraction], bool],
+    max_size: int = MAX_BRUTEFORCE,
+    max_order: Optional[int] = None,
+) -> Optional[tuple[IndexSet, IndexSet, Fraction]]:
+    """The exhaustive minor sweep, guarded by `size_guard`: the first nonempty
+    minor, size ascending then lexicographic, up to ``max_order``, for which
+    ``fails(rows, cols, value)`` holds (on index tuples), as (rows, cols,
+    value) with IndexSets; None when there is none."""
+    size_guard(A, max_size)
+    for _, layer in islice(iter_minor_layers(A, max_order), 1, None):
+        for (rows, cols), value in layer.items():
+            if fails(rows, cols, value):
+                return IndexSet(rows), IndexSet(cols), value
+    return None
 
 
 def all_minors(A: Mat, max_order: Optional[int] = None) -> dict[MinorKey, Fraction]:

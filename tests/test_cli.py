@@ -215,6 +215,15 @@ def test_size_guard_exit_code(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["check-tnn"], ["decompose", "--method", "neville"]], ids=["check-tnn", "neville"]
+)
+def test_negative_max_bruteforce_is_bad_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--inline", "1 1; 1 1", "--max-bruteforce", "-1")
+    assert (code, out) == (7, "")
+    assert err == "error: bad-input: --max-bruteforce must be nonnegative, got -1\n"
+
+
 def test_generate_round_trips(capsys):
     code, out, _ = run_cli(capsys, "generate", "--size", "3", "4", "--seed", "11")
     assert code == 0

@@ -11,6 +11,7 @@ from tnnlu import (
     IndexSet,
     Mat,
     MovePreconditionError,
+    NevilleTrace,
     NotTotallyNonnegativeError,
     ParseError,
     ReplayError,
@@ -262,6 +263,18 @@ class TestReplayAndTraceText:
         doctored = parse_trace(format_trace(trace).replace("E 3 2 3", "E 3 2 4"))
         with pytest.raises(ReplayError, match="multiplier"):
             replay(A4, doctored)
+
+    def test_replay_refuses_factors_that_decompose_refuses(self):
+        # each trace applies cleanly, but decompose refuses the same run
+        cases = (
+            (Mat.from_rows([[1, 2], [-1, 1]]), parse_trace("E 1 1 -1"), "negative multiplier -1"),
+            (Mat.from_rows([[-2, 0]]), NevilleTrace(()), "U\\[1,1\\] = -2"),
+        )
+        for A, trace, reason in cases:
+            with pytest.raises(NotTotallyNonnegativeError, match=reason):
+                neville_decompose(A, check_tnn=False)
+            with pytest.raises(ReplayError, match=reason):
+                replay(A, trace)
 
     def test_trace_serialization_round_trip(self):
         _, trace = neville_decompose(A4)

@@ -7,7 +7,8 @@ definition of the greedy leaders by bordered minors.  Neville elimination
 reads its breaking column off the rows' leading columns; here it is held
 to the definition (the first column prefix that is not upper echelon), to
 its own replay, and to `reconstruct_lu`; on signed input, whenever it
-returns, its factors are the class factorization and nonnegative.
+returns, its factors are the class factorization and nonnegative, and a
+replay of another matrix's trace returns only what it returns.
 """
 
 import pytest
@@ -28,6 +29,7 @@ from tnnlu import (
     Mat,
     NotInClassError,
     NotTotallyNonnegativeError,
+    ReplayError,
     detect_class,
     explicit_decompose,
     format_trace,
@@ -49,12 +51,16 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def small_integer_matrices(draw):
-    """Up to 4x5, entries of both signs with zero three times as likely as any other."""
+def small_integer_matrices(draw, count=1):
+    """Up to 4x5, entries of both signs with zero three times as likely as any other;
+    with ``count`` > 1, a tuple of that many matrices of one shape."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 5))
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
-    return Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n)))
+    drawn = tuple(
+        Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n))) for _ in range(count)
+    )
+    return drawn if count > 1 else drawn[0]
 
 
 @st.composite
@@ -160,3 +166,18 @@ def test_neville_returns_only_the_nonnegative_class_factorization(A):
     assert matmul(pair.L, pair.U) == A
     assert reconstruct_lu(A) == pair
     assert all(x >= 0 for M in (pair.L, pair.U) for row in M.iter_rows() for x in row)
+
+
+@SETTINGS
+@given(small_integer_matrices(count=2))
+def test_replay_returns_only_what_neville_returns(pair):
+    A, B = pair
+    try:
+        _, trace = neville_decompose(B, check_tnn=False)
+    except NotTotallyNonnegativeError:
+        return
+    try:
+        replayed = replay(A, parse_trace(format_trace(trace)))
+    except ReplayError:
+        return
+    assert neville_decompose(A, check_tnn=False)[0] == replayed
