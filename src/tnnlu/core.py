@@ -43,6 +43,7 @@ __all__ = [
     "all_minors",
     "iter_minor_layers",
     "MAX_BRUTEFORCE",
+    "within_guard",
     "size_guard",
     "first_minor",
     "parse_matrix",
@@ -189,7 +190,7 @@ class Mat:
     m-by-0 and 0-by-n factors.  Entry access is 1-based.
     """
 
-    __slots__ = ("nrows", "ncols", "_cells")
+    __slots__ = ("nrows", "ncols", "_cells", "_lift")
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable[ScalarLike]):
         if nrows < 0 or ncols < 0:
@@ -202,6 +203,7 @@ class Mat:
         self.nrows = nrows
         self.ncols = ncols
         self._cells = cells
+        self._lift = None  # filled by `_integer_lift`
 
     @classmethod
     def from_rows(
@@ -277,14 +279,20 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
-def submatrix(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Mat:
-    """The |rows| x |cols| matrix picking the given 1-based rows and columns."""
+def _in_range(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> tuple[IndexSet, IndexSet]:
+    """The index sets, coerced, after checking that they fit inside A."""
     I = IndexSet.coerce(rows)
     J = IndexSet.coerce(cols)
     if I and I[-1] > A.nrows:
         raise IndexError(f"row index {I[-1]} out of range for {A.nrows}x{A.ncols}")
     if J and J[-1] > A.ncols:
         raise IndexError(f"column index {J[-1]} out of range for {A.nrows}x{A.ncols}")
+    return I, J
+
+
+def submatrix(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Mat:
+    """The |rows| x |cols| matrix picking the given 1-based rows and columns."""
+    I, J = _in_range(A, rows, cols)
     return Mat(len(I), len(J), (A.entry(i, j) for i in I for j in J))
 
 
@@ -321,21 +329,26 @@ def matmul(A: Mat, B: Mat) -> Mat:
     )
 
 
-def _integer_lift(A: Mat) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators; returns (rows, scales)."""
-    lifted = []
-    scales = []
-    for row in A.iter_rows():
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        lifted.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return lifted, scales
+def _integer_lift(A: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """A's integer lift (rows, scales): row i of A times scales[i], the lcm
+    of its denominators.  Computed at most once per Mat and cached on it,
+    as tuples; a caller that needs to write copies the rows first."""
+    if A._lift is None:
+        lifted = []
+        scales = []
+        for row in A.iter_rows():
+            scale = 1
+            for x in row:
+                scale = scale * x.denominator // math.gcd(scale, x.denominator)
+            lifted.append(tuple(x.numerator * (scale // x.denominator) for x in row))
+            scales.append(scale)
+        A._lift = tuple(lifted), tuple(scales)
+    return A._lift
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix; mutates its argument.
+    """Fraction-free determinant of an integer matrix; mutates its argument,
+    so it takes a fresh list of lists, never the rows `_integer_lift` caches.
 
     Every intermediate entry is itself a minor of the input, so all
     divisions are exact and coefficient growth stays polynomial.
@@ -366,24 +379,21 @@ def det(A: Mat) -> Fraction:
     """Exact determinant of a square matrix (1 for the 0x0 matrix)."""
     if A.nrows != A.ncols:
         raise ValueError(f"determinant of non-square {A.nrows}x{A.ncols} matrix")
-    if A.nrows == 0:
-        return Fraction(1)
-    lifted, scales = _integer_lift(A)
-    denom = 1
-    for s in scales:
-        denom *= s
-    return Fraction(_bareiss_det(lifted), denom)
+    return minor(A, range(1, A.nrows + 1), range(1, A.ncols + 1))
 
 
 def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
-    """The minor on the given rows and columns; the empty minor is 1."""
-    I = IndexSet.coerce(rows)
-    J = IndexSet.coerce(cols)
+    """The minor on the given rows and columns; the empty minor is 1.  Read
+    off A's integer lift: the lifted minor over the chosen rows' scales."""
+    I, J = IndexSet.coerce(rows), IndexSet.coerce(cols)
     if len(I) != len(J):
         raise ValueError(f"minor needs equal-cardinality index sets: {I!r}, {J!r}")
     if not I:
         return Fraction(1)
-    return det(submatrix(A, I, J))
+    _in_range(A, I, J)
+    lifted, scales = _integer_lift(A)
+    entries = [[lifted[i - 1][j - 1] for j in J] for i in I]
+    return Fraction(_bareiss_det(entries), math.prod(scales[i - 1] for i in I))
 
 
 def rank(A: Mat) -> int:
@@ -453,9 +463,16 @@ def iter_minor_layers(
         prev = layer_int
 
 
+def within_guard(A: Mat, max_size: int) -> bool:
+    """Whether min(m, n) <= ``max_size``; a negative one raises ValueError."""
+    if max_size < 0:
+        raise ValueError(f"max_size must be nonnegative, got {max_size}")
+    return min(A.nrows, A.ncols) <= max_size
+
+
 def size_guard(A: Mat, max_size: int) -> None:
-    """Refuse an exhaustive minor sweep of A when min(m, n) > ``max_size``."""
-    if min(A.nrows, A.ncols) > max_size:
+    """Refuse an exhaustive minor sweep of A unless `within_guard`."""
+    if not within_guard(A, max_size):
         raise SizeGuardError(
             f"brute-force minor enumeration refused for {A.nrows}x{A.ncols} "
             f"(min dimension > {max_size}); pass a larger max_size to override"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor, rank
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, _integer_lift, first_minor, rank
 from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .echelon import in_class_L, in_class_U
 from .errors import NotInClassError
@@ -84,21 +84,27 @@ class Elimination:
 
 
 def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
-    """Lexicographic Schur-complement elimination over exact rationals.
+    """Lexicographic Schur-complement elimination, fraction-free (Bareiss).
 
-    Keeps A = L·U + R, from R = A: each pivot (i, j) appends row i of R to U
-    and column j of R over the pivot to L, then subtracts their product from
-    R, so after pivots (r, c), R[i, j] = [r, i | c, j] / [r | c].  Without
-    ``desc`` each pivot is the first nonzero of R, row-major, below and right
-    of the last; with ``desc`` they are its leaders and a zero one raises.
+    Works on a copy R of A's integer lift, row h of A times its scale s_h.
+    After pivots (r, c), the last of value prev, R[h, k] is the lifted
+    bordered minor [r, h | c, k], so the Schur residual is R[h, k] / (s_h·prev).
+    A pivot (i, j), p = R[i, j], emits U's row R[i] / (s_i·prev) and L's
+    column R[h, j]·s_i / (s_h·p), then sets R[h, k] to (p·R[h, k] - R[h, j]·
+    R[i, k]) // prev, a division that Sylvester's identity makes exact.
+    Without ``desc`` each pivot is the first nonzero of R, row-major, below
+    and right of the last; with ``desc`` they are its leaders and a zero one
+    raises.
     """
     if desc is not None:
         _validate_desc(A, desc)
     m, n = A.nrows, A.ncols
-    R = A.to_rows()
+    lifted, scales = _integer_lift(A)
+    R = [list(row) for row in lifted]
     lrows: list[list[Fraction]] = [[] for _ in range(m)]
     urows: list[list[Fraction]] = []
     pivots: list[tuple[int, int]] = []
+    prev = 1
 
     def scan() -> Optional[tuple[int, int]]:
         i0, j0 = pivots[-1] if pivots else (0, 0)
@@ -106,19 +112,16 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
         return next(((i, j) for i, j in cells if R[i - 1][j - 1]), None)
 
     for i, j in iter(scan, None) if desc is None else zip(desc.r, desc.c):
-        urow = list(R[i - 1])
-        pivot = urow[j - 1]
-        if not pivot:
+        urow, s = R[i - 1], scales[i - 1]
+        p = urow[j - 1]
+        if not p:
             raise NotInClassError(f"not in declared class: zero pivot at ({i},{j})")
-        support = [(k, x) for k, x in enumerate(urow) if x]
-        for lrow, row in zip(lrows, R):
-            f = row[j - 1] / pivot
-            lrow.append(f)
-            if f:
-                for k, x in support:
-                    row[k] -= f * x
-        urows.append(urow)
+        urows.append([Fraction(x, s * prev) for x in urow])
+        for lrow, row, sh in zip(lrows, R, scales):
+            lrow.append(Fraction(row[j - 1] * s, sh * p))
+        R = [[(p * x - row[j - 1] * y) // prev for x, y in zip(row, urow)] for row in R]
         pivots.append((i, j))
+        prev = p
     leaders = ClassDesc(IndexSet(i for i, _ in pivots), IndexSet(j for _, j in pivots))
     L, U = Mat.from_rows(lrows, ncols=len(pivots)), Mat.from_rows(urows, ncols=n)
     residue = next(((i, j) for i, row in enumerate(R, 1) for j, x in enumerate(row, 1) if x), None)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .core import MAX_BRUTEFORCE, Mat, format_scalar, parse_int, parse_scalar
+from .core import MAX_BRUTEFORCE, Mat, format_scalar, parse_int, parse_scalar, within_guard
 from .echelon import is_upper_echelon, row_leads
 from .errors import (
     MovePreconditionError,
@@ -168,9 +168,11 @@ def _step(work_l: Rows, work_u: Rows, move: Move) -> Optional[str]:
             f"multiplier {format_scalar(move.multiplier)} does not "
             f"match state value {format_scalar(lam)}"
         )
-    work_u[s] = [x - lam * y for x, y in zip(work_u[s], work_u[s - 1])]
+    # the precondition leaves rows s and s+1 zero left of column t
+    work_u[s][t - 1 :] = [x - lam * y for x, y in zip(work_u[s][t - 1 :], work_u[s - 1][t - 1 :])]
     for lrow in work_l:
-        lrow[s - 1] = lrow[s - 1] + lam * lrow[s]
+        if lrow[s]:
+            lrow[s - 1] += lam * lrow[s]
     return None
 
 
@@ -240,7 +242,7 @@ def neville_decompose(
     ``record_stages`` the trace keeps a snapshot of (L, U) after every
     move.  The finished factors must be A's certified class factorization.
     """
-    if check_tnn and min(A.nrows, A.ncols) <= max_size:
+    if check_tnn and within_guard(A, max_size):
         report = is_tnn(A, max_size=max_size)
         if not report.is_tnn:
             rows, cols, value = report.witness

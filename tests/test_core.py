@@ -13,6 +13,8 @@ from tnnlu import (
     delete_col,
     delete_row,
     det,
+    eliminate,
+    explicit_decompose,
     format_matrix,
     format_scalar,
     indexset_leq,
@@ -24,6 +26,7 @@ from tnnlu import (
     rank,
     submatrix,
 )
+from tnnlu.core import _integer_lift
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
@@ -120,6 +123,29 @@ class TestSubmatrixAndMinor:
             rows[0], rows[2] = rows[2], rows[0]
             swapped = Mat.from_rows(rows)
             assert det(swapped) == -det(sub)
+
+
+class TestSharedLift:
+    """Every kernel reads one integer lift per Mat, cached on first use; none
+    may write to it (`_bareiss_det` works in place on its argument)."""
+
+    ROWS = [["1/2", "1/3", 1], ["1/5", 1, "2/7"], [3, "1/4", 1]]
+    CALLS = (
+        det,
+        lambda M: minor(M, [1, 3], [2, 3]),
+        lambda M: minor(M, [2], [1]),
+        eliminate,
+        explicit_decompose,
+        all_minors,
+    )
+
+    def test_repeated_mixed_calls_match_a_fresh_matrix(self):
+        expected = [call(Mat.from_rows(self.ROWS)) for call in self.CALLS]
+        A = Mat.from_rows(self.ROWS)
+        assert len(set(_integer_lift(A)[1])) == 3  # unequal row scales
+        for k in [0, 3, 1, 4, 2, 5, 0, 4, 3, 5, 1, 2, 3, 0, 5, 4, 2, 1]:
+            assert self.CALLS[k](A) == expected[k]
+        assert _integer_lift(A) == _integer_lift(Mat.from_rows(self.ROWS))
 
 
 class TestRankAndMatmul:

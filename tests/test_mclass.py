@@ -68,6 +68,12 @@ def test_size_guard():
     assert detect_class(big) == full
 
 
+def test_negative_max_size_is_rejected():
+    A = Mat.identity(2)
+    with pytest.raises(ValueError, match="max_size must be nonnegative"):
+        in_class_M(A, ClassDesc(IndexSet((1, 2)), IndexSet((1, 2))), max_size=-1)
+
+
 def test_product_of_class_factors_is_class_member():
     rng = seeded(55)
     for _ in range(30):

@@ -193,6 +193,11 @@ class TestDecompose:
         with pytest.raises(NotTotallyNonnegativeError, match="not totally nonnegative"):
             neville_decompose(Mat.from_rows([[0, 1], [1, 0]]))
 
+    def test_negative_max_size_is_rejected(self):
+        # not skipped as "beyond the guard": the up-front sweep's bound is invalid
+        with pytest.raises(ValueError, match="max_size must be nonnegative"):
+            neville_decompose(Mat.from_rows([[0, 1], [1, 1]]), max_size=-1)
+
     def test_poisoned_pattern_rejected_dynamically(self):
         with pytest.raises(NotTotallyNonnegativeError, match="not totally nonnegative"):
             neville_decompose(Mat.from_rows([[0, 1], [1, 0]]), check_tnn=False)

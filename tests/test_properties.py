@@ -8,8 +8,13 @@ reads its breaking column off the rows' leading columns; here it is held
 to the definition (the first column prefix that is not upper echelon), to
 its own replay, and to `reconstruct_lu`; on signed input, whenever it
 returns, its factors are the class factorization and nonnegative, and a
-replay of another matrix's trace returns only what it returns.
+replay of another matrix's trace returns only what it returns.  The
+kernels run on each matrix's integer lift, so the class and minor checks
+also draw rational entries, whose rows lift with unequal scales.
 """
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_candidate_descs,
+    minor_cofactor,
     random_ascending_subset,
     random_class_L,
     random_class_U,
@@ -30,6 +36,7 @@ from tnnlu import (
     NotInClassError,
     NotTotallyNonnegativeError,
     ReplayError,
+    det,
     detect_class,
     explicit_decompose,
     format_trace,
@@ -46,6 +53,7 @@ from tnnlu import (
     replay,
     submatrix,
 )
+from tnnlu.mclass import certify
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -61,6 +69,18 @@ def small_integer_matrices(draw, count=1):
         Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n))) for _ in range(count)
     )
     return drawn if count > 1 else drawn[0]
+
+
+@st.composite
+def small_rational_matrices(draw):
+    """Up to 4x5, integer and fractional entries of both signs, so that the rows'
+    integer lifts carry unequal scales; zero is three times as likely as any other."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from(
+        (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-3, 2))
+    )
+    return Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n)))
 
 
 @st.composite
@@ -108,9 +128,7 @@ def certifies(A, desc):
     return True
 
 
-@SETTINGS
-@given(small_integer_matrices())
-def test_certificate_matches_exhaustive_search(A):
+def check_certificate_against_exhaustive_search(A):
     candidates = list(all_candidate_descs(A.nrows, A.ncols))
     passing = [d for d in candidates if in_class_M(A, d)]
     assert len(passing) <= 1
@@ -120,8 +138,46 @@ def test_certificate_matches_exhaustive_search(A):
 
 @SETTINGS
 @given(small_integer_matrices())
+def test_certificate_matches_exhaustive_search(A):
+    check_certificate_against_exhaustive_search(A)
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_certificate_matches_exhaustive_search_on_rationals(A):
+    check_certificate_against_exhaustive_search(A)
+
+
+@SETTINGS
+@given(small_integer_matrices())
 def test_scan_finds_the_bordered_minor_leaders(A):
     assert greedy_leaders(A) == greedy_by_minors(A)
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_scan_finds_the_bordered_minor_leaders_on_rationals(A):
+    assert greedy_leaders(A) == greedy_by_minors(A)
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_minor_from_the_lift_matches_the_submatrix_determinant(A):
+    for s in range(min(A.nrows, A.ncols) + 1):
+        for I in combinations(range(1, A.nrows + 1), s):
+            for J in combinations(range(1, A.ncols + 1), s):
+                value = minor(A, I, J)
+                assert value == det(submatrix(A, I, J)) == minor_cofactor(A, I, J)
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_reconstruct_matches_explicit_on_rationals(A):
+    try:
+        certify(A)
+    except NotInClassError:
+        return
+    assert reconstruct_lu(A) == explicit_decompose(A)
 
 
 @SETTINGS

@@ -64,6 +64,11 @@ def test_size_guard_and_override():
     assert is_tnn(wide).is_tnn
 
 
+def test_negative_max_size_is_rejected():
+    with pytest.raises(ValueError, match="max_size must be nonnegative"):
+        is_tnn(Mat.from_rows([[0, 1], [1, 1]]), max_size=-1)
+
+
 def test_cauchon_examples():
     assert cauchon_check(CRYER) is True
     assert cauchon_check(Mat.from_rows([[0, 1], [1, 0]])) == (1, 2, 1, 2)
