@@ -86,7 +86,7 @@ class Elimination:
 def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     """Lexicographic Schur-complement elimination, fraction-free (Bareiss).
 
-    Works on a copy R of A's integer lift, row h of A times its scale s_h.
+    Starts from A's integer lift R, row h of A times its scale s_h.
     After pivots (r, c), the last of value prev, R[h, k] is the lifted
     bordered minor [r, h | c, k], so the Schur residual is R[h, k] / (s_h·prev).
     A pivot (i, j), p = R[i, j], emits U's row R[i] / (s_i·prev) and L's
@@ -99,8 +99,7 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     if desc is not None:
         _validate_desc(A, desc)
     m, n = A.nrows, A.ncols
-    lifted, scales = _integer_lift(A)
-    R = [list(row) for row in lifted]
+    R, scales = _integer_lift(A)  # rebuilt at every pivot, never written to
     lrows: list[list[Fraction]] = [[] for _ in range(m)]
     urows: list[list[Fraction]] = []
     pivots: list[tuple[int, int]] = []

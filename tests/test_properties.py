@@ -53,7 +53,6 @@ from tnnlu import (
     replay,
     submatrix,
 )
-from tnnlu.mclass import certify
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -173,11 +172,7 @@ def test_minor_from_the_lift_matches_the_submatrix_determinant(A):
 @SETTINGS
 @given(small_rational_matrices())
 def test_reconstruct_matches_explicit_on_rationals(A):
-    try:
-        certify(A)
-    except NotInClassError:
-        return
-    assert reconstruct_lu(A) == explicit_decompose(A)
+    certifies(A, None)
 
 
 @SETTINGS
