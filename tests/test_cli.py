@@ -90,6 +90,56 @@ def test_trace_unavailable_for_explicit(capsys):
     assert json.loads(out)["trace"] is None
 
 
+def _inline(A):
+    return ";".join(" ".join(str(x) for x in row) for row in A.iter_rows())
+
+
+@pytest.mark.parametrize(
+    "inline, tnn",
+    [
+        (A4_INLINE, True),
+        ("0 0 0; 1 0 1; 1 0 1", True),
+        (_inline(random_tnn(4, 5, seed=5)), True),
+        ("1 2; 3 4", False),
+    ],
+    ids=["A4", "cryer", "random_tnn", "non-tnn-member"],
+)
+def test_auto_takes_the_certified_factors_not_explicit(capsys, monkeypatch, inline, tnn):
+    argv = ("decompose", "--inline", inline, "--trace", "--format", "structured")
+    expected = []
+    for method in ("explicit", "reconstruct"):
+        code, out, _ = run_cli(capsys, *argv, "--method", method)
+        assert code == 0
+        expected.append({k: json.loads(out)[k] for k in ("class", "L", "U")})
+    assert expected[0] == expected[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("auto decompose must not run explicit_decompose")
+
+    monkeypatch.setattr("tnnlu.cli.explicit_decompose", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert {k: payload[k] for k in ("class", "L", "U")} == expected[0]
+    if tnn:
+        assert isinstance(payload["trace"], list)
+    else:
+        assert payload["trace"] is None
+
+
+def test_auto_certifies_before_the_size_guard(capsys):
+    member = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
+    code, out, err = run_cli(capsys, "decompose", "--inline", member)
+    assert (code, out) == (6, "")
+    assert err.startswith("error: size-guard: ")
+    # [[0, 1], [1, 1]] beside I_7 is in no class, as [[0, 1], [1, 1]] alone is not
+    rows = [["1" if i == j else "0" for j in range(9)] for i in range(9)]
+    rows[0][0], rows[0][1], rows[1][0] = "0", "1", "1"
+    code, out, err = run_cli(capsys, "decompose", "--inline", ";".join(" ".join(r) for r in rows))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: class-not-found: ")
+
+
 def test_detect_reports_none_with_success_status(capsys):
     code, out, _ = run_cli(capsys, "detect", "--inline", "0 1; 1 1")
     assert code == 0
@@ -204,6 +254,14 @@ def test_missing_file_is_parse_error(capsys):
     code, _, err = run_cli(capsys, "detect", "/nonexistent/matrix.txt")
     assert code == 3
     assert "parse-error" in err
+
+
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.mat"
+    path.write_bytes(b"2 2\n1 \xff\n3 4\n")
+    code, out, err = run_cli(capsys, "detect", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: parse-error: cannot read {path}: 'utf-8' codec can't decode")
 
 
 def test_size_guard_exit_code(capsys):
