@@ -10,6 +10,16 @@ form:
   and clear the lowest nonzero entry of its last column by subtracting a
   multiple of the row directly above it, applying the inverse update to L.
 
+The run is fraction-free in the manner of Bareiss: each row of U (and each
+column of L) is held as integer numerators over one positive denominator,
+seeded from A's cached integer lift.  Clearing u[s+1, t], with a and b the
+numerators of u[s+1, t] and u[s, t], sets row s+1 to b·row s+1 - a·row s
+over b times its denominator, divided through by the gcd.  Each row's lead
+(leftmost nonzero column) is kept in a list, and a move rescans only the
+lead of the row it changed, so finding the next move and checking its
+preconditions read the leads instead of the rows.  Fractions appear only
+as multipliers, in recorded stages and in the finished factors.
+
 On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
 state a TNN matrix can never reach (see `tnn.cauchon_check`), or a
@@ -23,12 +33,16 @@ of `mclass.eliminate`, whose class it takes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from itertools import accumulate
+from typing import Callable, Iterator, Optional, Union
 
-from .core import MAX_BRUTEFORCE, Mat, format_scalar, parse_int, parse_scalar, within_guard
-from .echelon import is_upper_echelon, row_leads
+from .core import (
+    MAX_BRUTEFORCE, Mat, _integer_lift, format_scalar, parse_int, parse_scalar, within_guard
+)
+from .echelon import is_upper_echelon
 from .errors import (
     MovePreconditionError,
     NotTotallyNonnegativeError,
@@ -38,8 +52,6 @@ from .errors import (
 from .explicit import LUPair
 from .mclass import eliminate
 from .tnn import is_tnn
-
-Rows = list[list[Fraction]]
 
 
 @dataclass(frozen=True)
@@ -74,8 +86,51 @@ class NevilleTrace:
     stages: Optional[tuple[tuple[Mat, Mat], ...]] = None
 
 
-def _move_precondition_failure(rows: Rows, s: int, t: int) -> Optional[str]:
-    """The first violated elimination-move precondition, or None."""
+def _lead(row: list[int], after: int) -> int:
+    """The first nonzero column of ``row`` right of column ``after``, or
+    ``len(row) + 1`` when there is none."""
+    return next((j for j in range(after + 1, len(row) + 1) if row[j - 1]), len(row) + 1)
+
+
+def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[list[int], int]:
+    """(cx·x + cy·y) / den divided through by the gcd, the sign folded in
+    so that the denominator is positive."""
+    nums = [cx * a + cy * b for a, b in zip(x, y)]
+    g = math.gcd(den, *nums)
+    g = -g if den < 0 else g
+    return [v // g for v in nums], den // g
+
+
+class _Factors:
+    """The running (L, U) on integers: row k of U is ``u[k] / du[k]``,
+    column k of L is ``l[k] / dl[k]`` (each denominator positive), and
+    ``leads[k]`` is row k's first nonzero column, ``ncols + 1`` for a zero
+    row.  A move touches one row of U, its lead and one column of L."""
+
+    def __init__(self, A: Mat):
+        lifted, scales = _integer_lift(A)
+        self.nrows, self.ncols = A.nrows, A.ncols
+        self.u, self.du = [list(row) for row in lifted], list(scales)
+        self.leads = [_lead(row, 0) for row in self.u]
+        self.l = [[int(i == k) for i in range(A.nrows)] for k in range(A.nrows)]
+        self.dl = [1] * A.nrows
+
+    def multiplier(self, s: int, t: int) -> Fraction:
+        """u[s+1, t] / u[s, t]."""
+        return Fraction(self.u[s][t - 1] * self.du[s - 1], self.u[s - 1][t - 1] * self.du[s])
+
+    def mats(self) -> tuple[Mat, Mat]:
+        def cells(parts: list[list[int]], dens: list[int]) -> Iterator[Fraction]:
+            return (Fraction(x, d) for part, d in zip(parts, dens) for x in part)
+
+        L = Mat(len(self.l), self.nrows, cells(self.l, self.dl)).transpose()
+        return L, Mat(len(self.u), self.ncols, cells(self.u, self.du))
+
+
+def _move_precondition_failure(state: _Factors, s: int, t: int) -> Optional[str]:
+    """The first violated elimination-move precondition, or None; a
+    nonzero left of column t is named by the first row's lead."""
+    rows, leads = state.u, state.leads
     m = len(rows)
     n = len(rows[0]) if rows else 0
     if not (1 <= s and s + 1 <= m and 1 <= t <= n):
@@ -85,9 +140,8 @@ def _move_precondition_failure(rows: Rows, s: int, t: int) -> Optional[str]:
     if rows[s][t - 1] == 0:
         return f"entry to clear u[{s + 1},{t}] is zero"
     for i in range(s, m + 1):
-        for j in range(1, t):
-            if rows[i - 1][j - 1] != 0:
-                return f"u[{i},{j}] is nonzero left of the pivot column"
+        if leads[i - 1] < t:
+            return f"u[{i},{leads[i - 1]}] is nonzero left of the pivot column"
     for i in range(s + 2, m + 1):
         if rows[i - 1][t - 1] != 0:
             return f"u[{i},{t}] is nonzero below the entry being cleared"
@@ -101,26 +155,28 @@ def neville_move(U: Mat, s: int, t: int) -> Mat:
     column t from row s down is zero, and nothing below row s+1 in column
     t is nonzero.  Violations raise naming the failed condition.
     """
-    rows = U.to_rows()
-    failure = _move_precondition_failure(rows, s, t)
+    state = _Factors(U)
+    failure = _move_precondition_failure(state, s, t)
     if failure is not None:
         raise MovePreconditionError(failure)
-    _step([], rows, Eliminate(s, t, rows[s][t - 1] / rows[s - 1][t - 1]))
-    return Mat.from_rows(rows, ncols=U.ncols)
+    _step(state, Eliminate(s, t, state.multiplier(s, t)))
+    return state.mats()[1]
 
 
-def _find_move(rows: Rows, ncols: int) -> Optional[Move]:
-    """The next move read off the rows' leading columns, or None once U is
-    strictly upper echelon: delete the bottom-most zero row, else clear
-    column t, the leftmost one whose column prefix breaks the staircase
-    (the smallest lead at or left of some lead above it).  Any structural
-    state a TNN matrix cannot reach raises NotTotallyNonnegativeError.
+def _find_move(state: _Factors) -> Optional[Move]:
+    """The next move read off the rows' leads, or None once U is strictly
+    upper echelon: delete the bottom-most zero row, else clear column t,
+    the leftmost one whose column prefix breaks the staircase (the
+    smallest lead at or left of the running maximum of the leads above
+    it).  Any structural state a TNN matrix cannot reach raises
+    NotTotallyNonnegativeError.
     """
-    leads = row_leads(rows, ncols)
-    zero_rows = [k for k, lead in enumerate(leads, start=1) if lead > ncols]
-    if zero_rows:
-        return DeleteRow(zero_rows[-1])
-    if all(a < b for a, b in zip(leads, leads[1:])):
+    rows, leads, n = state.u, state.leads, state.ncols
+    for k in range(len(leads), 0, -1):
+        if leads[k - 1] > n:
+            return DeleteRow(k)
+    t = min((b for b, top in zip(leads[1:], accumulate(leads, max)) if top >= b), default=None)
+    if t is None:
         return None
     leftmost = min(leads)
     if leads[0] != leftmost:
@@ -128,7 +184,6 @@ def _find_move(rows: Rows, ncols: int) -> Optional[Move]:
             "input not totally nonnegative: "
             f"leftmost nonzero column {leftmost} has a zero uppermost entry"
         )
-    t = min(b for k, b in enumerate(leads[1:], start=1) if max(leads[:k]) >= b)
     s = next(
         (s for s in range(len(rows) - 1, 0, -1) if rows[s - 1][t - 1] != 0 and rows[s][t - 1] != 0),
         None,
@@ -138,65 +193,65 @@ def _find_move(rows: Rows, ncols: int) -> Optional[Move]:
             f"input not totally nonnegative: column {t} breaks the staircase "
             "but has no adjacent nonzero pair"
         )
-    return Eliminate(s, t, rows[s][t - 1] / rows[s - 1][t - 1])
+    return Eliminate(s, t, state.multiplier(s, t))
 
 
-def _step(work_l: Rows, work_u: Rows, move: Move) -> Optional[str]:
+def _step(state: _Factors, move: Move) -> Optional[str]:
     """Apply one validated move to the running factors in place.
 
     Returns the violated condition instead, leaving the factors untouched:
     a row out of range or not zero, a failed elimination precondition, or
     a multiplier that does not match the state.
     """
+    u, du, l, dl = state.u, state.du, state.l, state.dl
     if isinstance(move, DeleteRow):
         i = move.i
-        if not 1 <= i <= len(work_u):
+        if not 1 <= i <= len(u):
             return f"row {i} out of range"
-        if any(x != 0 for x in work_u[i - 1]):
+        if state.leads[i - 1] <= state.ncols:
             return f"row {i} is not a zero row"
-        del work_u[i - 1]
-        for lrow in work_l:
-            del lrow[i - 1]
+        for part in (u, du, state.leads, l, dl):
+            del part[i - 1]
         return None
     s, t = move.s, move.t
-    failure = _move_precondition_failure(work_u, s, t)
+    failure = _move_precondition_failure(state, s, t)
     if failure is not None:
         return failure
-    lam = work_u[s][t - 1] / work_u[s - 1][t - 1]
+    lam = state.multiplier(s, t)
     if lam != move.multiplier:
         return (
             f"multiplier {format_scalar(move.multiplier)} does not "
             f"match state value {format_scalar(lam)}"
         )
-    # the precondition leaves rows s and s+1 zero left of column t
-    work_u[s][t - 1 :] = [x - lam * y for x, y in zip(work_u[s][t - 1 :], work_u[s - 1][t - 1 :])]
-    for lrow in work_l:
-        if lrow[s]:
-            lrow[s - 1] += lam * lrow[s]
+    # row s+1 becomes b·row s+1 - a·row s over b·du; the precondition
+    # leaves both rows zero left of column t
+    a, b = u[s][t - 1], u[s - 1][t - 1]
+    u[s][t - 1 :], du[s] = _combine(b, u[s][t - 1 :], -a, u[s - 1][t - 1 :], b * du[s])
+    state.leads[s] = _lead(u[s], t)
+    # column s of L gains lam = p/q times column s+1
+    p, q = lam.numerator, lam.denominator
+    l[s - 1], dl[s - 1] = _combine(q * dl[s], l[s - 1], p * dl[s - 1], l[s], q * dl[s - 1] * dl[s])
     return None
 
 
 def _run(
     A: Mat,
-    next_move: Callable[[Rows], Optional[Move]],
+    next_move: Callable[[_Factors], Optional[Move]],
     refuse: Callable[..., Exception],
     record_stages: bool = False,
 ) -> tuple[LUPair, NevilleTrace]:
-    """From (L, U) = (I, A), apply ``next_move(U)`` through `_step` until it
-    gives None, then accept (L, U) only if no multiplier is negative, U is
-    strictly echelon, the pair is the certified `eliminate(A)` pair and no
-    entry is negative.  ``refuse(reason, step=None)`` builds each error.
+    """From (L, U) = (I, A), held as integer rows and columns seeded from
+    A's integer lift with U's leads kept move by move (`_Factors`), apply
+    ``next_move(state)`` through `_step` until it gives None, then accept
+    (L, U) only if no multiplier is negative, U is strictly echelon, the
+    pair is the certified `eliminate(A)` pair and no entry is negative.
+    ``refuse(reason, step=None)`` builds each error.
     """
-    work_u = A.to_rows()
-    work_l = Mat.identity(A.nrows).to_rows()
+    state = _Factors(A)
     moves: list[Move] = []
     stages: list[tuple[Mat, Mat]] = []
-
-    def factors() -> tuple[Mat, Mat]:
-        return Mat.from_rows(work_l, ncols=len(work_u)), Mat.from_rows(work_u, ncols=A.ncols)
-
-    for move in iter(lambda: next_move(work_u), None):
-        failure = _step(work_l, work_u, move)
+    for move in iter(lambda: next_move(state), None):
+        failure = _step(state, move)
         if failure is not None:
             raise refuse(failure, len(moves) + 1)
         moves.append(move)
@@ -207,8 +262,8 @@ def _run(
                 f"multiplier {format_scalar(move.multiplier)}"
             )
         if record_stages:
-            stages.append(factors())
-    L, U = factors()
+            stages.append(state.mats())
+    L, U = state.mats()
     if not is_upper_echelon(U).is_strict:
         raise refuse("trace does not finish the elimination")
     elim = eliminate(A)
@@ -216,8 +271,8 @@ def _run(
         raise refuse("elimination did not end at the class factorization")
     negative = [
         f"{name}[{i},{j}] = {format_scalar(x)}"
-        for name, rows in (("L", work_l), ("U", work_u))
-        for i, row in enumerate(rows, start=1)
+        for name, M in (("L", L), ("U", U))
+        for i, row in enumerate(M.iter_rows(), start=1)
         for j, x in enumerate(row, start=1)
         if x < 0
     ]
@@ -252,7 +307,7 @@ def neville_decompose(
             )
     return _run(
         A,
-        lambda rows: _find_move(rows, A.ncols),
+        _find_move,
         lambda reason, step=None: NotTotallyNonnegativeError(
             f"input not totally nonnegative: {reason}"
         ),
@@ -271,7 +326,7 @@ def replay(A: Mat, trace: NevilleTrace) -> LUPair:
     moves = iter(trace.moves)
     return _run(
         A,
-        lambda rows: next(moves, None),
+        lambda state: next(moves, None),
         lambda reason, step=None: ReplayError(reason if step is None else f"step {step}: {reason}"),
     )[0]
 

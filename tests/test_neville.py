@@ -85,6 +85,13 @@ class TestMove:
         with pytest.raises(MovePreconditionError, match="left of the pivot column"):
             neville_move(U, 1, 2)
 
+    def test_first_nonzero_left_of_column_is_named_in_row_major_order(self):
+        # u[2,1] sits in the further-left column, but u[1,2] comes first row by row
+        U = Mat.from_rows([[0, 2, 1], [4, 0, 1]])
+        with pytest.raises(MovePreconditionError) as excinfo:
+            neville_move(U, 1, 3)
+        assert str(excinfo.value) == "u[1,2] is nonzero left of the pivot column"
+
     def test_nonzero_below_rejected(self):
         U = Mat.from_rows([[1], [1], [1]])
         with pytest.raises(MovePreconditionError, match="below"):
@@ -221,6 +228,18 @@ class TestDecompose:
                 if isinstance(move, Eliminate):
                     assert move.multiplier >= 0
 
+    def test_stage_invariants_beyond_the_guard(self):
+        # no up-front sweep runs here, and `is_tnn` is guarded: scan the entries
+        pascal = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
+        fractional = random_tnn(10, 11, seed=3, factors=80)
+        assert any(x.denominator > 1 for row in fractional.iter_rows() for x in row)
+        for A in (pascal, fractional):
+            _, trace = neville_decompose(A, record_stages=True)
+            assert trace.stages
+            for L, U in trace.stages:
+                assert matmul(L, U) == A
+                assert all(x >= 0 for M in (L, U) for row in M.iter_rows() for x in row)
+
 
 class TestMinorTransformationLaw:
     def test_law_on_random_first_moves(self):
@@ -263,6 +282,11 @@ class TestReplayAndTraceText:
         with pytest.raises(ReplayError, match="step 1"):
             replay(Mat.identity(3), trace)
 
+    def test_replay_rejects_deleting_a_nonzero_row(self):
+        with pytest.raises(ReplayError) as excinfo:
+            replay(A4, parse_trace("D 2"))
+        assert str(excinfo.value) == "step 1: row 2 is not a zero row"
+
     def test_replay_rejects_wrong_multiplier(self):
         _, trace = neville_decompose(A4)
         doctored = parse_trace(format_trace(trace).replace("E 3 2 3", "E 3 2 4"))
@@ -274,6 +298,12 @@ class TestReplayAndTraceText:
         cases = (
             (Mat.from_rows([[1, 2], [-1, 1]]), parse_trace("E 1 1 -1"), "negative multiplier -1"),
             (Mat.from_rows([[-2, 0]]), NevilleTrace(()), "U\\[1,1\\] = -2"),
+            # the last move pivots on u[2,2] = -1/2, rows lifted with scales 2 and 3
+            (
+                Mat.from_rows([[1, 0, 0], [1, "-1/2", "-1/2"], ["2/3", "-2/3", 0]]),
+                parse_trace("E 2 1 2/3\nE 1 1 1\nE 2 2 2/3"),
+                "U\\[2,2\\] = -1/2",
+            ),
         )
         for A, trace, reason in cases:
             with pytest.raises(NotTotallyNonnegativeError, match=reason):

@@ -9,8 +9,9 @@ to the definition (the first column prefix that is not upper echelon), to
 its own replay, and to `reconstruct_lu`; on signed input, whenever it
 returns, its factors are the class factorization and nonnegative, and a
 replay of another matrix's trace returns only what it returns.  The
-kernels run on each matrix's integer lift, so the class and minor checks
-also draw rational entries, whose rows lift with unequal scales.
+kernels run on each matrix's integer lift, so the class, minor and Neville
+checks also draw rational entries, whose rows lift with unequal scales,
+and a single Neville move is held to the `Fraction` row operation.
 """
 
 from fractions import Fraction
@@ -33,6 +34,7 @@ from tnnlu import (
     Eliminate,
     IndexSet,
     Mat,
+    MovePreconditionError,
     NotInClassError,
     NotTotallyNonnegativeError,
     ReplayError,
@@ -46,6 +48,7 @@ from tnnlu import (
     matmul,
     minor,
     neville_decompose,
+    neville_move,
     parse_trace,
     random_tnn,
     rank,
@@ -57,13 +60,11 @@ from tnnlu import (
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-@st.composite
-def small_integer_matrices(draw, count=1):
-    """Up to 4x5, entries of both signs with zero three times as likely as any other;
-    with ``count`` > 1, a tuple of that many matrices of one shape."""
+def _same_shape(draw, entry, count):
+    """Up to 4x5 with entries drawn from ``entry``; with ``count`` > 1, a tuple of
+    that many matrices of one shape."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 5))
-    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
     drawn = tuple(
         Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n))) for _ in range(count)
     )
@@ -71,15 +72,19 @@ def small_integer_matrices(draw, count=1):
 
 
 @st.composite
-def small_rational_matrices(draw):
-    """Up to 4x5, integer and fractional entries of both signs, so that the rows'
-    integer lifts carry unequal scales; zero is three times as likely as any other."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 5))
+def small_integer_matrices(draw, count=1):
+    """Entries of both signs with zero three times as likely as any other."""
+    return _same_shape(draw, st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3)), count)
+
+
+@st.composite
+def small_rational_matrices(draw, count=1):
+    """Integer and fractional entries of both signs, so that the rows' integer
+    lifts carry unequal scales; zero is three times as likely as any other."""
     entry = st.sampled_from(
         (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-3, 2))
     )
-    return Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n)))
+    return _same_shape(draw, entry, count)
 
 
 @st.composite
@@ -207,9 +212,7 @@ def test_neville_moves_replay_and_agree_with_reconstruct(m, n, seed):
     assert reconstruct_lu(A) == pair
 
 
-@SETTINGS
-@given(small_integer_matrices())
-def test_neville_returns_only_the_nonnegative_class_factorization(A):
+def check_neville_returns_only_the_nonnegative_class_factorization(A):
     try:
         pair, _ = neville_decompose(A, check_tnn=False)
     except NotTotallyNonnegativeError:
@@ -220,9 +223,34 @@ def test_neville_returns_only_the_nonnegative_class_factorization(A):
 
 
 @SETTINGS
-@given(small_integer_matrices(count=2))
-def test_replay_returns_only_what_neville_returns(pair):
-    A, B = pair
+@given(small_integer_matrices())
+def test_neville_returns_only_the_nonnegative_class_factorization(A):
+    check_neville_returns_only_the_nonnegative_class_factorization(A)
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_neville_returns_only_the_nonnegative_class_factorization_on_rationals(A):
+    check_neville_returns_only_the_nonnegative_class_factorization(A)
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_neville_move_is_the_row_operation_on_rationals(U):
+    # pivots of either sign on rows lifted with unequal scales
+    for s in range(1, U.nrows):
+        for t in range(1, U.ncols + 1):
+            try:
+                moved = neville_move(U, s, t)
+            except MovePreconditionError:
+                continue
+            lam = U.entry(s + 1, t) / U.entry(s, t)
+            rows = U.to_rows()
+            rows[s] = [x - lam * y for x, y in zip(rows[s], rows[s - 1])]
+            assert moved == Mat.from_rows(rows)
+
+
+def check_replay_returns_only_what_neville_returns(A, B):
     try:
         _, trace = neville_decompose(B, check_tnn=False)
     except NotTotallyNonnegativeError:
@@ -232,3 +260,15 @@ def test_replay_returns_only_what_neville_returns(pair):
     except ReplayError:
         return
     assert neville_decompose(A, check_tnn=False)[0] == replayed
+
+
+@SETTINGS
+@given(small_integer_matrices(count=2))
+def test_replay_returns_only_what_neville_returns(pair):
+    check_replay_returns_only_what_neville_returns(*pair)
+
+
+@SETTINGS
+@given(small_rational_matrices(count=2))
+def test_replay_returns_only_what_neville_returns_on_rationals(pair):
+    check_replay_returns_only_what_neville_returns(*pair)
