@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -181,6 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+        # argparse takes "-2/3" for an option, not a value: no option here
+        # starts with "-" and a digit, so let any such token be a value
+        p._negative_number_matcher = re.compile(r"-\d")
         p.add_argument(
             "--format",
             choices=("text", "structured"),
@@ -195,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=MAX_BRUTEFORCE,
                 metavar="N",
-                help="size guard (N >= 0) for the exhaustive TNN sweeps; detect is unguarded "
-                "(default %(default)s)",
+                help="size guard (N >= 0) for the TNN tests and their witness sweeps; "
+                "detect is unguarded (default %(default)s)",
             )
 
     p = sub.add_parser("decompose", help="factor a matrix as L*U with its class")
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unchecked",
         action="store_true",
-        help="skip neville's up-front TNN sweep; the class certificate always runs",
+        help="skip neville's up-front TNN test; the class certificate always runs",
     )
     p.set_defaults(func=_cmd_decompose)
 
@@ -219,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("check-tnn", help="brute-force total nonnegativity test")
+    p = sub.add_parser(
+        "check-tnn", help="polynomial TNN test; a failure names the first negative minor"
+    )
     add_common(p)
     p.set_defaults(func=_cmd_check_tnn)
 

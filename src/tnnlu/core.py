@@ -346,6 +346,15 @@ def _integer_lift(A: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
     return A._lift
 
 
+def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[list[int], int]:
+    """(cx·x + cy·y) / den divided through by the gcd, the sign folded in
+    so that the denominator is positive."""
+    nums = [cx * a + cy * b for a, b in zip(x, y)]
+    g = math.gcd(den, *nums)
+    g = -g if den < 0 else g
+    return [v // g for v in nums], den // g
+
+
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix; mutates its argument,
     so it takes a fresh list of lists, never the rows `_integer_lift` caches.

@@ -33,14 +33,14 @@ of `mclass.eliminate`, whose class it takes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Union
 
 from .core import (
-    MAX_BRUTEFORCE, Mat, _integer_lift, format_scalar, parse_int, parse_scalar, within_guard
+    MAX_BRUTEFORCE, Mat, _combine, _integer_lift, format_scalar, parse_int, parse_scalar,
+    within_guard,
 )
 from .echelon import is_upper_echelon
 from .errors import (
@@ -90,15 +90,6 @@ def _lead(row: list[int], after: int) -> int:
     """The first nonzero column of ``row`` right of column ``after``, or
     ``len(row) + 1`` when there is none."""
     return next((j for j in range(after + 1, len(row) + 1) if row[j - 1]), len(row) + 1)
-
-
-def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[list[int], int]:
-    """(cx·x + cy·y) / den divided through by the gcd, the sign folded in
-    so that the denominator is positive."""
-    nums = [cx * a + cy * b for a, b in zip(x, y)]
-    g = math.gcd(den, *nums)
-    g = -g if den < 0 else g
-    return [v // g for v in nums], den // g
 
 
 class _Factors:
@@ -291,11 +282,13 @@ def neville_decompose(
 ) -> tuple[LUPair, NevilleTrace]:
     """Run the elimination on a totally nonnegative matrix.
 
-    Total nonnegativity is verified brute-force up front when the matrix
-    is small enough (and ``check_tnn`` is left on); beyond the size guard
-    it is only policed move by move and by the signs of the factors.  With
-    ``record_stages`` the trace keeps a snapshot of (L, U) after every
-    move.  The finished factors must be A's certified class factorization.
+    Total nonnegativity is verified up front by `is_tnn` (polynomial; it
+    enumerates minors only to name a rejected input's witness) when the
+    matrix is within the size guard and ``check_tnn`` is left on; beyond
+    the guard it is only policed move by move and by the signs of the
+    factors.  With ``record_stages`` the trace keeps a snapshot of (L, U)
+    after every move.  The finished factors must be A's certified class
+    factorization.
     """
     if check_tnn and within_guard(A, max_size):
         report = is_tnn(A, max_size=max_size)

@@ -1,10 +1,14 @@
 """Total nonnegativity testing, the zero-pattern check, and corpus generation.
 
 A matrix is totally nonnegative (TNN) when every square minor of every
-size is >= 0, and totally positive (TP) when every minor is > 0.  Testing
-is brute-force by design: there is no cheap criterion covering the
-singular case, and singular matrices are exactly the interesting ones
-here.  The enumeration refuses matrices beyond the size guard.
+size is >= 0, and totally positive (TP) when every minor is > 0.  `is_tnn`
+decides TNN in polynomial time by Cauchon's deleting-derivations test,
+which holds for real m x n matrices of any rank, singular and rectangular
+ones included (Goodearl, Launois & Lenagan, Adv. Math. 226, 2011; for its
+cost, Launois & Lenagan, Found. Comput. Math. 14, 2014).  The exhaustive
+minor sweep runs only when that test rejects, to name the first negative
+minor in scan order; `is_tp` is the sweep alone.  Both refuse matrices
+beyond the size guard.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, _combine, _integer_lift, first_minor, size_guard
 
 Witness = tuple[IndexSet, IndexSet, Fraction]
 
@@ -32,9 +36,49 @@ class TnnReport:
     witness: Optional[Witness] = None
 
 
+def _deleting_derivations_accept(A: Mat) -> bool:
+    """Cauchon's deleting-derivations test on A's integer lift; True only
+    if A is TNN.  Each row is integer numerators over one positive
+    denominator.  For each pivot (j, c), from (m, n) down in reverse
+    row-major order, with p = a[j,c] nonzero, every row i < j with
+    f = a[i,c] nonzero gets a[i,k] - f·a[j,k]/p at each k < c.  A is TNN iff
+    the result has no negative entry and each of its zeros has only zeros
+    above it or only zeros to its left (a Cauchon diagram).  The test
+    rejects at the first negative entry on the way, which keeps every
+    pivot positive; a reject is never final, since `is_tnn` then sweeps
+    the minors, so this early exit costs time at worst, never an answer.
+    """
+    lifted, scales = _integer_lift(A)
+    if any(v < 0 for row in lifted for v in row):
+        return False
+    rows, dens = [list(row) for row in lifted], list(scales)
+    for j in range(A.nrows - 1, 0, -1):
+        for c in range(A.ncols - 1, -1, -1):
+            p = rows[j][c]
+            if not p:
+                continue
+            left = rows[j][:c] + [0] * (A.ncols - c)
+            for i in range(j):
+                f = rows[i][c]
+                if f:
+                    rows[i], dens[i] = _combine(p, rows[i], -f, left, dens[i] * p)
+                    if min(rows[i]) < 0:
+                        return False
+    return not any(
+        v == 0 and any(row[:k]) and any(above[k] for above in rows[:i])
+        for i, row in enumerate(rows)
+        for k, v in enumerate(row)
+    )
+
+
 def is_tnn(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
-    """Sweep all square minors for a negative one.  A Fraction's denominator
-    is positive, so its numerator carries the sign."""
+    """Decide total nonnegativity by the deleting-derivations test; only
+    when it rejects, sweep all square minors for the first negative one,
+    the witness.  A Fraction's denominator is positive, so its numerator
+    carries the sign.  The size guard applies whichever path decides."""
+    size_guard(A, max_size)
+    if _deleting_derivations_accept(A):
+        return TnnReport(True)
     witness = first_minor(A, lambda rows, cols, v: v.numerator < 0, max_size)
     return TnnReport(witness is None, witness)
 

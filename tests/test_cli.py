@@ -238,6 +238,14 @@ def test_detect_is_not_size_guarded(capsys):
     assert out == f"class: r = {{{leaders}}}, c = {{{leaders}}}\n"
 
 
+def test_inline_value_may_start_with_a_minus_sign(capsys):
+    # argparse would read "-2/3" as an option and exit 2
+    spaced = run_cli(capsys, "decompose", "--inline", "-2/3")
+    assert spaced == run_cli(capsys, "decompose", "--inline=-2/3")
+    assert spaced[0] == 0
+    assert spaced[1].endswith("U:\n1 1\n-2/3\n")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "decompose", "--inline", "1 x; 2 3")
     assert code == 3

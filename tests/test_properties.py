@@ -12,6 +12,8 @@ replay of another matrix's trace returns only what it returns.  The
 kernels run on each matrix's integer lift, so the class, minor and Neville
 checks also draw rational entries, whose rows lift with unequal scales,
 and a single Neville move is held to the `Fraction` row operation.
+`is_tnn`'s deleting-derivations gate is held to the bare minor sweep, on
+its verdict and its witness.
 """
 
 from fractions import Fraction
@@ -38,12 +40,14 @@ from tnnlu import (
     NotInClassError,
     NotTotallyNonnegativeError,
     ReplayError,
+    TnnReport,
     det,
     detect_class,
     explicit_decompose,
     format_trace,
     greedy_leaders,
     in_class_M,
+    is_tnn,
     is_upper_echelon,
     matmul,
     minor,
@@ -56,6 +60,7 @@ from tnnlu import (
     replay,
     submatrix,
 )
+from tnnlu.core import first_minor
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -272,3 +277,20 @@ def test_replay_returns_only_what_neville_returns(pair):
 @given(small_rational_matrices(count=2))
 def test_replay_returns_only_what_neville_returns_on_rationals(pair):
     check_replay_returns_only_what_neville_returns(*pair)
+
+
+def check_tnn_gate_against_the_sweep(A):
+    witness = first_minor(A, lambda rows, cols, value: value < 0, 99)
+    assert is_tnn(A) == TnnReport(witness is None, witness)
+
+
+@SETTINGS
+@given(small_integer_matrices())
+def test_tnn_gate_matches_the_minor_sweep(A):
+    check_tnn_gate_against_the_sweep(A)
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_tnn_gate_matches_the_minor_sweep_on_rationals(A):
+    check_tnn_gate_against_the_sweep(A)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from tnnlu import (
     IndexSet,
     Mat,
     SizeGuardError,
+    TnnReport,
     cauchon_check,
     delete_col,
     delete_row,
@@ -14,7 +16,9 @@ from tnnlu import (
     is_tp,
     matmul,
     random_tnn,
+    rank,
 )
+from tnnlu.core import first_minor
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 
@@ -62,6 +66,46 @@ def test_size_guard_and_override():
     # rectangular matrices are guarded on the smaller dimension only
     wide = Mat.zeros(2, 12)
     assert is_tnn(wide).is_tnn
+
+
+def negative(rows, cols, value):
+    return value < 0
+
+
+def test_gate_agrees_with_the_sweep_on_hard_cases():
+    # one entry of a TNN matrix moved by a small amount, kept only when
+    # every 1x1 and 2x2 minor stays >= 0, so a negative minor, if any, is
+    # 3x3 or larger
+    rng = seeded(87)
+    checked = rejected = 0
+    while checked < 1000:
+        m, n = rng.randint(3, 6), rng.randint(3, 6)
+        A = random_tnn(m, n, seed=rng.randint(0, 10**6), factors=rng.randint(8, 40))
+        rows = A.to_rows()
+        shift = Fraction(rng.choice((-1, 1)), rng.randint(1, 9))
+        rows[rng.randrange(m)][rng.randrange(n)] += shift
+        A = Mat.from_rows(rows)
+        if first_minor(A, negative, 99, max_order=2) is not None:
+            continue
+        witness = first_minor(A, negative, 99)
+        assert is_tnn(A) == TnnReport(witness is None, witness)
+        checked += 1
+        rejected += witness is not None
+    assert rejected >= 50
+
+
+def test_accept_path_enumerates_no_minor(monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("minor sweep on the accept path")
+
+    monkeypatch.setattr("tnnlu.tnn.first_minor", sweep)
+    pascal = Mat.from_rows([[comb(i + j, i) for j in range(8)] for i in range(8)])
+    assert is_tnn(pascal) == TnnReport(True)
+    singular = random_tnn(7, 9, seed=1, factors=40)
+    assert rank(singular) == 5
+    assert is_tnn(singular) == TnnReport(True)
+    with pytest.raises(SizeGuardError):
+        is_tnn(Mat.identity(9))
 
 
 def test_negative_max_size_is_rejected():
