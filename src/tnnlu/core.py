@@ -355,33 +355,38 @@ def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[li
     return [v // g for v in nums], den // g
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix; mutates its argument,
-    so it takes a fresh list of lists, never the rows `_integer_lift` caches.
-
-    Every intermediate entry is itself a minor of the input, so all
-    divisions are exact and coefficient growth stays polynomial.
-    """
-    n = len(rows)
+def _bareiss(rows: list[list[int]], steps: int) -> int:
+    """Fraction-free elimination in place, on a fresh list of lists (never
+    the rows `_integer_lift` caches): ``steps`` pivots down the diagonal, a
+    zero pivot swapped for the first nonzero entry below it.  Returns the
+    sign of the swaps, or 0 when a pivot column runs out.  With no swap,
+    cell (i, j) ends up holding the bordered minor on rows 0..k-1, i and
+    columns 0..k-1, j, k = min(i, j, steps), eliminated cells included
+    (Sylvester's identity), so every division is exact."""
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(steps):
         if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            swap = next((i for i in range(k + 1, len(rows)) if rows[i][k] != 0), None)
             if swap is None:
                 return 0
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
+        rk = rows[k]
+        pivot = rk[k]
+        cols = range(k + 1, len(rk))
+        for i in range(k + 1, len(rows)):
             ri = rows[i]
-            rk = rows[k]
             rik = ri[k]
-            for j in range(k + 1, n):
+            for j in cols:
                 ri[j] = (pivot * ri[j] - rik * rk[j]) // prev
-            ri[k] = 0
         prev = pivot
-    return sign * rows[-1][-1]
+    return sign
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by `_bareiss`, in place."""
+    return _bareiss(rows, len(rows) - 1) * rows[-1][-1]
 
 
 def det(A: Mat) -> Fraction:

@@ -6,10 +6,11 @@ the unique factorization A = L U with L an m-by-t column-echelon factor
 whose leading entries are 1 at rows r, and U a t-by-n row-echelon factor
 with leading entries at columns c.
 
-`explicit_decompose` computes every entry as a ratio of minors of A, each
-entry independently (its own determinant, read off A's one integer lift):
-the slow, independent oracle behind ``tnnlu decompose --method explicit``
-and the tests.
+`explicit_decompose` evaluates the paper's closed forms, every entry a
+ratio of two bordered minors of A, all read off one fraction-free Bareiss
+table of A's integer lift (Sylvester's identity): the route behind
+``tnnlu decompose --method explicit``, computed apart from the elimination
+so that the tests can hold the routes to each other.
 `reconstruct_lu` returns the certified elimination's factors, which solve
 for U row by row and L column by column.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Mat, minor
+from .core import Mat, _bareiss, _integer_lift
 from .mclass import ClassDesc, certify
 
 
@@ -35,36 +36,36 @@ class LUPair:
 
 def explicit_decompose(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:
     """Closed-form decomposition from minor ratios, in the class `certify`
-    accepts; the certificate makes every leading minor nonzero."""
+    accepts:
+
+        L[h, j] = [r_<j, h | c_<=j] / [r_<=j | c_<=j]   (0 for h < r_j)
+        U[i, k] = [r_<=i | c_<i, k] / [r_<i | c_<i]      (0 for k < c_i)
+
+    Every minor is read off one `_bareiss` table of A's integer lift, with
+    rows r then the rest and columns c then the rest; the certificate makes
+    every leading minor nonzero, so no pivot is swapped."""
     desc = certify(A, desc).desc
-    r = desc.r.indices
-    c = desc.c.indices
+    r, c = desc.r.indices, desc.c.indices
     t = len(r)
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-
-    def mn(rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
-        key = (rows, cols)
-        if key not in memo:
-            memo[key] = minor(A, rows, cols)
-        return memo[key]
-
-    leading = [mn(r[:s], c[:s]) for s in range(t + 1)]
-
-    l_entries: list[Fraction] = []
-    for i in range(1, A.nrows + 1):
-        for j in range(1, t + 1):
-            if i < r[j - 1]:
-                l_entries.append(Fraction(0))
-            else:
-                l_entries.append(mn(r[: j - 1] + (i,), c[:j]) / leading[j])
-    u_entries: list[Fraction] = []
-    for i in range(1, t + 1):
-        for j in range(1, A.ncols + 1):
-            if j < c[i - 1]:
-                u_entries.append(Fraction(0))
-            else:
-                u_entries.append(mn(r[:i], c[: i - 1] + (j,)) / leading[i - 1])
-    return LUPair(Mat(A.nrows, t, l_entries), Mat(t, A.ncols, u_entries), desc)
+    lifted, scales = _integer_lift(A)
+    rows = r + tuple(i for i in range(1, A.nrows + 1) if i not in r)
+    cols = c + tuple(k for k in range(1, A.ncols + 1) if k not in c)
+    table = [[lifted[i - 1][k - 1] for k in cols] for i in rows]
+    _bareiss(table, t)
+    row_of = {h: table[pos] for pos, h in enumerate(rows)}
+    at_col = {k: pos for pos, k in enumerate(cols)}
+    leading = [1] + [table[s][s] for s in range(t)]  # lifted [r_<=s | c_<=s]
+    L = [
+        Fraction(row_of[h][j] * scales[r[j] - 1], scales[h - 1] * table[j][j]) if h >= r[j] else 0
+        for h in range(1, A.nrows + 1)
+        for j in range(t)
+    ]
+    U = [
+        Fraction(table[i][at_col[k]], scales[r[i] - 1] * leading[i]) if k >= c[i] else 0
+        for i in range(t)
+        for k in range(1, A.ncols + 1)
+    ]
+    return LUPair(Mat(A.nrows, t, L), Mat(t, A.ncols, U), desc)
 
 
 def reconstruct_lu(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:

@@ -34,6 +34,33 @@ def minor_cofactor(A, I, J):
     return det_cofactor([[A.entry(i, j) for j in J] for i in I])
 
 
+def minor_ratio_pair(A, desc):
+    """The class factors (L, U) of A, entry by entry from the minor ratios
+
+        L[h, j] = [r_<j, h | c_<=j] / [r_<=j | c_<=j]   (0 for h < r_j)
+        U[i, k] = [r_<=i | c_<i, k] / [r_<i | c_<i]      (0 for k < c_i)
+
+    with every minor from the naive oracle, so the fraction-free table of
+    `explicit_decompose` is judged against the formulas as written."""
+    r, c = list(desc.r), list(desc.c)
+    t = len(r)
+
+    def ratio(rows, cols, below_rows, below_cols):
+        return minor_cofactor(A, rows, cols) / minor_cofactor(A, below_rows, below_cols)
+
+    L = [
+        0 if h < r[j] else ratio(r[:j] + [h], c[: j + 1], r[: j + 1], c[: j + 1])
+        for h in range(1, A.nrows + 1)
+        for j in range(t)
+    ]
+    U = [
+        0 if k < c[i] else ratio(r[: i + 1], c[:i] + [k], r[:i], c[:i])
+        for i in range(t)
+        for k in range(1, A.ncols + 1)
+    ]
+    return Mat(A.nrows, t, L), Mat(t, A.ncols, U)
+
+
 def all_candidate_descs(m, n):
     """Every leader pair (r, c) an m x n matrix could have, by rank."""
     for t in range(0, min(m, n) + 1):

@@ -26,7 +26,7 @@ from tnnlu import (
     rank,
     submatrix,
 )
-from tnnlu.core import _integer_lift
+from tnnlu.core import _bareiss, _integer_lift
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
@@ -127,7 +127,7 @@ class TestSubmatrixAndMinor:
 
 class TestSharedLift:
     """Every kernel reads one integer lift per Mat, cached on first use; none
-    may write to it (`_bareiss_det` works in place on its argument)."""
+    may write to it (`_bareiss` works in place on its argument)."""
 
     ROWS = [["1/2", "1/3", 1], ["1/5", 1, "2/7"], [3, "1/4", 1]]
     CALLS = (
@@ -146,6 +146,39 @@ class TestSharedLift:
         for k in [0, 3, 1, 4, 2, 5, 0, 4, 3, 5, 1, 2, 3, 0, 5, 4, 2, 1]:
             assert self.CALLS[k](A) == expected[k]
         assert _integer_lift(A) == _integer_lift(Mat.from_rows(self.ROWS))
+
+
+class TestBareissTable:
+    """`_bareiss(rows, steps)` leaves in cell (i, j) the bordered minor on
+    rows 0..k-1, i and columns 0..k-1, j, with k = min(i, j, steps)."""
+
+    def test_every_cell_is_its_bordered_minor(self):
+        rng = seeded(91)
+        checked = 0
+        while checked < 40:
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            A = Mat.from_rows(rows)
+            steps = rng.randint(0, min(m, n))
+            prefixes = (range(1, s + 1) for s in range(steps + 1))
+            if not all(minor_cofactor(A, lead, lead) for lead in prefixes):
+                continue
+            assert _bareiss(rows, steps) == 1
+            for i in range(m):
+                for j in range(n):
+                    k = min(i, j, steps)
+                    lead = list(range(1, k + 1))
+                    assert rows[i][j] == minor_cofactor(A, lead + [i + 1], lead + [j + 1])
+            checked += 1
+
+    def test_swaps_and_runs_out(self):
+        rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+        assert _bareiss(rows, 2) == -1
+        assert rows[2][2] == -det_cofactor([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == 3
+        rows = [[0, 1], [0, 2], [0, 3]]
+        assert _bareiss(rows, 2) == 0
+        rows = [[1, 2, 3], [2, 4, 5], [3, 6, 7]]  # second pivot column empties
+        assert _bareiss(rows, 2) == 0
 
 
 class TestRankAndMatmul:

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from conftest import minor_cofactor, seeded
+from conftest import minor_cofactor, minor_ratio_pair, seeded
 from tnnlu import (
     ClassDesc,
     IndexSet,
@@ -16,6 +17,7 @@ from tnnlu import (
     matmul,
     neville_decompose,
     random_tnn,
+    rank,
     reconstruct_lu,
 )
 
@@ -119,10 +121,26 @@ def test_three_paths_agree_and_factors_are_tnn():
         rebuilt = reconstruct_lu(A, desc)
         eliminated, _ = neville_decompose(A, check_tnn=False)
         assert explicit == rebuilt
+        assert (explicit.L, explicit.U) == minor_ratio_pair(A, desc)
         assert eliminated.L == explicit.L and eliminated.U == explicit.U
         assert eliminated.desc == desc
         assert is_tnn(explicit.L).is_tnn
         assert is_tnn(explicit.U).is_tnn
+
+
+def test_explicit_runs_no_determinant_per_entry(monkeypatch):
+    # every minor ratio is read off one fraction-free table, so the route
+    # never calls the determinant kernel behind `minor` and `det`
+    pascal = Mat.from_rows([[comb(i + j, i) for j in range(16)] for i in range(16)])
+    product = random_tnn(12, 16, seed=11, factors=60)
+    assert rank(product) < 12
+    expected = [reconstruct_lu(A) for A in (pascal, product)]
+
+    def refuse(rows):
+        raise AssertionError("explicit_decompose evaluated a determinant")
+
+    monkeypatch.setattr("tnnlu.core._bareiss_det", refuse)
+    assert [explicit_decompose(A) for A in (pascal, product)] == expected
 
 
 def test_leading_minors_factor_through_the_pair():

@@ -13,7 +13,9 @@ kernels run on each matrix's integer lift, so the class, minor and Neville
 checks also draw rational entries, whose rows lift with unequal scales,
 and a single Neville move is held to the `Fraction` row operation.
 `is_tnn`'s deleting-derivations gate is held to the bare minor sweep, on
-its verdict and its witness.
+its verdict and its witness.  `explicit_decompose` reads its minors off
+one fraction-free table; on signed class members it is held to the minor
+ratios as written, each minor by cofactor expansion.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_candidate_descs,
     minor_cofactor,
+    minor_ratio_pair,
     random_ascending_subset,
     random_class_L,
     random_class_U,
@@ -193,6 +196,33 @@ def test_reconstruct_matches_explicit_on_members(sample):
     lu = explicit_decompose(A, desc)
     assert reconstruct_lu(A, desc) == lu
     assert reconstruct_lu(A) == lu
+
+
+@st.composite
+def starred_class_products(draw):
+    """(A, L, U, desc) with A = L·U, L in the starred class L*(r) and U in
+    class U(c): entries of both signs, halves among them, leaders anywhere,
+    rank 0 to min(m, n), up to 5x5."""
+    rng = seeded(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, min(m, n)))
+    r = random_ascending_subset(rng, m, t)
+    c = random_ascending_subset(rng, n, t)
+    L = random_class_L(rng, m, r, starred=True)
+    U = random_class_U(rng, n, c)
+    return matmul(L, U), L, U, ClassDesc(r, c)
+
+
+@SETTINGS
+@given(starred_class_products())
+def test_explicit_table_matches_the_minor_ratios_on_members(sample):
+    A, L, U, desc = sample
+    oracle = minor_ratio_pair(A, desc)
+    assert oracle == (L, U)
+    for lu in (explicit_decompose(A, desc), explicit_decompose(A)):
+        assert (lu.L, lu.U) == oracle
+        assert lu == reconstruct_lu(A, desc)
 
 
 def first_broken_prefix(U):
