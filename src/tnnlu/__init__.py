@@ -3,8 +3,9 @@
 Every totally nonnegative matrix, singular ones included, has a unique
 factorization A = L·U once the echelon shapes of the factors are pinned to
 the matrix's leader class.  This package computes that factorization by
-three independent routes (closed-form minor ratios, forward substitution,
-and zero-row-deleting Neville elimination), detects the class of an
+two independent routes: one fraction-free elimination table, which holds
+every closed-form minor ratio and so the forward substitution, and
+zero-row-deleting Neville elimination.  It detects the class of an
 arbitrary rational matrix, tests total nonnegativity, and ships the
 classical determinantal identities both as library calls and as test
 oracles.  All arithmetic is exact.

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage, 3 parse error, 4 class not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -174,7 +175,9 @@ def _cmd_selftest(args: argparse.Namespace) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by `main`."""
     parser = argparse.ArgumentParser(
         prog="tnnlu",
         description="Exact LU decomposition of totally nonnegative matrices.",

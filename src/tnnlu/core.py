@@ -12,6 +12,7 @@ index sets); internal storage is row-major and 0-based but never leaks.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -109,7 +110,7 @@ class IndexSet:
         for value in idx:
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"indices must be positive integers, got {value!r}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
+        if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError(f"indices must be strictly ascending, got {idx}")
         self.indices = idx
 
@@ -283,10 +284,11 @@ def _in_range(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> tuple[IndexSet,
     """The index sets, coerced, after checking that they fit inside A."""
     I = IndexSet.coerce(rows)
     J = IndexSet.coerce(cols)
-    if I and I[-1] > A.nrows:
-        raise IndexError(f"row index {I[-1]} out of range for {A.nrows}x{A.ncols}")
-    if J and J[-1] > A.ncols:
-        raise IndexError(f"column index {J[-1]} out of range for {A.nrows}x{A.ncols}")
+    i, j = I.indices, J.indices
+    if i and i[-1] > A.nrows:
+        raise IndexError(f"row index {i[-1]} out of range for {A.nrows}x{A.ncols}")
+    if j and j[-1] > A.ncols:
+        raise IndexError(f"column index {j[-1]} out of range for {A.nrows}x{A.ncols}")
     return I, J
 
 
@@ -355,38 +357,48 @@ def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[li
     return [v // g for v in nums], den // g
 
 
-def _bareiss(rows: list[list[int]], steps: int) -> int:
+def _bareiss(rows: list[list[int]], pick: Callable) -> list[tuple[int, int]]:
     """Fraction-free elimination in place, on a fresh list of lists (never
-    the rows `_integer_lift` caches): ``steps`` pivots down the diagonal, a
-    zero pivot swapped for the first nonzero entry below it.  Returns the
-    sign of the swaps, or 0 when a pivot column runs out.  With no swap,
-    cell (i, j) ends up holding the bordered minor on rows 0..k-1, i and
-    columns 0..k-1, j, k = min(i, j, steps), eliminated cells included
-    (Sylvester's identity), so every division is exact."""
-    sign = 1
+    the rows `_integer_lift` caches), returning the pivots taken, 0-based.
+    ``pick(rows, live_rows, live_cols, pivots)`` names the next pivot, a
+    nonzero cell whose row and column are both live (not yet pivoted), or
+    None to stop; it is not asked once no row is live.  Each step updates
+    live cells only, so a cell keeps its value from the step that pivoted
+    its row or column: cell (h, k) holds the bordered minor on the pivots
+    taken while both were live, then h and k (Sylvester's identity), and
+    every division is exact."""
+    live_rows = list(range(len(rows)))
+    live_cols = list(range(len(rows[0]) if rows else 0))
+    pivots: list[tuple[int, int]] = []
     prev = 1
-    for k in range(steps):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(rows)) if rows[i][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        rk = rows[k]
-        pivot = rk[k]
-        cols = range(k + 1, len(rk))
-        for i in range(k + 1, len(rows)):
-            ri = rows[i]
-            rik = ri[k]
-            for j in cols:
-                ri[j] = (pivot * ri[j] - rik * rk[j]) // prev
-        prev = pivot
-    return sign
+    while live_rows and (step := pick(rows, live_rows, live_cols, pivots)) is not None:
+        i, j = step
+        live_rows.remove(i)
+        live_cols.remove(j)
+        ri = rows[i]
+        p = ri[j]
+        for h in live_rows:
+            rh = rows[h]
+            rhj = rh[j]
+            for k in live_cols:
+                rh[k] = (p * rh[k] - rhj * ri[k]) // prev
+        pivots.append(step)
+        prev = p
+    return pivots
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by `_bareiss`, in place."""
-    return _bareiss(rows, len(rows) - 1) * rows[-1][-1]
+def _next_column(rows, live_rows, live_cols, pivots):
+    """`det`'s pick: the first live row with a nonzero in the next column."""
+    k = len(pivots)
+    for i in live_rows:
+        if rows[i][k]:
+            return i, k
+    return None
+
+
+def _any_live(rows, live_rows, live_cols, pivots):
+    """`rank`'s pick: the first live nonzero cell, row-major."""
+    return next(((i, k) for i in live_rows for k in live_cols if rows[i][k]), None)
 
 
 def det(A: Mat) -> Fraction:
@@ -397,38 +409,35 @@ def det(A: Mat) -> Fraction:
 
 
 def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
-    """The minor on the given rows and columns; the empty minor is 1.  Read
-    off A's integer lift: the lifted minor over the chosen rows' scales."""
+    """The minor on the given rows and columns; the empty minor is 1, a 1x1
+    minor its entry.  Otherwise read off A's integer lift: the last `_bareiss`
+    pivot, signed by the order of the pivot rows, over the chosen rows'
+    scales; 0 if a column runs out."""
     I, J = IndexSet.coerce(rows), IndexSet.coerce(cols)
-    if len(I) != len(J):
+    rows, cols = I.indices, J.indices
+    if len(rows) != len(cols):
         raise ValueError(f"minor needs equal-cardinality index sets: {I!r}, {J!r}")
-    if not I:
+    if not rows:
         return Fraction(1)
     _in_range(A, I, J)
+    if len(rows) == 1:
+        return A.entry(rows[0], cols[0])
     lifted, scales = _integer_lift(A)
-    entries = [[lifted[i - 1][j - 1] for j in J] for i in I]
-    return Fraction(_bareiss_det(entries), math.prod(scales[i - 1] for i in I))
+    entries = [[lifted[i - 1][j - 1] for j in cols] for i in rows]
+    pivots = _bareiss(entries, _next_column)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    i, j = pivots[-1]
+    value = entries[i][j]
+    if pivots != sorted(pivots) and sum(a > b for (a, _), (b, _) in combinations(pivots, 2)) % 2:
+        value = -value
+    return Fraction(value, math.prod(scales[i - 1] for i in rows))
 
 
 def rank(A: Mat) -> int:
-    """Exact rank over the rationals, by Gaussian elimination."""
-    rows = A.to_rows()
-    lead = 0
-    for col in range(A.ncols):
-        if lead == len(rows):
-            break
-        pivot = next((i for i in range(lead, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        p = rows[lead][col]
-        for i in range(lead + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                factor = f / p
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[lead])]
-        lead += 1
-    return lead
+    """Exact rank over the rationals: the pivots `_bareiss` takes on A's
+    integer lift, each the first live nonzero cell."""
+    return len(_bareiss([list(row) for row in _integer_lift(A)[0]], _any_live))
 
 
 MinorKey = tuple[tuple[int, ...], tuple[int, ...]]

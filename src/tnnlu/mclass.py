@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, _integer_lift, first_minor, rank
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
 from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .echelon import in_class_L, in_class_U
 from .errors import NotInClassError
@@ -84,47 +84,55 @@ class Elimination:
 
 
 def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
-    """Lexicographic Schur-complement elimination, fraction-free (Bareiss).
+    """Lexicographic Schur-complement elimination: one `_bareiss` table R on
+    A's integer lift, row h of A times its scale s_h.
 
-    Starts from A's integer lift R, row h of A times its scale s_h.
-    After pivots (r, c), the last of value prev, R[h, k] is the lifted
-    bordered minor [r, h | c, k], so the Schur residual is R[h, k] / (s_h·prev).
-    A pivot (i, j), p = R[i, j], emits U's row R[i] / (s_i·prev) and L's
-    column R[h, j]·s_i / (s_h·p), then sets R[h, k] to (p·R[h, k] - R[h, j]·
-    R[i, k]) // prev, a division that Sylvester's identity makes exact.
-    Without ``desc`` each pivot is the first nonzero of R, row-major, below
+    Without ``desc`` each pivot is the first nonzero cell, row-major, below
     and right of the last; with ``desc`` they are its leaders and a zero one
-    raises.
+    raises.  Pivot s, (i, j) of value p_s, leaves R[i, k] = [r_<s, i | c_<s, k]
+    and R[h, j] = [r_<s, h | c_<s, j], lifted, so U's row s is R[i, k] /
+    (s_i·p_<s) and L's column s is R[h, j]·s_i / (s_h·p_s), wherever k (or h)
+    was live at step s, else 0; ``residue`` is the first live cell left
+    nonzero.
     """
     if desc is not None:
         _validate_desc(A, desc)
     m, n = A.nrows, A.ncols
-    R, scales = _integer_lift(A)  # rebuilt at every pivot, never written to
-    lrows: list[list[Fraction]] = [[] for _ in range(m)]
-    urows: list[list[Fraction]] = []
-    pivots: list[tuple[int, int]] = []
-    prev = 1
+    lifted, scales = _integer_lift(A)
+    R = [list(row) for row in lifted]
+    leaders = None if desc is None else iter([(i - 1, j - 1) for i, j in zip(desc.r, desc.c)])
 
-    def scan() -> Optional[tuple[int, int]]:
-        i0, j0 = pivots[-1] if pivots else (0, 0)
-        cells = ((i, j) for i in range(i0 + 1, m + 1) for j in range(j0 + 1, n + 1))
-        return next(((i, j) for i, j in cells if R[i - 1][j - 1]), None)
+    def pick(R, live_rows, live_cols, pivots):
+        if leaders is not None:
+            step = next(leaders, None)
+            if step and not R[step[0]][step[1]]:
+                i, j = step[0] + 1, step[1] + 1
+                raise NotInClassError(f"not in declared class: zero pivot at ({i},{j})")
+            return step
+        i0, j0 = pivots[-1] if pivots else (-1, -1)
+        cells = ((i, j) for i in range(i0 + 1, m) for j in range(j0 + 1, n))
+        return next(((i, j) for i, j in cells if R[i][j]), None)
 
-    for i, j in iter(scan, None) if desc is None else zip(desc.r, desc.c):
-        urow, s = R[i - 1], scales[i - 1]
-        p = urow[j - 1]
-        if not p:
-            raise NotInClassError(f"not in declared class: zero pivot at ({i},{j})")
-        urows.append([Fraction(x, s * prev) for x in urow])
-        for lrow, row, sh in zip(lrows, R, scales):
-            lrow.append(Fraction(row[j - 1] * s, sh * p))
-        R = [[(p * x - row[j - 1] * y) // prev for x, y in zip(row, urow)] for row in R]
-        pivots.append((i, j))
-        prev = p
-    leaders = ClassDesc(IndexSet(i for i, _ in pivots), IndexSet(j for _, j in pivots))
-    L, U = Mat.from_rows(lrows, ncols=len(pivots)), Mat.from_rows(urows, ncols=n)
-    residue = next(((i, j) for i, row in enumerate(R, 1) for j, x in enumerate(row, 1) if x), None)
-    return Elimination(leaders, L, U, residue)
+    pivots = _bareiss(R, pick)
+    t = len(pivots)
+    row_step, col_step = [t] * m, [t] * n
+    for s, (i, j) in enumerate(pivots):
+        row_step[i], col_step[j] = s, s
+    p = [1] + [R[i][j] for i, j in pivots]
+    U = [
+        Fraction(R[i][k], scales[i] * p[s]) if col_step[k] >= s else 0
+        for s, (i, _) in enumerate(pivots)
+        for k in range(n)
+    ]
+    L = [
+        Fraction(R[h][j] * scales[i], scales[h] * p[s + 1]) if row_step[h] >= s else 0
+        for h in range(m)
+        for s, (i, j) in enumerate(pivots)
+    ]
+    live = ((h, k) for h in range(m) for k in range(n) if row_step[h] == col_step[k] == t)
+    residue = next(((h + 1, k + 1) for h, k in live if R[h][k]), None)
+    found = ClassDesc(IndexSet(i + 1 for i, _ in pivots), IndexSet(j + 1 for _, j in pivots))
+    return Elimination(found, Mat(m, t, L), Mat(t, n, U), residue)
 
 
 def certify(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:

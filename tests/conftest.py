@@ -40,8 +40,9 @@ def minor_ratio_pair(A, desc):
         L[h, j] = [r_<j, h | c_<=j] / [r_<=j | c_<=j]   (0 for h < r_j)
         U[i, k] = [r_<=i | c_<i, k] / [r_<i | c_<i]      (0 for k < c_i)
 
-    with every minor from the naive oracle, so the fraction-free table of
-    `explicit_decompose` is judged against the formulas as written."""
+    with every minor from the naive oracle, so the fraction-free table that
+    `certify` builds, and `explicit_decompose` returns, is judged against the
+    formulas as written."""
     r, c = list(desc.r), list(desc.c)
     t = len(r)
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tnnlu
 from conftest import seeded
 from tnnlu import Mat, format_matrix, parse_matrix, random_tnn
 from tnnlu.cli import main
@@ -346,3 +351,44 @@ def test_cli_round_trip_on_corpus(capsys):
         )
         assert code == 0
         assert parse_matrix(out) == random_tnn(m, n, seed=seed)
+
+
+# Each CLI call below, run in a fresh interpreter, or all in one interpreter
+# that builds the argparse parser once, prints (exit code, stdout, stderr).
+FRESH = "import sys\nfrom tnnlu.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+SEQUENCE = """import contextlib, io, json, sys
+from tnnlu.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_one_parser_per_process_gives_fresh_process_bytes():
+    env = dict(os.environ, PYTHONPATH=str(Path(tnnlu.__file__).resolve().parent.parent))
+    calls = [
+        ["decompose", "--method", "bogus", "--inline", "1"],  # usage error
+        ["detect", "--inline", "1 x; 2 3"],  # parse error
+        ["decompose", "--inline", A4_INLINE, "--trace"],
+        ["check-tnn", "--max-bruteforce", "many", "--inline", "1"],  # usage error
+    ]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH, *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append([done.returncode, done.stdout, done.stderr])
+    done = subprocess.run(
+        [sys.executable, "-c", SEQUENCE, json.dumps(calls)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(done.stdout) == fresh
+    assert [code for code, _, _ in fresh] == [2, 3, 0, 2]
+    assert "invalid choice: 'bogus'" in fresh[0][2] and "parse-error" in fresh[1][2]

@@ -149,36 +149,80 @@ class TestSharedLift:
 
 
 class TestBareissTable:
-    """`_bareiss(rows, steps)` leaves in cell (i, j) the bordered minor on
-    rows 0..k-1, i and columns 0..k-1, j, with k = min(i, j, steps)."""
+    """`_bareiss(rows, pick)` leaves in cell (h, k) the bordered minor on the
+    pivots taken while row h and column k were both live, then h and k, rows
+    and columns in pivot order, whichever live nonzero cells ``pick`` names."""
+
+    @staticmethod
+    def scan(rows, live_rows, live_cols, pivots):
+        i0, j0 = pivots[-1] if pivots else (-1, -1)
+        cells = ((i, j) for i in live_rows if i > i0 for j in live_cols if j > j0)
+        return next(((i, j) for i, j in cells if rows[i][j]), None)
+
+    @staticmethod
+    def leaders(rng, m, n):
+        t = rng.randint(0, min(m, n))
+        r, c = sorted(rng.sample(range(m), t)), sorted(rng.sample(range(n), t))
+
+        def pick(rows, live_rows, live_cols, pivots):
+            s = len(pivots)
+            return (r[s], c[s]) if s < t and rows[r[s]][c[s]] else None
+
+        return pick
+
+    @staticmethod
+    def any_live(rng):
+        def pick(rows, live_rows, live_cols, pivots):
+            cells = [(i, j) for i in live_rows for j in live_cols if rows[i][j]]
+            return rng.choice(cells) if cells and rng.random() < 0.9 else None
+
+        return pick
 
     def test_every_cell_is_its_bordered_minor(self):
         rng = seeded(91)
-        checked = 0
-        while checked < 40:
+        taken = [0, 0, 0]  # pivots taken by each pick
+        for trial in range(150):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            rows = [[rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(n)] for _ in range(m)]
             A = Mat.from_rows(rows)
-            steps = rng.randint(0, min(m, n))
-            prefixes = (range(1, s + 1) for s in range(steps + 1))
-            if not all(minor_cofactor(A, lead, lead) for lead in prefixes):
-                continue
-            assert _bareiss(rows, steps) == 1
-            for i in range(m):
-                for j in range(n):
-                    k = min(i, j, steps)
-                    lead = list(range(1, k + 1))
-                    assert rows[i][j] == minor_cofactor(A, lead + [i + 1], lead + [j + 1])
-            checked += 1
+            pick = (self.scan, self.leaders(rng, m, n), self.any_live(rng))[trial % 3]
+            seen = []
+
+            def checked(rows, live_rows, live_cols, pivots):
+                assert live_rows == [i for i in range(m) if i not in {i for i, _ in pivots}]
+                assert live_cols == [j for j in range(n) if j not in {j for _, j in pivots}]
+                seen.append(pick(rows, live_rows, live_cols, pivots))
+                return seen[-1]
+
+            pivots = _bareiss(rows, checked)
+            assert seen[: len(pivots)] == pivots and seen[len(pivots) :] in ([], [None])
+            taken[trial % 3] += len(pivots)
+            row_step = {i: s for s, (i, _) in enumerate(pivots)}
+            col_step = {j: s for s, (_, j) in enumerate(pivots)}
+            for h in range(m):
+                for k in range(n):
+                    s = min(row_step.get(h, len(pivots)), col_step.get(k, len(pivots)))
+                    I = [i + 1 for i, _ in pivots[:s]] + [h + 1]
+                    J = [j + 1 for _, j in pivots[:s]] + [k + 1]
+                    assert rows[h][k] == minor_cofactor(A, I, J)
+        assert min(taken) > 30
 
     def test_swaps_and_runs_out(self):
-        rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
-        assert _bareiss(rows, 2) == -1
-        assert rows[2][2] == -det_cofactor([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == 3
-        rows = [[0, 1], [0, 2], [0, 3]]
-        assert _bareiss(rows, 2) == 0
-        rows = [[1, 2, 3], [2, 4, 5], [3, 6, 7]]  # second pivot column empties
-        assert _bareiss(rows, 2) == 0
+        # a zero pivot takes the first live row below it: one, two and three
+        # transpositions, then a first and a second pivot column that run out
+        for rows, value in [
+            ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], -3),
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+            ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 1),
+            ([[0, 1], [0, 2]], 0),
+            ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 0),
+        ]:
+            assert det(Mat.from_rows(rows)) == det_cofactor(rows) == value
+        A = Mat.from_rows([[0, 1, 2], [0, 2, 5], [3, 4, 5], [0, 3, 7]])
+        assert minor(A, [1, 3], [1, 2]) == -3
+        assert minor(A, [1, 2, 4], [1, 2, 3]) == 0
+        assert minor(A, [2, 3, 4], [1, 2, 3]) == minor_cofactor(A, [2, 3, 4], [1, 2, 3]) == 3
 
 
 class TestRankAndMatmul:

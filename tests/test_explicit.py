@@ -129,17 +129,18 @@ def test_three_paths_agree_and_factors_are_tnn():
 
 
 def test_explicit_runs_no_determinant_per_entry(monkeypatch):
-    # every minor ratio is read off one fraction-free table, so the route
-    # never calls the determinant kernel behind `minor` and `det`
+    # every minor ratio is a cell of the certified elimination's one
+    # fraction-free table, so the route never evaluates a `minor` or `det`
     pascal = Mat.from_rows([[comb(i + j, i) for j in range(16)] for i in range(16)])
     product = random_tnn(12, 16, seed=11, factors=60)
     assert rank(product) < 12
     expected = [reconstruct_lu(A) for A in (pascal, product)]
 
-    def refuse(rows):
+    def refuse(*args):
         raise AssertionError("explicit_decompose evaluated a determinant")
 
-    monkeypatch.setattr("tnnlu.core._bareiss_det", refuse)
+    monkeypatch.setattr("tnnlu.core.minor", refuse)
+    monkeypatch.setattr("tnnlu.core.det", refuse)
     assert [explicit_decompose(A) for A in (pascal, product)] == expected
 
 

@@ -1,9 +1,9 @@
 """Property tests: the elimination kernels against the exhaustive oracles.
 
-`detect_class` and `reconstruct_lu` run one Schur-complement elimination
-plus a polynomial certificate; here they are held to `in_class_M` over
-every candidate class, to `explicit_decompose`, and to the original
-definition of the greedy leaders by bordered minors.  Neville elimination
+`detect_class` and `reconstruct_lu` run one Schur-complement elimination,
+the `_bareiss` kernel, plus a polynomial certificate; here they are held to
+`in_class_M` over every candidate class and to the original definition of
+the greedy leaders by bordered minors.  Neville elimination
 reads its breaking column off the rows' leading columns; here it is held
 to the definition (the first column prefix that is not upper echelon), to
 its own replay, and to `reconstruct_lu`; on signed input, whenever it
@@ -13,9 +13,11 @@ kernels run on each matrix's integer lift, so the class, minor and Neville
 checks also draw rational entries, whose rows lift with unequal scales,
 and a single Neville move is held to the `Fraction` row operation.
 `is_tnn`'s deleting-derivations gate is held to the bare minor sweep, on
-its verdict and its witness.  `explicit_decompose` reads its minors off
-one fraction-free table; on signed class members it is held to the minor
-ratios as written, each minor by cofactor expansion.
+its verdict and its witness.  `explicit_decompose` reads its minor ratios
+off the same elimination table; on signed class members they are held to
+the ratios as written, each minor by cofactor expansion.  `rank`, the
+kernel pivoting on any live nonzero cell, is held to the largest nonzero
+minor on inputs with planted dependent rows and columns.
 """
 
 from fractions import Fraction
@@ -44,6 +46,7 @@ from tnnlu import (
     NotTotallyNonnegativeError,
     ReplayError,
     TnnReport,
+    all_minors,
     det,
     detect_class,
     explicit_decompose,
@@ -180,6 +183,37 @@ def test_minor_from_the_lift_matches_the_submatrix_determinant(A):
             for J in combinations(range(1, A.ncols + 1), s):
                 value = minor(A, I, J)
                 assert value == det(submatrix(A, I, J)) == minor_cofactor(A, I, J)
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    """Rational m x n, up to 5x6, zero three times as likely as any other
+    entry, with some rows and then some columns each replaced by a rational
+    combination of two others (or a multiple of one), so that the rank
+    falls short of min(m, n) at any position."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)))
+    coeff = st.sampled_from((1, -1, 2, Fraction(1, 3), Fraction(-3, 2)))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, m - 1))):
+        target = draw(st.integers(0, m - 1))
+        others = st.sampled_from([i for i in range(m) if i != target])
+        a, b, ca, cb = draw(others), draw(others), draw(coeff), draw(coeff)
+        rows[target] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+    for _ in range(draw(st.integers(0, n - 1))):
+        target = draw(st.integers(0, n - 1))
+        others = st.sampled_from([j for j in range(n) if j != target])
+        a, b, ca, cb = draw(others), draw(others), draw(coeff), draw(coeff)
+        for row in rows:
+            row[target] = ca * row[a] + cb * row[b]
+    return Mat.from_rows(rows)
+
+
+@SETTINGS
+@given(planted_rank_matrices())
+def test_rank_is_the_largest_nonzero_minor(A):
+    assert rank(A) == max(len(I) for (I, _), value in all_minors(A).items() if value)
 
 
 @SETTINGS
