@@ -41,6 +41,11 @@ def _matrix_rows(A: Mat) -> list[list[str]]:
     return [[format_scalar(x) for x in row] for row in A.iter_rows()]
 
 
+def _matrix_lines(A: Mat, rows: list[list[str]]) -> list[str]:
+    """`format_matrix`'s lines, from the cells `_matrix_rows` formatted."""
+    return [f"{A.nrows} {A.ncols}"] + [" ".join(row) for row in rows if A.ncols]
+
+
 def _class_payload(desc: Optional[ClassDesc]):
     if desc is None:
         return None
@@ -95,9 +100,9 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         f"method: {args.method}",
         f"class: {_class_text(pair.desc)}",
         "L:",
-        format_matrix(pair.L).rstrip("\n"),
+        *_matrix_lines(pair.L, payload["L"]),
         "U:",
-        format_matrix(pair.U).rstrip("\n"),
+        *_matrix_lines(pair.U, payload["U"]),
     ]
     if args.trace:
         payload["trace"] = None if trace is None else format_trace(trace).splitlines()

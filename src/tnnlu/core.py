@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -20,6 +21,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .errors import ParseError, SizeGuardError
 
 Scalar = Fraction
+_ZERO = Fraction(0)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: no "1_000", no "١٢"
 ScalarLike = Union[int, str, Fraction]
 
 __all__ = [
@@ -81,16 +84,12 @@ def parse_int(token: str, signed: bool = True) -> int:
 
 def parse_scalar(token: str) -> Fraction:
     """Parse an integer or "p/q" token (q > 0) into an exact rational."""
-    text = token.strip()
-    num, sep, den = text.partition("/")
-    try:
-        p = parse_int(num)
-        q = parse_int(den, signed=False) if sep else 1
-    except ParseError:
-        raise ParseError(f"not an exact rational: {token!r}") from None
-    if q <= 0:
+    match = _RATIONAL.fullmatch(token.strip())
+    if match is None:
+        raise ParseError(f"not an exact rational: {token!r}")
+    if match[2] is not None and not int(match[2]):
         raise ParseError(f"denominator must be positive: {token!r}")
-    return Fraction(p, q)
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def format_scalar(value: Fraction) -> str:
@@ -191,7 +190,7 @@ class Mat:
     m-by-0 and 0-by-n factors.  Entry access is 1-based.
     """
 
-    __slots__ = ("nrows", "ncols", "_cells", "_lift")
+    __slots__ = ("nrows", "ncols", "_cells", "_lift", "_table")
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable[ScalarLike]):
         if nrows < 0 or ncols < 0:
@@ -201,10 +200,15 @@ class Mat:
             raise ValueError(
                 f"expected {nrows * ncols} entries for {nrows}x{ncols}, got {len(cells)}"
             )
-        self.nrows = nrows
-        self.ncols = ncols
-        self._cells = cells
-        self._lift = None  # filled by `_integer_lift`
+        self.nrows, self.ncols, self._cells = nrows, ncols, cells
+        self._lift = self._table = None  # filled by `_integer_lift` and `mclass._table`
+
+    @classmethod
+    def _of(cls, nrows: int, ncols: int, cells: tuple[Fraction, ...], lift=None) -> "Mat":
+        """A Mat on package-made Fractions, as is: zero is ``_ZERO``, never 0."""
+        A = object.__new__(cls)
+        A.nrows, A.ncols, A._cells, A._lift, A._table = nrows, ncols, cells, lift, None
+        return A
 
     @classmethod
     def from_rows(
@@ -255,11 +259,8 @@ class Mat:
         return [list(row) for row in self.iter_rows()]
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.ncols,
-            self.nrows,
-            (self._cells[i * self.ncols + j] for j in range(self.ncols) for i in range(self.nrows)),
-        )
+        cols = (self._cells[j :: self.ncols] for j in range(self.ncols))
+        return Mat._of(self.ncols, self.nrows, tuple(x for col in cols for x in col))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Mat):
@@ -295,26 +296,23 @@ def _in_range(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> tuple[IndexSet,
 def submatrix(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Mat:
     """The |rows| x |cols| matrix picking the given 1-based rows and columns."""
     I, J = _in_range(A, rows, cols)
-    return Mat(len(I), len(J), (A.entry(i, j) for i in I for j in J))
+    return Mat._of(len(I), len(J), tuple(A.entry(i, j) for i in I for j in J))
 
 
 def delete_row(A: Mat, i: int) -> Mat:
     """Copy of A with 1-based row i removed; a 1xn input yields a 0xn matrix."""
     if not 1 <= i <= A.nrows:
         raise IndexError(f"row {i} out of range for {A.nrows}x{A.ncols}")
-    kept = (row for k, row in enumerate(A.iter_rows(), start=1) if k != i)
-    return Mat(A.nrows - 1, A.ncols, (x for row in kept for x in row))
+    n = A.ncols
+    return Mat._of(A.nrows - 1, n, A._cells[: (i - 1) * n] + A._cells[i * n :])
 
 
 def delete_col(A: Mat, j: int) -> Mat:
     """Copy of A with 1-based column j removed."""
     if not 1 <= j <= A.ncols:
         raise IndexError(f"column {j} out of range for {A.nrows}x{A.ncols}")
-    return Mat(
-        A.nrows,
-        A.ncols - 1,
-        (x for row in A.iter_rows() for k, x in enumerate(row, start=1) if k != j),
-    )
+    cells = tuple(x for k, x in enumerate(A._cells) if k % A.ncols != j - 1)
+    return Mat._of(A.nrows, A.ncols - 1, cells)
 
 
 def matmul(A: Mat, B: Mat) -> Mat:
@@ -323,28 +321,27 @@ def matmul(A: Mat, B: Mat) -> Mat:
         raise ValueError(f"cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}")
     arows = A.to_rows()
     bcols = [B.col(j) for j in range(1, B.ncols + 1)]
-    zero = Fraction(0)
-    return Mat(
+    return Mat._of(
         A.nrows,
         B.ncols,
-        (sum((x * y for x, y in zip(row, col)), zero) for row in arows for col in bcols),
+        tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for row in arows for col in bcols),
     )
+
+
+def _lift(rows: Sequence[Sequence[Union[int, Fraction]]]) -> tuple:
+    """Each row times the lcm of its denominators, and those lcms."""
+    scales = tuple(math.lcm(*[x.denominator for x in row]) for row in rows)
+    lifted = (tuple([x.numerator * (s // x.denominator) for x in r]) for r, s in zip(rows, scales))
+    return tuple(lifted), scales
 
 
 def _integer_lift(A: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """A's integer lift (rows, scales): row i of A times scales[i], the lcm
-    of its denominators.  Computed at most once per Mat and cached on it,
-    as tuples; a caller that needs to write copies the rows first."""
+    of its denominators.  Computed at most once per Mat (`parse_matrix`
+    stores the one it read) and cached on it; a caller that needs to write
+    copies the rows first."""
     if A._lift is None:
-        lifted = []
-        scales = []
-        for row in A.iter_rows():
-            scale = 1
-            for x in row:
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
-            lifted.append(tuple(x.numerator * (scale // x.denominator) for x in row))
-            scales.append(scale)
-        A._lift = tuple(lifted), tuple(scales)
+        A._lift = _lift(list(A.iter_rows()))
     return A._lift
 
 
@@ -552,13 +549,17 @@ def parse_matrix(text: str) -> Mat:
         return Mat.zeros(nrows, ncols)
     if len(data) != nrows:
         raise ParseError(f"expected {nrows} rows, got {len(data)}")
-    entries: list[Fraction] = []
+    cells, rows = [], []
     for line in data:
         tokens = line.split()
         if len(tokens) != ncols:
             raise ParseError(f"expected {ncols} entries per row, got {len(tokens)}: {line!r}")
-        entries.extend(parse_scalar(tok) for tok in tokens)
-    return Mat(nrows, ncols, entries)
+        # an integer token as an int; `parse_scalar` reads p/q or raises its error
+        row = [int(tok) if (hit := _RATIONAL.fullmatch(tok)) and not hit[2] else parse_scalar(tok)
+               for tok in tokens]
+        cells += [x if type(x) is Fraction else Fraction(x) for x in row]
+        rows.append(row)
+    return Mat._of(nrows, ncols, tuple(cells), _lift(rows))
 
 
 def format_matrix(A: Mat) -> str:

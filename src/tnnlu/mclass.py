@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
+from .core import _ZERO, MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
 from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .echelon import in_class_L, in_class_U
 from .errors import NotInClassError
@@ -83,23 +83,15 @@ class Elimination:
         return None
 
 
-def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
-    """Lexicographic Schur-complement elimination: one `_bareiss` table R on
-    A's integer lift, row h of A times its scale s_h.
-
-    Without ``desc`` each pivot is the first nonzero cell, row-major, below
-    and right of the last; with ``desc`` they are its leaders and a zero one
-    raises.  Pivot s, (i, j) of value p_s, leaves R[i, k] = [r_<s, i | c_<s, k]
-    and R[h, j] = [r_<s, h | c_<s, j], lifted, so U's row s is R[i, k] /
-    (s_i·p_<s) and L's column s is R[h, j]·s_i / (s_h·p_s), wherever k (or h)
-    was live at step s, else 0; ``residue`` is the first live cell left
-    nonzero.
-    """
-    if desc is not None:
-        _validate_desc(A, desc)
+def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
+    """`eliminate`'s table (R, pivots, row_step, col_step, residue, found):
+    the step at which each row and column was pivoted is t if never, and
+    ``found`` is the class the 0-based pivots name.  The scan's table (no
+    ``desc``) is cached on A, so `certify` and Neville's finish share one."""
+    if desc is None and A._table is not None:
+        return A._table
     m, n = A.nrows, A.ncols
-    lifted, scales = _integer_lift(A)
-    R = [list(row) for row in lifted]
+    R = [list(row) for row in _integer_lift(A)[0]]
     leaders = None if desc is None else iter([(i - 1, j - 1) for i, j in zip(desc.r, desc.c)])
 
     def pick(R, live_rows, live_cols, pivots):
@@ -118,21 +110,44 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     row_step, col_step = [t] * m, [t] * n
     for s, (i, j) in enumerate(pivots):
         row_step[i], col_step[j] = s, s
-    p = [1] + [R[i][j] for i, j in pivots]
-    U = [
-        Fraction(R[i][k], scales[i] * p[s]) if col_step[k] >= s else 0
-        for s, (i, _) in enumerate(pivots)
-        for k in range(n)
-    ]
-    L = [
-        Fraction(R[h][j] * scales[i], scales[h] * p[s + 1]) if row_step[h] >= s else 0
-        for h in range(m)
-        for s, (i, j) in enumerate(pivots)
-    ]
     live = ((h, k) for h in range(m) for k in range(n) if row_step[h] == col_step[k] == t)
     residue = next(((h + 1, k + 1) for h, k in live if R[h][k]), None)
     found = ClassDesc(IndexSet(i + 1 for i, _ in pivots), IndexSet(j + 1 for _, j in pivots))
-    return Elimination(found, Mat(m, t, L), Mat(t, n, U), residue)
+    table = R, pivots, row_step, col_step, residue, found
+    if desc is None:
+        A._table = table
+    return table
+
+
+def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
+    """Lexicographic Schur-complement elimination: one `_bareiss` table R on
+    A's integer lift, row h of A times its scale s_h.
+
+    Without ``desc`` each pivot is the first nonzero cell, row-major, below
+    and right of the last; with ``desc`` they are its leaders and a zero one
+    raises.  Pivot s, (i, j) of value p_s, leaves R[i, k] = [r_<s, i | c_<s, k]
+    and R[h, j] = [r_<s, h | c_<s, j], lifted, so U's row s is R[i, k] /
+    (s_i·p_<s) and L's column s is R[h, j]·s_i / (s_h·p_s), wherever k (or h)
+    was live at step s, else 0; ``residue`` is the first live cell left
+    nonzero.
+    """
+    if desc is not None:
+        _validate_desc(A, desc)
+    m, n = A.nrows, A.ncols
+    R, pivots, row_step, col_step, residue, found = _table(A, desc)
+    scales = _integer_lift(A)[1]
+    p = [1] + [R[i][j] for i, j in pivots]
+    U = tuple(
+        Fraction(R[i][k], scales[i] * p[s]) if col_step[k] >= s else _ZERO
+        for s, (i, _) in enumerate(pivots)
+        for k in range(n)
+    )
+    L = tuple(
+        Fraction(R[h][j] * scales[i], scales[h] * p[s + 1]) if row_step[h] >= s else _ZERO
+        for h in range(m)
+        for s, (i, j) in enumerate(pivots)
+    )
+    return Elimination(found, Mat._of(m, len(pivots), L), Mat._of(len(pivots), n, U), residue)
 
 
 def certify(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:

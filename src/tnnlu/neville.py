@@ -17,8 +17,9 @@ numerators of u[s+1, t] and u[s, t], sets row s+1 to b·row s+1 - a·row s
 over b times its denominator, divided through by the gcd.  Each row's lead
 (leftmost nonzero column) is kept in a list, and a move rescans only the
 lead of the row it changed, so finding the next move and checking its
-preconditions read the leads instead of the rows.  Fractions appear only
-as multipliers, in recorded stages and in the finished factors.
+preconditions read the leads instead of the rows.  The finish runs on the
+same integers (see `_run`): Fractions appear only as multipliers, in
+recorded stages and in the one finished pair.
 
 On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
@@ -28,21 +29,20 @@ only, so past the size guard some non-TNN inputs still factor.  A run is
 fully described by its move list, which can be serialized, parsed back,
 and replayed: decomposition and replay are one run, fed moves read off U
 or taken from the trace, that ends by accepting only the certified pair
-of `mclass.eliminate`, whose class it takes.
+of `mclass.eliminate`'s table, whose class it takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterator, Optional, Union
+from itertools import accumulate, chain
+from typing import Callable, Optional, Union
 
 from .core import (
-    MAX_BRUTEFORCE, Mat, _combine, _integer_lift, format_scalar, parse_int, parse_scalar,
+    _ZERO, MAX_BRUTEFORCE, Mat, _combine, _integer_lift, format_scalar, parse_int, parse_scalar,
     within_guard,
 )
-from .echelon import is_upper_echelon
 from .errors import (
     MovePreconditionError,
     NotTotallyNonnegativeError,
@@ -50,7 +50,7 @@ from .errors import (
     ReplayError,
 )
 from .explicit import LUPair
-from .mclass import eliminate
+from .mclass import ClassDesc, _table
 from .tnn import is_tnn
 
 
@@ -111,11 +111,10 @@ class _Factors:
         return Fraction(self.u[s][t - 1] * self.du[s - 1], self.u[s - 1][t - 1] * self.du[s])
 
     def mats(self) -> tuple[Mat, Mat]:
-        def cells(parts: list[list[int]], dens: list[int]) -> Iterator[Fraction]:
-            return (Fraction(x, d) for part, d in zip(parts, dens) for x in part)
-
-        L = Mat(len(self.l), self.nrows, cells(self.l, self.dl)).transpose()
-        return L, Mat(len(self.u), self.ncols, cells(self.u, self.du))
+        m, t, cols = self.nrows, len(self.u), list(zip(self.l, self.dl))
+        L = (Fraction(c[h], d) if c[h] else _ZERO for h in range(m) for c, d in cols)
+        U = (Fraction(x, d) if x else _ZERO for row, d in zip(self.u, self.du) for x in row)
+        return Mat._of(m, t, tuple(L)), Mat._of(t, self.ncols, tuple(U))
 
 
 def _move_precondition_failure(state: _Factors, s: int, t: int) -> Optional[str]:
@@ -225,6 +224,27 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
     return None
 
 
+def _class_desc(state: _Factors, A: Mat) -> Optional[ClassDesc]:
+    """The class of A's scan table (`mclass._table`) if the finished (L, U)
+    is its certified pair, else None, on integers: no residue, U leading at
+    the pivot columns (so zero in those pivoted before), and every other
+    cell cross-multiplied against `eliminate`'s readout, whose L the scan
+    makes lead with 1 at the pivot rows."""
+    R, pivots, row_step, col_step, residue, found = _table(A)
+    sc = _integer_lift(A)[1]
+    if residue is not None or state.leads != [j + 1 for _, j in pivots]:
+        return None
+    prev = 1
+    for s, ((i, j), u, du, l, dl) in enumerate(zip(pivots, state.u, state.du, state.l, state.dl)):
+        p, si = R[i][j], sc[i]
+        U = (x * si * prev != R[i][k] * du for k, x in enumerate(u) if col_step[k] >= s)
+        L = (x * sc[h] * p != R[h][j] * si * dl if row_step[h] >= s else x for h, x in enumerate(l))
+        if any(U) or any(L):
+            return None
+        prev = p
+    return found
+
+
 def _run(
     A: Mat,
     next_move: Callable[[_Factors], Optional[Move]],
@@ -233,10 +253,10 @@ def _run(
 ) -> tuple[LUPair, NevilleTrace]:
     """From (L, U) = (I, A), held as integer rows and columns seeded from
     A's integer lift with U's leads kept move by move (`_Factors`), apply
-    ``next_move(state)`` through `_step` until it gives None, then accept
-    (L, U) only if no multiplier is negative, U is strictly echelon, the
-    pair is the certified `eliminate(A)` pair and no entry is negative.
-    ``refuse(reason, step=None)`` builds each error.
+    ``next_move(state)`` through `_step` until it gives None.  Then, on the
+    integers, accept only if no multiplier is negative, the leads make U
+    strictly echelon, `_class_desc` finds the certified pair and no
+    numerator is negative.  ``refuse(reason, step=None)`` builds each error.
     """
     state = _Factors(A)
     moves: list[Move] = []
@@ -254,23 +274,22 @@ def _run(
             )
         if record_stages:
             stages.append(state.mats())
-    L, U = state.mats()
-    if not is_upper_echelon(U).is_strict:
+    leads = state.leads
+    if any(a >= b for a, b in zip(leads, leads[1:] + [state.ncols + 1])):
         raise refuse("trace does not finish the elimination")
-    elim = eliminate(A)
-    if elim.failure is not None or (elim.L, elim.U) != (L, U):
+    desc = _class_desc(state, A)
+    if desc is None:
         raise refuse("elimination did not end at the class factorization")
-    negative = [
-        f"{name}[{i},{j}] = {format_scalar(x)}"
-        for name, M in (("L", L), ("U", U))
-        for i, row in enumerate(M.iter_rows(), start=1)
-        for j, x in enumerate(row, start=1)
-        if x < 0
-    ]
-    if negative:
-        raise refuse(negative[0])
+    # every denominator is positive, so a numerator carries its entry's sign
+    cols, rows = list(zip(state.l, state.dl)), zip(state.u, state.du)
+    L = (("L", h, k, c[h], d) for h in range(state.nrows) for k, (c, d) in enumerate(cols))
+    U = (("U", i, k, x, d) for i, (r, d) in enumerate(rows) for k, x in enumerate(r))
+    for name, i, j, x, d in chain(L, U):
+        if x < 0:
+            raise refuse(f"{name}[{i + 1},{j + 1}] = {format_scalar(Fraction(x, d))}")
+    L, U = state.mats()
     trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
-    return LUPair(L, U, elim.desc), trace
+    return LUPair(L, U, desc), trace
 
 
 def neville_decompose(

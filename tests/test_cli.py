@@ -132,6 +132,25 @@ def test_auto_takes_the_certified_factors_not_explicit(capsys, monkeypatch, inli
         assert payload["trace"] is None
 
 
+def test_auto_builds_one_elimination_table_on_tnn_input(capsys, monkeypatch):
+    # reconstruct_lu certifies A, then Neville's finish reuses that table
+    import tnnlu.core
+    import tnnlu.mclass
+
+    kernel, tables = tnnlu.core._bareiss, []
+
+    def counting(rows, pick):
+        tables.append([list(row) for row in rows])
+        return kernel(rows, pick)
+
+    monkeypatch.setattr(tnnlu.core, "_bareiss", counting)
+    monkeypatch.setattr(tnnlu.mclass, "_bareiss", counting)
+    code, out, _ = run_cli(capsys, "decompose", "--inline", "1 1 1; 1 2 3; 1 3 6", "--trace")
+    assert code == 0
+    assert out.endswith("trace:\nE 2 1 1\nE 1 1 1\nE 2 2 1\n")
+    assert tables.count([[1, 1, 1], [1, 2, 3], [1, 3, 6]]) == 1
+
+
 def test_auto_certifies_before_the_size_guard(capsys):
     member = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
     code, out, err = run_cli(capsys, "decompose", "--inline", member)

@@ -19,14 +19,20 @@ from tnnlu import (
     format_scalar,
     indexset_leq,
     inversion_count,
+    is_tnn,
     matmul,
     minor,
+    neville_decompose,
     parse_matrix,
     parse_scalar,
+    random_tnn,
     rank,
+    reconstruct_lu,
+    replay,
     submatrix,
 )
 from tnnlu.core import _bareiss, _integer_lift
+from tnnlu.mclass import certify
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
@@ -364,3 +370,52 @@ class TestScalarsAndText:
     def test_zero_dimension_round_trip(self):
         for A in (Mat.zeros(0, 3), Mat.zeros(3, 0), Mat.zeros(0, 0)):
             assert parse_matrix(format_matrix(A)) == A
+
+
+class TestTrustedCells:
+    """The package wraps the Fractions it makes without `as_scalar`; every
+    cell of every Mat it returns must still be a Fraction (a zero too), and
+    the Mat must equal and hash like one built through validation."""
+
+    TEXTS = (
+        "3 3\n0 0 0\n1 0 1\n1 0 1\n",
+        "3 4\n1 1/2 0 -0\n2/4 +3 007 1\n0 0 0 0\n",
+        "2 3\n0 0 0\n0 0 0\n",
+        "0 3\n",
+        "3 0\n",
+    )
+
+    @staticmethod
+    def assert_trusted(*mats):
+        for M in mats:
+            assert all(type(x) is Fraction for row in M.iter_rows() for x in row), M
+            rebuilt = Mat.from_rows(M.to_rows(), ncols=M.ncols)
+            assert (rebuilt.nrows, rebuilt.ncols) == (M.nrows, M.ncols)
+            assert M == rebuilt and hash(M) == hash(rebuilt)
+
+    def inputs(self):
+        yield from (parse_matrix(text) for text in self.TEXTS)
+        yield random_tnn(5, 6, seed=4, factors=20)
+        yield Mat.from_rows([[2, "1/3", 0], ["-1/2", 0, 5]])  # a class member, not TNN
+
+    def test_parse_and_the_mat_operations(self):
+        for A in self.inputs():
+            self.assert_trusted(A, A.transpose(), matmul(A, A.transpose()), matmul(A.transpose(), A))
+            rows, cols = range(1, A.nrows + 1, 2), range(A.ncols, 0, -2)
+            self.assert_trusted(submatrix(A, rows, sorted(cols)), submatrix(A, [], []))
+
+    def test_factorization_routes(self):
+        for A in self.inputs():
+            elim = eliminate(A)
+            self.assert_trusted(elim.L, elim.U)
+            if elim.failure is not None:
+                continue
+            for route in (certify, explicit_decompose, reconstruct_lu):
+                pair = route(A)
+                self.assert_trusted(pair.L, pair.U)
+            if not is_tnn(A).is_tnn:
+                continue
+            pair, trace = neville_decompose(A, record_stages=True)
+            self.assert_trusted(pair.L, pair.U, *(M for stage in trace.stages for M in stage))
+            replayed = replay(A, trace)
+            self.assert_trusted(replayed.L, replayed.U)

@@ -17,11 +17,14 @@ its verdict and its witness.  `explicit_decompose` reads its minor ratios
 off the same elimination table; on signed class members they are held to
 the ratios as written, each minor by cofactor expansion.  `rank`, the
 kernel pivoting on any live nonzero cell, is held to the largest nonzero
-minor on inputs with planted dependent rows and columns.
+minor on inputs with planted dependent rows and columns.  `parse_matrix`,
+which reads each row's integer lift as it parses, is held to a per-token
+reference parser and lift, on its Mat, its lift and its error message.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -44,12 +47,14 @@ from tnnlu import (
     MovePreconditionError,
     NotInClassError,
     NotTotallyNonnegativeError,
+    ParseError,
     ReplayError,
     TnnReport,
     all_minors,
     det,
     detect_class,
     explicit_decompose,
+    format_scalar,
     format_trace,
     greedy_leaders,
     in_class_M,
@@ -59,6 +64,7 @@ from tnnlu import (
     minor,
     neville_decompose,
     neville_move,
+    parse_matrix,
     parse_trace,
     random_tnn,
     rank,
@@ -66,7 +72,7 @@ from tnnlu import (
     replay,
     submatrix,
 )
-from tnnlu.core import first_minor
+from tnnlu.core import _integer_lift, first_minor
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -284,7 +290,19 @@ def test_neville_moves_replay_and_agree_with_reconstruct(m, n, seed):
 def check_neville_returns_only_the_nonnegative_class_factorization(A):
     try:
         pair, _ = neville_decompose(A, check_tnn=False)
-    except NotTotallyNonnegativeError:
+    except NotTotallyNonnegativeError as error:
+        # a refused factor entry is the class pair's first negative one, L before U
+        reason = str(error).removeprefix("input not totally nonnegative: ")
+        if reason[:2] in ("L[", "U["):
+            pair = reconstruct_lu(A)
+            named = (
+                f"{name}[{i},{j}] = {format_scalar(x)}"
+                for name, M in (("L", pair.L), ("U", pair.U))
+                for i, row in enumerate(M.iter_rows(), start=1)
+                for j, x in enumerate(row, start=1)
+                if x < 0
+            )
+            assert reason == next(named)
         return
     assert matmul(pair.L, pair.U) == A
     assert reconstruct_lu(A) == pair
@@ -358,3 +376,61 @@ def test_tnn_gate_matches_the_minor_sweep(A):
 @given(small_rational_matrices())
 def test_tnn_gate_matches_the_minor_sweep_on_rationals(A):
     check_tnn_gate_against_the_sweep(A)
+
+
+def reference_scalar(token):
+    """The token grammar as the per-token parser read it before one pattern
+    served both: [+-]?[0-9]+ with an optional /[0-9]+, ASCII digits only."""
+
+    def digits(text, signed):
+        body = text[1:] if signed and text[:1] in ("+", "-") else text
+        return body.isascii() and body.isdigit()
+
+    num, sep, den = token.partition("/")
+    if not digits(num, True) or (sep and not digits(den, False)):
+        raise ParseError(f"not an exact rational: {token!r}")
+    if sep and int(den) == 0:
+        raise ParseError(f"denominator must be positive: {token!r}")
+    return Fraction(int(num), int(den) if sep else 1)
+
+
+def reference_lift(rows):
+    """Each row times the running lcm of its denominators, and that lcm."""
+    lifted, scales = [], []
+    for row in rows:
+        scale = 1
+        for x in row:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        lifted.append(tuple(x.numerator * (scale // x.denominator) for x in row))
+        scales.append(scale)
+    return tuple(lifted), tuple(scales)
+
+
+_DIGITS = st.lists(st.sampled_from("0001234567"), min_size=1, max_size=4).map("".join)
+_SIGNED = st.builds(str.__add__, st.sampled_from(("", "+", "-")), _DIGITS)  # 007, +0, -0
+_RATIO = st.builds(lambda p, q: f"{p}/{q}", _SIGNED, _DIGITS)  # q may be 0 or 00
+_BAD = st.sampled_from(("1_000", "\u0661\u0662", "\u00b2", "1.5", "+-1", "1/0", "1/-2"))
+_TOKENS = st.integers(0, 15).flatmap(lambda k: _SIGNED if k < 9 else _RATIO if k < 15 else _BAD)
+
+
+@st.composite
+def token_grids(draw):
+    """1 to 4 rows of 1 to 4 tokens: signed integers, p/q and bad tokens."""
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(_TOKENS, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@SETTINGS
+@given(token_grids())
+def test_parse_matrix_matches_the_per_token_reference(grid):
+    text = f"{len(grid)} {len(grid[0])}\n" + "".join(" ".join(row) + "\n" for row in grid)
+    try:
+        rows = [[reference_scalar(token) for token in row] for row in grid]
+    except ParseError as error:
+        with pytest.raises(ParseError) as raised:
+            parse_matrix(text)
+        assert str(raised.value) == str(error)
+        return
+    A = parse_matrix(text)
+    assert A == Mat.from_rows(rows)
+    assert _integer_lift(A) == reference_lift(rows)
