@@ -17,19 +17,15 @@ from .core import (
     Scalar,
     all_minors,
     as_scalar,
-    delete_col,
-    delete_row,
     det,
     format_matrix,
     format_scalar,
-    indexset_leq,
     inversion_count,
     matmul,
     minor,
     parse_matrix,
     parse_scalar,
     rank,
-    submatrix,
 )
 from .echelon import EchelonReport, in_class_L, in_class_U, is_lower_echelon, is_upper_echelon
 from .errors import (
@@ -65,7 +61,7 @@ from .neville import (
     parse_trace,
     replay,
 )
-from .tnn import TnnReport, cauchon_check, is_tnn, is_tp, random_tnn
+from .tnn import TnnReport, is_tnn, is_tp, random_tnn
 
 __version__ = "0.1.0"
 
@@ -76,15 +72,11 @@ __all__ = [
     "as_scalar",
     "parse_scalar",
     "format_scalar",
-    "indexset_leq",
     "inversion_count",
-    "submatrix",
     "minor",
     "det",
     "rank",
     "matmul",
-    "delete_row",
-    "delete_col",
     "all_minors",
     "parse_matrix",
     "format_matrix",
@@ -113,7 +105,6 @@ __all__ = [
     "TnnReport",
     "is_tnn",
     "is_tp",
-    "cauchon_check",
     "random_tnn",
     "MinorTerm",
     "TermIdentity",

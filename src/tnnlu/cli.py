@@ -37,13 +37,12 @@ _EXIT_CODES = (
 )
 
 
-def _matrix_rows(A: Mat) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in A.iter_rows()]
-
-
-def _matrix_lines(A: Mat, rows: list[list[str]]) -> list[str]:
-    """`format_matrix`'s lines, from the cells `_matrix_rows` formatted."""
-    return [f"{A.nrows} {A.ncols}"] + [" ".join(row) for row in rows if A.ncols]
+def _render(A: Mat) -> tuple[list[str], list[list[str]]]:
+    """`format_matrix`'s lines, and the rows of cells read back off them;
+    an m x 0 matrix has m empty rows."""
+    lines = format_matrix(A).splitlines()
+    rows = [line.split(" ") for line in lines[1:]] if A.ncols else [[] for _ in range(A.nrows)]
+    return lines, rows
 
 
 def _class_payload(desc: Optional[ClassDesc]):
@@ -89,21 +88,16 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         pair, trace = reconstruct_lu(A), None
         if args.method == "auto" and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
             pair, trace = neville_decompose(A, check_tnn=False)
+    (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)
     payload = {
         "command": "decompose",
         "method": args.method,
         "class": _class_payload(pair.desc),
-        "L": _matrix_rows(pair.L),
-        "U": _matrix_rows(pair.U),
+        "L": l_rows,
+        "U": u_rows,
     }
-    lines = [
-        f"method: {args.method}",
-        f"class: {_class_text(pair.desc)}",
-        "L:",
-        *_matrix_lines(pair.L, payload["L"]),
-        "U:",
-        *_matrix_lines(pair.U, payload["U"]),
-    ]
+    lines = [f"method: {args.method}", f"class: {_class_text(pair.desc)}"]
+    lines += ["L:", *l_lines, "U:", *u_lines]
     if args.trace:
         payload["trace"] = None if trace is None else format_trace(trace).splitlines()
         lines += ["trace:"] + (["unavailable"] if trace is None else payload["trace"])
@@ -150,14 +144,15 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
     if m < 0 or n < 0 or args.factors < 0:
         raise ValueError("size and factors must be nonnegative")
     A = random_tnn(m, n, seed=args.seed, factors=args.factors)
+    lines, rows = _render(A)
     return {
         "command": "generate",
         "rows": m,
         "cols": n,
         "seed": args.seed,
         "factors": args.factors,
-        "matrix": _matrix_rows(A),
-        "_text": format_matrix(A),
+        "matrix": rows,
+        "_text": "\n".join(lines) + "\n",
     }
 
 

@@ -35,15 +35,11 @@ __all__ = [
     "parse_int",
     "parse_scalar",
     "format_scalar",
-    "indexset_leq",
     "inversion_count",
-    "submatrix",
     "minor",
     "det",
     "rank",
     "matmul",
-    "delete_row",
-    "delete_col",
     "all_minors",
     "iter_minor_layers",
     "MAX_BRUTEFORCE",
@@ -72,11 +68,10 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
-def parse_int(token: str, signed: bool = True) -> int:
-    """Parse an ASCII decimal integer token, "[+-]?[0-9]+" (or "[0-9]+"
-    when not ``signed``); anything else, "1_000" or non-ASCII digits
-    included, raises ParseError."""
-    digits = token[1:] if signed and token[:1] in ("+", "-") else token
+def parse_int(token: str) -> int:
+    """Parse an ASCII decimal integer token, "[+-]?[0-9]+"; anything else,
+    "1_000" or non-ASCII digits included, raises ParseError."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"not an integer: {token!r}")
     return int(token)
@@ -164,15 +159,6 @@ class IndexSet:
 
 
 IndexSetLike = Union[IndexSet, Iterable[int]]
-
-
-def indexset_leq(first: IndexSetLike, second: IndexSetLike) -> bool:
-    """Componentwise order on equal-cardinality ascending index sets."""
-    a = IndexSet.coerce(first)
-    b = IndexSet.coerce(second)
-    if len(a) != len(b):
-        raise ValueError(f"index sets must have equal cardinality: {a!r}, {b!r}")
-    return all(x <= y for x, y in zip(a, b))
 
 
 def inversion_count(first: IndexSetLike, second: IndexSetLike) -> int:
@@ -291,28 +277,6 @@ def _in_range(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> tuple[IndexSet,
     if j and j[-1] > A.ncols:
         raise IndexError(f"column index {j[-1]} out of range for {A.nrows}x{A.ncols}")
     return I, J
-
-
-def submatrix(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Mat:
-    """The |rows| x |cols| matrix picking the given 1-based rows and columns."""
-    I, J = _in_range(A, rows, cols)
-    return Mat._of(len(I), len(J), tuple(A.entry(i, j) for i in I for j in J))
-
-
-def delete_row(A: Mat, i: int) -> Mat:
-    """Copy of A with 1-based row i removed; a 1xn input yields a 0xn matrix."""
-    if not 1 <= i <= A.nrows:
-        raise IndexError(f"row {i} out of range for {A.nrows}x{A.ncols}")
-    n = A.ncols
-    return Mat._of(A.nrows - 1, n, A._cells[: (i - 1) * n] + A._cells[i * n :])
-
-
-def delete_col(A: Mat, j: int) -> Mat:
-    """Copy of A with 1-based column j removed."""
-    if not 1 <= j <= A.ncols:
-        raise IndexError(f"column {j} out of range for {A.nrows}x{A.ncols}")
-    cells = tuple(x for k, x in enumerate(A._cells) if k % A.ncols != j - 1)
-    return Mat._of(A.nrows, A.ncols - 1, cells)
 
 
 def matmul(A: Mat, B: Mat) -> Mat:

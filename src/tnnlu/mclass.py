@@ -14,7 +14,6 @@ from typing import Optional
 
 from .core import _ZERO, MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
 from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
-from .echelon import in_class_L, in_class_U
 from .errors import NotInClassError
 
 
@@ -60,34 +59,34 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = MAX_BRUTEFORCE) -> bool:
 
 @dataclass(frozen=True)
 class Elimination:
-    """Leaders and factors found by `eliminate`; `residue` is the first (i, j),
-    row-major, where A - L·U is nonzero, or None."""
+    """Leaders and factors found by `eliminate`.  ``residue`` is the first
+    (i, j), row-major, where A - L·U is nonzero, or None; ``failure`` is the
+    first failed clause of the class certificate (L in L*(r), U in U(c),
+    L·U == A), or None, read off the table by `_table`.  By Cauchy-Binet and
+    the uniqueness of a member's factors, which elimination recovers, None
+    equals `in_class_M`."""
 
     desc: ClassDesc
     L: Mat
     U: Mat
     residue: Optional[tuple[int, int]]
-
-    @property
-    def failure(self) -> Optional[str]:
-        """The first failed clause of the class certificate (L in L*(r), U in
-        U(c), L·U == A), or None.  By Cauchy-Binet and the uniqueness of a
-        member's factors, which elimination recovers, None equals `in_class_M`."""
-        r, c = self.desc.r, self.desc.c
-        if not in_class_L(self.L, r, starred=True):
-            return f"L does not lead with 1 at rows {list(r)}"
-        if not in_class_U(self.U, c):
-            return f"U does not lead at columns {list(c)}"
-        if self.residue is not None:
-            return "A - L*U is nonzero at ({},{})".format(*self.residue)
-        return None
+    failure: Optional[str]
 
 
 def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
-    """`eliminate`'s table (R, pivots, row_step, col_step, residue, found):
-    the step at which each row and column was pivoted is t if never, and
-    ``found`` is the class the 0-based pivots name.  The scan's table (no
-    ``desc``) is cached on A, so `certify` and Neville's finish share one."""
+    """`eliminate`'s table (R, pivots, row_step, col_step, residue, found,
+    failure): the step at which each row and column was pivoted is t if
+    never, ``found`` is the class the 0-based pivots name, and ``failure``
+    the first failed clause of its certificate (see `Elimination`).  The
+    scan's table (no ``desc``) is cached on A, so `certify`, `detect_class`
+    and Neville's finish share one.
+
+    The pivots are the leads: L's column s is 1 at row i_s, and U's row s
+    is nonzero at column j_s.  So L fails iff a row h < i_s pivoted after
+    step s, or never, has R[h, j_s] != 0, and U fails iff a column k < j_s
+    pivoted after step s, or never, has R[i_s, k] != 0.  Under the scan the
+    L clause cannot fire, since a skipped row is zero right of the last
+    pivot and later updates keep it zero; a declared ``desc`` can fail it."""
     if desc is None and A._table is not None:
         return A._table
     m, n = A.nrows, A.ncols
@@ -113,7 +112,14 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     live = ((h, k) for h in range(m) for k in range(n) if row_step[h] == col_step[k] == t)
     residue = next(((h + 1, k + 1) for h, k in live if R[h][k]), None)
     found = ClassDesc(IndexSet(i + 1 for i, _ in pivots), IndexSet(j + 1 for _, j in pivots))
-    table = R, pivots, row_step, col_step, residue, found
+    failure = None
+    if any(R[h][j] for s, (i, j) in enumerate(pivots) for h in range(i) if row_step[h] > s):
+        failure = f"L does not lead with 1 at rows {list(found.r)}"
+    elif any(R[i][k] for s, (i, j) in enumerate(pivots) for k in range(j) if col_step[k] > s):
+        failure = f"U does not lead at columns {list(found.c)}"
+    elif residue is not None:
+        failure = "A - L*U is nonzero at ({},{})".format(*residue)
+    table = R, pivots, row_step, col_step, residue, found, failure
     if desc is None:
         A._table = table
     return table
@@ -134,8 +140,8 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     if desc is not None:
         _validate_desc(A, desc)
     m, n = A.nrows, A.ncols
-    R, pivots, row_step, col_step, residue, found = _table(A, desc)
-    scales = _integer_lift(A)[1]
+    R, pivots, row_step, col_step, residue, found, failure = _table(A, desc)
+    scales, t = _integer_lift(A)[1], len(pivots)
     p = [1] + [R[i][j] for i, j in pivots]
     U = tuple(
         Fraction(R[i][k], scales[i] * p[s]) if col_step[k] >= s else _ZERO
@@ -147,31 +153,30 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
         for h in range(m)
         for s, (i, j) in enumerate(pivots)
     )
-    return Elimination(found, Mat._of(m, len(pivots), L), Mat._of(len(pivots), n, U), residue)
+    return Elimination(found, Mat._of(m, t, L), Mat._of(t, n, U), residue, failure)
 
 
 def certify(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     """`eliminate` gated by its certificate, the one test every factorization
     route passes: a failed clause raises NotInClassError naming it."""
     elim = eliminate(A, desc)
-    failure = elim.failure
-    if failure is not None:
+    if elim.failure is not None:
         verdict = "matrix belongs to no class" if desc is None else "not in declared class"
-        raise NotInClassError(f"{verdict}: {failure}")
+        raise NotInClassError(f"{verdict}: {elim.failure}")
     return elim
 
 
 def greedy_leaders(A: Mat) -> Optional[ClassDesc]:
-    """Uncertified leaders: the pivots of `eliminate`'s scan (each the first
+    """Uncertified leaders: the pivots of the scan's table (each the first
     (i, j) past the last with a nonzero bordered leading minor), or None if
     it stops short of the rank.  `detect_class` adds the certificate."""
-    elim = eliminate(A)
-    return elim.desc if elim.residue is None else None
+    *_, residue, found, _ = _table(A)
+    return found if residue is None else None
 
 
 def detect_class(A: Mat) -> Optional[ClassDesc]:
-    """The unique class of A, or None when A belongs to no class: `eliminate`
-    proposes leaders and factors, and `Elimination.failure` decides in
-    polynomial time, so absence is reported rather than guessed."""
-    elim = eliminate(A)
-    return elim.desc if elim.failure is None else None
+    """The unique class of A, or None when A belongs to no class: the scan's
+    table proposes leaders and its certificate decides in polynomial time,
+    so absence is reported rather than guessed.  No factor is built."""
+    *_, found, failure = _table(A)
+    return found if failure is None else None

@@ -23,13 +23,14 @@ recorded stages and in the one finished pair.
 
 On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
-state a TNN matrix can never reach (see `tnn.cauchon_check`), or a
-negative entry in the final L or U raises; these checks are necessary
-only, so past the size guard some non-TNN inputs still factor.  A run is
-fully described by its move list, which can be serialized, parsed back,
-and replayed: decomposition and replay are one run, fed moves read off U
-or taken from the trace, that ends by accepting only the certified pair
-of `mclass.eliminate`'s table, whose class it takes.
+state a TNN matrix can never reach (a zero with nonzeros to its right and
+below, so a negative entry or 2x2 minor), or a negative entry in the final
+L or U raises; these checks are necessary only, so past the size guard
+some non-TNN inputs still factor.  A run is fully described by its move
+list, which can be serialized, parsed back, and replayed: decomposition
+and replay are one run, fed moves read off U or taken from the trace, that
+ends by accepting only the certified pair of `mclass.eliminate`'s table,
+whose class it takes.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def _class_desc(state: _Factors, A: Mat) -> Optional[ClassDesc]:
     the pivot columns (so zero in those pivoted before), and every other
     cell cross-multiplied against `eliminate`'s readout, whose L the scan
     makes lead with 1 at the pivot rows."""
-    R, pivots, row_step, col_step, residue, found = _table(A)
+    R, pivots, row_step, col_step, residue, found, _ = _table(A)
     sc = _integer_lift(A)[1]
     if residue is not None or state.leads != [j + 1 for _, j in pivots]:
         return None

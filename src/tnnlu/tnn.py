@@ -1,4 +1,4 @@
-"""Total nonnegativity testing, the zero-pattern check, and corpus generation.
+"""Total nonnegativity and total positivity testing, and corpus generation.
 
 A matrix is totally nonnegative (TNN) when every square minor of every
 size is >= 0, and totally positive (TP) when every minor is > 0.  `is_tnn`
@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .core import MAX_BRUTEFORCE, IndexSet, Mat, _combine, _integer_lift, first_minor, size_guard
 
@@ -88,31 +88,6 @@ def is_tp(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
     minor is > 0, and the witness is the first minor <= 0."""
     witness = first_minor(A, lambda rows, cols, v: v.numerator <= 0, max_size)
     return TnnReport(witness is None, witness)
-
-
-def cauchon_check(A: Mat) -> Union[bool, tuple[int, int, int, int]]:
-    """Zero-pattern test that every TNN matrix satisfies.
-
-    Looks for rows i < k and columns j < l with a[i,j] = 0 but a[i,l] != 0
-    and a[k,j] != 0 (a zero with nonzero entries both to its right and
-    below).  Returns True when none exists, else the first violation in
-    row-major scan order of the zero entry, as (i, k, j, l).  Such a
-    pattern forces a negative 2x2 minor, which is what legitimizes the
-    elimination pivot choice downstream.
-    """
-    rows = A.to_rows()
-    for i in range(1, A.nrows + 1):
-        for j in range(1, A.ncols + 1):
-            if rows[i - 1][j - 1] != 0:
-                continue
-            k = next((k for k in range(i + 1, A.nrows + 1) if rows[k - 1][j - 1] != 0), None)
-            if k is None:
-                continue
-            l = next((l for l in range(j + 1, A.ncols + 1) if rows[i - 1][l - 1] != 0), None)
-            if l is None:
-                continue
-            return (i, k, j, l)
-    return True
 
 
 def _small_positive(rng: random.Random) -> Fraction:

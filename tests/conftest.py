@@ -1,4 +1,5 @@
-"""Shared helpers: independent oracles and random exact matrix generators.
+"""Shared helpers: independent oracles, random exact matrix generators, and
+the index-set and matrix helpers that only tests use.
 
 The cofactor-expansion determinant here is deliberately naive and separate
 from the production path; it is the oracle the fast determinant is judged
@@ -10,6 +11,62 @@ from fractions import Fraction
 from itertools import combinations
 
 from tnnlu import ClassDesc, IndexSet, Mat
+from tnnlu.core import _in_range
+
+
+def indexset_leq(first, second):
+    """Componentwise order on equal-cardinality ascending index sets."""
+    a = IndexSet.coerce(first)
+    b = IndexSet.coerce(second)
+    if len(a) != len(b):
+        raise ValueError(f"index sets must have equal cardinality: {a!r}, {b!r}")
+    return all(x <= y for x, y in zip(a, b))
+
+
+def submatrix(A, rows, cols):
+    """The |rows| x |cols| matrix picking the given 1-based rows and columns."""
+    I, J = _in_range(A, rows, cols)
+    return Mat(len(I), len(J), [A.entry(i, j) for i in I for j in J])
+
+
+def delete_row(A, i):
+    """Copy of A with 1-based row i removed; a 1xn input yields a 0xn matrix."""
+    if not 1 <= i <= A.nrows:
+        raise IndexError(f"row {i} out of range for {A.nrows}x{A.ncols}")
+    rows = A.to_rows()
+    return Mat.from_rows(rows[: i - 1] + rows[i:], ncols=A.ncols)
+
+
+def delete_col(A, j):
+    """Copy of A with 1-based column j removed."""
+    if not 1 <= j <= A.ncols:
+        raise IndexError(f"column {j} out of range for {A.nrows}x{A.ncols}")
+    return Mat.from_rows([row[: j - 1] + row[j:] for row in A.to_rows()], ncols=A.ncols - 1)
+
+
+def cauchon_check(A):
+    """Zero-pattern test that every TNN matrix satisfies.
+
+    Looks for rows i < k and columns j < l with a[i,j] = 0 but a[i,l] != 0
+    and a[k,j] != 0 (a zero with nonzero entries both to its right and
+    below).  Returns True when none exists, else the first violation in
+    row-major scan order of the zero entry, as (i, k, j, l).  Such a
+    pattern forces a negative 2x2 minor, so no TNN matrix, and no state of
+    Neville elimination on one, has it.
+    """
+    rows = A.to_rows()
+    for i in range(1, A.nrows + 1):
+        for j in range(1, A.ncols + 1):
+            if rows[i - 1][j - 1] != 0:
+                continue
+            k = next((k for k in range(i + 1, A.nrows + 1) if rows[k - 1][j - 1] != 0), None)
+            if k is None:
+                continue
+            l = next((l for l in range(j + 1, A.ncols + 1) if rows[i - 1][l - 1] != 0), None)
+            if l is None:
+                continue
+            return (i, k, j, l)
+    return True
 
 
 def det_cofactor(rows):

@@ -151,6 +151,57 @@ def test_auto_builds_one_elimination_table_on_tnn_input(capsys, monkeypatch):
     assert tables.count([[1, 1, 1], [1, 2, 3], [1, 3, 6]]) == 1
 
 
+def test_detect_builds_no_factors(capsys, monkeypatch):
+    # detect_class and greedy_leaders read the scan's table; eliminate builds L and U
+    import tnnlu.mclass
+
+    inputs = ("0 0 0; 1 0 1; 1 0 1", A4_INLINE, "0 1 1; 1 1 0", "0 1; 1 1", "0 0; 0 0")
+    texts = (CRYER_TEXT, "2 3\n0 1 1\n1 1 0\n", "2 2\n0 1\n1 1\n")
+    before = [run_cli(capsys, "detect", "--inline", inline) for inline in inputs]
+    assert [out for _, out, _ in before].count("class: none\n") == 2
+    greedy = [tnnlu.greedy_leaders(parse_matrix(text)) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class was read off built factors")
+
+    monkeypatch.setattr(tnnlu.mclass, "eliminate", refuse)
+    assert [run_cli(capsys, "detect", "--inline", inline) for inline in inputs] == before
+    assert [tnnlu.greedy_leaders(parse_matrix(text)) for text in texts] == greedy
+
+
+def test_detect_after_certify_builds_no_second_table(monkeypatch):
+    import tnnlu.core
+    import tnnlu.mclass
+
+    kernel, tables = tnnlu.core._bareiss, []
+
+    def counting(rows, pick):
+        tables.append([list(row) for row in rows])
+        return kernel(rows, pick)
+
+    monkeypatch.setattr(tnnlu.core, "_bareiss", counting)
+    monkeypatch.setattr(tnnlu.mclass, "_bareiss", counting)
+    for text in (CRYER_TEXT, "2 3\n0 1 1\n1 1 0\n"):
+        A, tables[:] = parse_matrix(text), []
+        try:
+            certified = tnnlu.mclass.certify(A).desc
+        except tnnlu.NotInClassError:
+            certified = None
+        assert tnnlu.detect_class(A) == certified
+        assert tnnlu.greedy_leaders(A) == tnnlu.eliminate(A).desc
+        assert len(tables) == 1
+
+
+def test_empty_factor_has_one_empty_row_per_row(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--inline", "0 0; 0 0; 0 0", "--format", "structured")
+    assert code == 0
+    assert (json.loads(out)["L"], json.loads(out)["U"]) == ([[], [], []], [])
+    code, out, _ = run_cli(capsys, "decompose", "--inline", "0 0; 0 0; 0 0")
+    assert out.endswith("L:\n3 0\nU:\n0 2\n")
+    code, out, _ = run_cli(capsys, "generate", "--size", "2", "0", "--format", "structured")
+    assert json.loads(out)["matrix"] == [[], []]
+
+
 def test_auto_certifies_before_the_size_guard(capsys):
     member = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
     code, out, err = run_cli(capsys, "decompose", "--inline", member)

@@ -3,21 +3,27 @@ from itertools import combinations
 
 import pytest
 
-from conftest import det_cofactor, minor_cofactor, random_rational_matrix, seeded
+from conftest import (
+    delete_col,
+    delete_row,
+    det_cofactor,
+    indexset_leq,
+    minor_cofactor,
+    random_rational_matrix,
+    seeded,
+    submatrix,
+)
 from tnnlu import (
     IndexSet,
     Mat,
     ParseError,
     all_minors,
     as_scalar,
-    delete_col,
-    delete_row,
     det,
     eliminate,
     explicit_decompose,
     format_matrix,
     format_scalar,
-    indexset_leq,
     inversion_count,
     is_tnn,
     matmul,
@@ -29,7 +35,6 @@ from tnnlu import (
     rank,
     reconstruct_lu,
     replay,
-    submatrix,
 )
 from tnnlu.core import _bareiss, _integer_lift
 from tnnlu.mclass import certify

@@ -379,14 +379,14 @@ class TestIntegerFinish:
         # columns 1 and 3 are live when (3,4) is taken
         A = Mat.from_rows(A4.to_rows())
         _, trace = neville_decompose(A)
-        R, pivots, row_step, col_step, residue, found = _table(A)
+        R, pivots, row_step, col_step, residue, found, failure = _table(A)
         assert pivots == [(0, 1), (2, 3)] and residue is None
         if tamper == "residue":
             residue = (2, 1)
         else:
             R = [list(row) for row in R]
             R[2][0] = 1
-        A._table = R, pivots, row_step, col_step, residue, found
+        A._table = R, pivots, row_step, col_step, residue, found, failure
         with pytest.raises(NotTotallyNonnegativeError, match=self.REASON):
             neville_decompose(A)
         with pytest.raises(ReplayError, match=self.REASON):

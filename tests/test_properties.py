@@ -3,7 +3,8 @@
 `detect_class` and `reconstruct_lu` run one Schur-complement elimination,
 the `_bareiss` kernel, plus a polynomial certificate; here they are held to
 `in_class_M` over every candidate class and to the original definition of
-the greedy leaders by bordered minors.  Neville elimination
+the greedy leaders by bordered minors, and the certificate, read off the
+table, is held to its clauses checked on the emitted factors.  Neville elimination
 reads its breaking column off the rows' leading columns; here it is held
 to the definition (the first column prefix that is not upper echelon), to
 its own replay, and to `reconstruct_lu`; on signed input, whenever it
@@ -22,6 +23,7 @@ which reads each row's integer lift as it parses, is held to a per-token
 reference parser and lift, on its Mat, its lift and its error message.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -38,6 +40,7 @@ from conftest import (
     random_class_L,
     random_class_U,
     seeded,
+    submatrix,
 )
 from tnnlu import (
     ClassDesc,
@@ -53,11 +56,14 @@ from tnnlu import (
     all_minors,
     det,
     detect_class,
+    eliminate,
     explicit_decompose,
     format_scalar,
     format_trace,
     greedy_leaders,
+    in_class_L,
     in_class_M,
+    in_class_U,
     is_tnn,
     is_upper_echelon,
     matmul,
@@ -70,7 +76,6 @@ from tnnlu import (
     rank,
     reconstruct_lu,
     replay,
-    submatrix,
 )
 from tnnlu.core import _integer_lift, first_minor
 
@@ -167,6 +172,63 @@ def test_certificate_matches_exhaustive_search(A):
 @given(small_rational_matrices())
 def test_certificate_matches_exhaustive_search_on_rationals(A):
     check_certificate_against_exhaustive_search(A)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """(A, desc): signed A up to 6x6, zero at least half the time, or a
+    product of m x t and t x n factors with t < min(m, n), so of lower rank;
+    desc None or random leaders, which may name a zero pivot."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3)))
+    if draw(st.booleans()):
+        A = Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n)))
+    else:
+        t = draw(st.integers(0, min(m, n) - 1))
+        B = Mat(m, t, draw(st.lists(entry, min_size=m * t, max_size=m * t)))
+        A = matmul(B, Mat(t, n, draw(st.lists(entry, min_size=t * n, max_size=t * n))))
+    if draw(st.booleans()):
+        return A, None
+    t = draw(st.integers(0, min(m, n)))
+    r = draw(st.lists(st.integers(1, m), min_size=t, max_size=t, unique=True))
+    c = draw(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True))
+    return A, ClassDesc(IndexSet(sorted(r)), IndexSet(sorted(c)))
+
+
+def factor_clauses(elim):
+    """The certificate as first written, on the emitted factors: L in the
+    starred class L*(r), then U in U(c), then the residue."""
+    r, c = elim.desc.r, elim.desc.c
+    if not in_class_L(elim.L, r, starred=True):
+        return f"L does not lead with 1 at rows {list(r)}"
+    if not in_class_U(elim.U, c):
+        return f"U does not lead at columns {list(c)}"
+    if elim.residue is not None:
+        return "A - L*U is nonzero at ({},{})".format(*elim.residue)
+    return None
+
+
+def test_table_certificate_matches_the_factor_clauses():
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=400)
+    @given(certificate_inputs())
+    def check(sample):
+        A, desc = sample
+        try:
+            elim = eliminate(A, desc)
+        except NotInClassError:
+            seen["zero pivot"] += 1
+            return
+        assert elim.failure == factor_clauses(elim)
+        clause = "none" if elim.failure is None else elim.failure[0]
+        # the scan skips a row only where it is zero right of the last pivot
+        assert not (desc is None and clause == "L")
+        seen[clause] += 1
+
+    check()
+    assert set(seen) == {"zero pivot", "L", "U", "A", "none"}, seen
 
 
 @SETTINGS

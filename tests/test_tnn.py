@@ -3,15 +3,12 @@ from math import comb
 
 import pytest
 
-from conftest import minor_cofactor, seeded
+from conftest import cauchon_check, delete_col, delete_row, minor_cofactor, seeded
 from tnnlu import (
     IndexSet,
     Mat,
     SizeGuardError,
     TnnReport,
-    cauchon_check,
-    delete_col,
-    delete_row,
     is_tnn,
     is_tp,
     matmul,
