@@ -19,7 +19,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix
+from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix, size_guard
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, detect_class
@@ -86,8 +86,10 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         pair, trace = explicit_decompose(A), None
     else:
         pair, trace = reconstruct_lu(A), None
-        if args.method == "auto" and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
-            pair, trace = neville_decompose(A, check_tnn=False)
+        if args.method == "auto":
+            size_guard(A, args.max_bruteforce)  # auto still refuses past the guard: exit 6
+            if args.trace and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
+                trace = neville_decompose(A, check_tnn=False)[1]  # its pair is this one
     (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)
     payload = {
         "command": "decompose",
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "explicit", "neville", "reconstruct"),
         default="auto",
-        help="auto = certified class factorization, with neville's moves when TNN",
+        help="auto = certified class factorization; --trace adds neville's moves when TNN",
     )
     p.add_argument("--trace", action="store_true", help="include the elimination move list")
     p.add_argument(

@@ -79,7 +79,7 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     never, ``found`` is the class the 0-based pivots name, and ``failure``
     the first failed clause of its certificate (see `Elimination`).  The
     scan's table (no ``desc``) is cached on A, so `certify`, `detect_class`
-    and Neville's finish share one.
+    and Neville's finish share one; only auto `decompose --trace` reuses it.
 
     The pivots are the leads: L's column s is 1 at row i_s, and U's row s
     is nonzero at column j_s.  So L fails iff a row h < i_s pivoted after

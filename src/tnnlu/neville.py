@@ -25,10 +25,10 @@ On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
 state a TNN matrix can never reach (a zero with nonzeros to its right and
 below, so a negative entry or 2x2 minor), or a negative entry in the final
-L or U raises; these checks are necessary only, so past the size guard
-some non-TNN inputs still factor.  A run is fully described by its move
-list, which can be serialized, parsed back, and replayed: decomposition
-and replay are one run, fed moves read off U or taken from the trace, that
+U raises; these checks are necessary only, so past the size guard some
+non-TNN inputs still factor.  A run is fully described by its move list,
+which can be serialized, parsed back, and replayed: decomposition and
+replay are one run, fed moves read off U or taken from the trace, that
 ends by accepting only the certified pair of `mclass.eliminate`'s table,
 whose class it takes.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -226,11 +226,11 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
 
 
 def _class_desc(state: _Factors, A: Mat) -> Optional[ClassDesc]:
-    """The class of A's scan table (`mclass._table`) if the finished (L, U)
-    is its certified pair, else None, on integers: no residue, U leading at
-    the pivot columns (so zero in those pivoted before), and every other
-    cell cross-multiplied against `eliminate`'s readout, whose L the scan
-    makes lead with 1 at the pivot rows."""
+    """The class of A's cached scan table (`mclass._table`, which auto
+    `decompose --trace` reuses) if the finished (L, U) is its certified
+    pair, else None, on integers: no residue, U leading at the pivot columns
+    (so zero in those pivoted before), and every other cell cross-multiplied
+    against `eliminate`'s readout, whose L leads with 1 at the pivot rows."""
     R, pivots, row_step, col_step, residue, found, _ = _table(A)
     sc = _integer_lift(A)[1]
     if residue is not None or state.leads != [j + 1 for _, j in pivots]:
@@ -252,13 +252,13 @@ def _run(
     refuse: Callable[..., Exception],
     record_stages: bool = False,
 ) -> tuple[LUPair, NevilleTrace]:
-    """From (L, U) = (I, A), held as integer rows and columns seeded from
-    A's integer lift with U's leads kept move by move (`_Factors`), apply
-    ``next_move(state)`` through `_step` until it gives None.  Then, on the
-    integers, accept only if no multiplier is negative, the leads make U
-    strictly echelon, `_class_desc` finds the certified pair and no
-    numerator is negative.  ``refuse(reason, step=None)`` builds each error.
-    """
+    """From (L, U) = (I, A) in `_Factors`, apply ``next_move(state)`` through
+    `_step` until it gives None.  Then accept only if no multiplier is
+    negative, the leads make U strictly echelon, `_class_desc` finds the
+    certified pair and no numerator of U is negative.  L, from I, needs no
+    scan: a DeleteRow drops a column, an Eliminate adds λ·(column s+1) to
+    column s, and any λ < 0 is refused right after its step.  Each error is
+    ``refuse(reason, step=None)``."""
     state = _Factors(A)
     moves: list[Move] = []
     stages: list[tuple[Mat, Mat]] = []
@@ -282,12 +282,10 @@ def _run(
     if desc is None:
         raise refuse("elimination did not end at the class factorization")
     # every denominator is positive, so a numerator carries its entry's sign
-    cols, rows = list(zip(state.l, state.dl)), zip(state.u, state.du)
-    L = (("L", h, k, c[h], d) for h in range(state.nrows) for k, (c, d) in enumerate(cols))
-    U = (("U", i, k, x, d) for i, (r, d) in enumerate(rows) for k, x in enumerate(r))
-    for name, i, j, x, d in chain(L, U):
-        if x < 0:
-            raise refuse(f"{name}[{i + 1},{j + 1}] = {format_scalar(Fraction(x, d))}")
+    for i, (row, d) in enumerate(zip(state.u, state.du)):
+        for j, x in enumerate(row):
+            if x < 0:
+                raise refuse(f"U[{i + 1},{j + 1}] = {format_scalar(Fraction(x, d))}")
     L, U = state.mats()
     trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
     return LUPair(L, U, desc), trace

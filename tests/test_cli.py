@@ -151,6 +151,39 @@ def test_auto_builds_one_elimination_table_on_tnn_input(capsys, monkeypatch):
     assert tables.count([[1, 1, 1], [1, 2, 3], [1, 3, 6]]) == 1
 
 
+def test_auto_without_trace_runs_no_tnn_test_or_neville(capsys, monkeypatch):
+    # Neville's finish accepts only the certified pair, so without --trace
+    # auto prints reconstruct's bytes and has no use for a TNN verdict
+    inputs = ("0 0 0; 1 0 1; 1 0 1", A4_INLINE, pascal_inline(4), "1 2; 3 4")
+    expected = {}
+    for inline in inputs:
+        for fmt in ("text", "structured"):
+            argv = ("decompose", "--inline", inline, "--format", fmt)
+            code, out, err = run_cli(capsys, *argv, "--method", "reconstruct")
+            assert (code, err) == (0, "")
+            expected[argv] = out.splitlines()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("auto decompose without --trace ran a TNN test or Neville")
+
+    monkeypatch.setattr("tnnlu.cli.is_tnn", refuse)
+    monkeypatch.setattr("tnnlu.cli.neville_decompose", refuse)
+    for argv, lines in expected.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == len(lines)
+        differ = [(a, b) for a, b in zip(out.splitlines(), lines) if a != b]
+        assert differ in (
+            [("method: auto", "method: reconstruct")],
+            [('  "method": "auto",', '  "method": "reconstruct",')],
+        )
+    ones = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
+    code, out, err = run_cli(capsys, "decompose", "--inline", ones)
+    assert (code, out) == (6, "") and err.startswith("error: size-guard: ")
+    code, out, err = run_cli(capsys, "decompose", "--inline", "0 1 1; 1 1 0")
+    assert (code, out) == (4, "") and err.startswith("error: class-not-found: ")
+
+
 def test_detect_builds_no_factors(capsys, monkeypatch):
     # detect_class and greedy_leaders read the scan's table; eliminate builds L and U
     import tnnlu.mclass

@@ -14,7 +14,10 @@ kernels run on each matrix's integer lift, so the class, minor and Neville
 checks also draw rational entries, whose rows lift with unequal scales,
 and a single Neville move is held to the `Fraction` row operation.
 `is_tnn`'s deleting-derivations gate is held to the bare minor sweep, on
-its verdict and its witness.  `explicit_decompose` reads its minor ratios
+its verdict and its witness.  Auto `decompose`, run in process, prints
+`--method reconstruct`'s bytes but for its `method:` line; with `--trace`
+it lists moves exactly when the input is TNN, and they replay to the
+printed pair.  `explicit_decompose` reads its minor ratios
 off the same elimination table; on signed class members they are held to
 the ratios as written, each minor by cofactor expansion.  `rank`, the
 kernel pivoting on any live nonzero cell, is held to the largest nonzero
@@ -23,7 +26,10 @@ which reads each row's integer lift as it parses, is held to a per-token
 reference parser and lift, on its Mat, its lift and its error message.
 """
 
+import io
+import json
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -77,6 +83,7 @@ from tnnlu import (
     reconstruct_lu,
     replay,
 )
+from tnnlu.cli import main as cli_main
 from tnnlu.core import _integer_lift, first_minor
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -438,6 +445,53 @@ def test_tnn_gate_matches_the_minor_sweep(A):
 @given(small_rational_matrices())
 def test_tnn_gate_matches_the_minor_sweep_on_rationals(A):
     check_tnn_gate_against_the_sweep(A)
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of one in-process `tnnlu` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_auto_is_the_certified_pair_with_moves_only_for_trace(A):
+    inline = ";".join(" ".join(format_scalar(x) for x in row) for row in A.iter_rows())
+    argv = ("decompose", "--inline", inline)
+
+    def without_method(result):
+        code, out, err = result
+        return code, [line for line in out.splitlines() if not line.startswith("method: ")], err
+
+    auto = without_method(run_cli(*argv))
+    assert auto == without_method(run_cli(*argv, "--method", "reconstruct"))
+    tnn = is_tnn(A).is_tnn
+    if auto[0] != 0:
+        assert auto[0] == 4 and not tnn  # every TNN matrix lies in a class
+        return
+    code, out, _ = run_cli(*argv, "--trace")
+    assert code == 0 and out.startswith(run_cli(*argv)[1] + "trace:\n")
+    assert out.endswith("trace:\nunavailable\n") != tnn
+    code, out, _ = run_cli(*argv, "--trace", "--format", "structured")
+    payload = json.loads(out)
+    assert (payload["trace"] is not None) == tnn
+    if tnn:
+        pair = replay(A, parse_trace("\n".join(payload["trace"])))
+        for M, printed in ((pair.L, payload["L"]), (pair.U, payload["U"])):
+            assert [[format_scalar(x) for x in row] for row in M.iter_rows()] == printed
+        assert payload["class"] == {"r": list(pair.desc.r), "c": list(pair.desc.c)}
+
+
+@SETTINGS
+@given(small_rational_matrices())
+def test_auto_is_the_certified_pair_with_moves_only_for_trace(A):
+    check_auto_is_the_certified_pair_with_moves_only_for_trace(A)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6))
+def test_auto_is_the_certified_pair_with_moves_only_for_trace_on_tnn(m, n, seed):
+    check_auto_is_the_certified_pair_with_moves_only_for_trace(random_tnn(m, n, seed))
 
 
 def reference_scalar(token):
