@@ -176,7 +176,7 @@ class Mat:
     m-by-0 and 0-by-n factors.  Entry access is 1-based.
     """
 
-    __slots__ = ("nrows", "ncols", "_cells", "_lift", "_table")
+    __slots__ = ("nrows", "ncols", "_cells", "_lift")
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable[ScalarLike]):
         if nrows < 0 or ncols < 0:
@@ -187,13 +187,13 @@ class Mat:
                 f"expected {nrows * ncols} entries for {nrows}x{ncols}, got {len(cells)}"
             )
         self.nrows, self.ncols, self._cells = nrows, ncols, cells
-        self._lift = self._table = None  # filled by `_integer_lift` and `mclass._table`
+        self._lift = None  # filled by `_integer_lift`
 
     @classmethod
     def _of(cls, nrows: int, ncols: int, cells: tuple[Fraction, ...], lift=None) -> "Mat":
         """A Mat on package-made Fractions, as is: zero is ``_ZERO``, never 0."""
         A = object.__new__(cls)
-        A.nrows, A.ncols, A._cells, A._lift, A._table = nrows, ncols, cells, lift, None
+        A.nrows, A.ncols, A._cells, A._lift = nrows, ncols, cells, lift
         return A
 
     @classmethod

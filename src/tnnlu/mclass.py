@@ -77,9 +77,7 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     """`eliminate`'s table (R, pivots, row_step, col_step, residue, found,
     failure): the step at which each row and column was pivoted is t if
     never, ``found`` is the class the 0-based pivots name, and ``failure``
-    the first failed clause of its certificate (see `Elimination`).  The
-    scan's table (no ``desc``) is cached on A, so `certify`, `detect_class`
-    and Neville's finish share one; only auto `decompose --trace` reuses it.
+    the first failed clause of its certificate (see `Elimination`).
 
     The pivots are the leads: L's column s is 1 at row i_s, and U's row s
     is nonzero at column j_s.  So L fails iff a row h < i_s pivoted after
@@ -87,8 +85,6 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     pivoted after step s, or never, has R[i_s, k] != 0.  Under the scan the
     L clause cannot fire, since a skipped row is zero right of the last
     pivot and later updates keep it zero; a declared ``desc`` can fail it."""
-    if desc is None and A._table is not None:
-        return A._table
     m, n = A.nrows, A.ncols
     R = [list(row) for row in _integer_lift(A)[0]]
     leaders = None if desc is None else iter([(i - 1, j - 1) for i, j in zip(desc.r, desc.c)])
@@ -119,10 +115,7 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
         failure = f"U does not lead at columns {list(found.c)}"
     elif residue is not None:
         failure = "A - L*U is nonzero at ({},{})".format(*residue)
-    table = R, pivots, row_step, col_step, residue, found, failure
-    if desc is None:
-        A._table = table
-    return table
+    return R, pivots, row_step, col_step, residue, found, failure
 
 
 def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:

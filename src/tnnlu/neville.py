@@ -28,9 +28,9 @@ below, so a negative entry or 2x2 minor), or a negative entry in the final
 U raises; these checks are necessary only, so past the size guard some
 non-TNN inputs still factor.  A run is fully described by its move list,
 which can be serialized, parsed back, and replayed: decomposition and
-replay are one run, fed moves read off U or taken from the trace, that
-ends by accepting only the certified pair of `mclass.eliminate`'s table,
-whose class it takes.
+replay are one run, fed moves read off U or taken from the trace, whose
+finished pair is `mclass.certify`'s by construction, with no table built
+(see `_run`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     ReplayError,
 )
 from .explicit import LUPair
-from .mclass import ClassDesc, _table
+from .mclass import ClassDesc
 from .tnn import is_tnn
 
 
@@ -225,27 +225,6 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
     return None
 
 
-def _class_desc(state: _Factors, A: Mat) -> Optional[ClassDesc]:
-    """The class of A's cached scan table (`mclass._table`, which auto
-    `decompose --trace` reuses) if the finished (L, U) is its certified
-    pair, else None, on integers: no residue, U leading at the pivot columns
-    (so zero in those pivoted before), and every other cell cross-multiplied
-    against `eliminate`'s readout, whose L leads with 1 at the pivot rows."""
-    R, pivots, row_step, col_step, residue, found, _ = _table(A)
-    sc = _integer_lift(A)[1]
-    if residue is not None or state.leads != [j + 1 for _, j in pivots]:
-        return None
-    prev = 1
-    for s, ((i, j), u, du, l, dl) in enumerate(zip(pivots, state.u, state.du, state.l, state.dl)):
-        p, si = R[i][j], sc[i]
-        U = (x * si * prev != R[i][k] * du for k, x in enumerate(u) if col_step[k] >= s)
-        L = (x * sc[h] * p != R[h][j] * si * dl if row_step[h] >= s else x for h, x in enumerate(l))
-        if any(U) or any(L):
-            return None
-        prev = p
-    return found
-
-
 def _run(
     A: Mat,
     next_move: Callable[[_Factors], Optional[Move]],
@@ -254,11 +233,19 @@ def _run(
 ) -> tuple[LUPair, NevilleTrace]:
     """From (L, U) = (I, A) in `_Factors`, apply ``next_move(state)`` through
     `_step` until it gives None.  Then accept only if no multiplier is
-    negative, the leads make U strictly echelon, `_class_desc` finds the
-    certified pair and no numerator of U is negative.  L, from I, needs no
-    scan: a DeleteRow drops a column, an Eliminate adds λ·(column s+1) to
-    column s, and any λ < 0 is refused right after its step.  Each error is
-    ``refuse(reason, step=None)``."""
+    negative, the leads make U strictly echelon and no numerator of U is
+    negative; each error is ``refuse(reason, step=None)``.  The pair is then
+    `certify(A)`'s, in the class of L's column leads r and U's leads c:
+
+    * each move keeps A = L·U: an Eliminate applies an elementary E to U and
+      E⁻¹ to L, a DeleteRow drops a zero row of U and L's matching column;
+    * column k of L starts as the unit vector at row o_k and only gains λ
+      times later columns, zero at and above o_k, so L is unit column
+      echelon at r = (o_1 < ... < o_t), and needs no sign scan, as a λ < 0
+      is refused right after its step;
+    * U is row echelon at c, with no zero row;
+    * those are `certify`'s clauses, and a class member's factors are unique
+      (Pinkus, Thm 2.10 and Prop. 2.11)."""
     state = _Factors(A)
     moves: list[Move] = []
     stages: list[tuple[Mat, Mat]] = []
@@ -278,17 +265,15 @@ def _run(
     leads = state.leads
     if any(a >= b for a, b in zip(leads, leads[1:] + [state.ncols + 1])):
         raise refuse("trace does not finish the elimination")
-    desc = _class_desc(state, A)
-    if desc is None:
-        raise refuse("elimination did not end at the class factorization")
     # every denominator is positive, so a numerator carries its entry's sign
     for i, (row, d) in enumerate(zip(state.u, state.du)):
         for j, x in enumerate(row):
             if x < 0:
                 raise refuse(f"U[{i + 1},{j + 1}] = {format_scalar(Fraction(x, d))}")
     L, U = state.mats()
+    r = [next(h for h, x in enumerate(col, start=1) if x) for col in state.l]
     trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
-    return LUPair(L, U, desc), trace
+    return LUPair(L, U, ClassDesc(r, leads)), trace
 
 
 def neville_decompose(
@@ -305,8 +290,8 @@ def neville_decompose(
     matrix is within the size guard and ``check_tnn`` is left on; beyond
     the guard it is only policed move by move and by the signs of the
     factors.  With ``record_stages`` the trace keeps a snapshot of (L, U)
-    after every move.  The finished factors must be A's certified class
-    factorization.
+    after every move.  The finished factors are A's certified class
+    factorization by construction (see `_run`).
     """
     if check_tnn and within_guard(A, max_size):
         report = is_tnn(A, max_size=max_size)

@@ -133,7 +133,7 @@ def test_auto_takes_the_certified_factors_not_explicit(capsys, monkeypatch, inli
 
 
 def test_auto_builds_one_elimination_table_on_tnn_input(capsys, monkeypatch):
-    # reconstruct_lu certifies A, then Neville's finish reuses that table
+    # reconstruct_lu certifies A; Neville's finish reads no table
     import tnnlu.core
     import tnnlu.mclass
 
@@ -202,7 +202,7 @@ def test_detect_builds_no_factors(capsys, monkeypatch):
     assert [tnnlu.greedy_leaders(parse_matrix(text)) for text in texts] == greedy
 
 
-def test_detect_after_certify_builds_no_second_table(monkeypatch):
+def test_detect_and_certify_build_one_table_per_call(monkeypatch):
     import tnnlu.core
     import tnnlu.mclass
 
@@ -212,17 +212,23 @@ def test_detect_after_certify_builds_no_second_table(monkeypatch):
         tables.append([list(row) for row in rows])
         return kernel(rows, pick)
 
+    def one_table(call, A):
+        tables[:] = []
+        try:
+            return call(A)
+        finally:
+            assert len(tables) == 1
+
     monkeypatch.setattr(tnnlu.core, "_bareiss", counting)
     monkeypatch.setattr(tnnlu.mclass, "_bareiss", counting)
     for text in (CRYER_TEXT, "2 3\n0 1 1\n1 1 0\n"):
-        A, tables[:] = parse_matrix(text), []
+        A = parse_matrix(text)
         try:
-            certified = tnnlu.mclass.certify(A).desc
+            certified = one_table(tnnlu.mclass.certify, A).desc
         except tnnlu.NotInClassError:
             certified = None
-        assert tnnlu.detect_class(A) == certified
-        assert tnnlu.greedy_leaders(A) == tnnlu.eliminate(A).desc
-        assert len(tables) == 1
+        assert one_table(tnnlu.detect_class, A) == certified
+        assert one_table(tnnlu.greedy_leaders, A) == one_table(tnnlu.eliminate, A).desc
 
 
 def test_empty_factor_has_one_empty_row_per_row(capsys):

@@ -3,7 +3,6 @@ from math import comb
 
 import pytest
 
-import tnnlu.neville
 from conftest import seeded
 from tnnlu import (
     ClassDesc,
@@ -26,9 +25,9 @@ from tnnlu import (
     parse_trace,
     rank,
     random_tnn,
+    reconstruct_lu,
     replay,
 )
-from tnnlu.mclass import _table
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
@@ -331,63 +330,20 @@ class TestReplayAndTraceText:
                 parse_trace(bad)
 
 
-def _bump_u(state):
-    state.u[-1][-1] += state.du[-1]  # U's last cell, right of the last lead
+def test_neville_and_replay_build_no_table(monkeypatch):
+    # the finish reads the class off its own factors, so it builds no table
+    pascal = [[comb(i + j, i) for j in range(12)] for i in range(12)]
+    inputs = (CRYER.to_rows(), A4.to_rows(), [r[:4] for r in pascal[:4]], [[0, 0]] * 3, pascal)
+    expected = [reconstruct_lu(Mat.from_rows(rows)) for rows in inputs]
 
+    def refuse(rows, pick):
+        raise AssertionError("built a Bareiss table")
 
-def _bump_l(state):
-    state.l[0][-1] += state.dl[0]  # L's first column, below its leading 1
-
-
-def _bump_l_above_its_lead(state):
-    state.l[-1][1] += state.dl[-1]  # L's last column, in row 2
-
-
-def _drop_last_row(state):
-    for part in (state.u, state.du, state.leads, state.l, state.dl):
-        del part[-1]
-
-
-class TestIntegerFinish:
-    """The finish compares Neville's integer state with `eliminate`'s table:
-    a state that is not its certified pair is refused by both routes, even
-    one that no move could reach."""
-
-    REASON = "elimination did not end at the class factorization"
-    INPUTS = ([[comb(i + j, i) for j in range(4)] for i in range(4)], A4.to_rows())
-
-    @pytest.mark.parametrize("rows", INPUTS, ids=["pascal4", "A4"])
-    @pytest.mark.parametrize("perturb", [_bump_u, _bump_l, _bump_l_above_its_lead, _drop_last_row])
-    def test_a_perturbed_finish_is_refused(self, monkeypatch, rows, perturb):
+    monkeypatch.setattr("tnnlu.core._bareiss", refuse)
+    monkeypatch.setattr("tnnlu.mclass._bareiss", refuse)
+    for rows, pair in zip(inputs, expected):
         A = Mat.from_rows(rows)
-        _, trace = neville_decompose(A)
-        finish = tnnlu.neville._class_desc
-
-        def perturbed(state, A):
-            perturb(state)
-            return finish(state, A)
-
-        monkeypatch.setattr(tnnlu.neville, "_class_desc", perturbed)
-        with pytest.raises(NotTotallyNonnegativeError, match=self.REASON):
-            neville_decompose(A)
-        with pytest.raises(ReplayError, match=self.REASON):
-            replay(A, trace)
-
-    @pytest.mark.parametrize("tamper", ["residue", "U left of its lead"])
-    def test_a_table_that_is_not_certified_is_refused(self, tamper):
-        # A4's scan pivots on (1,2) and (3,4); its second row is skipped, so
-        # columns 1 and 3 are live when (3,4) is taken
-        A = Mat.from_rows(A4.to_rows())
-        _, trace = neville_decompose(A)
-        R, pivots, row_step, col_step, residue, found, failure = _table(A)
-        assert pivots == [(0, 1), (2, 3)] and residue is None
-        if tamper == "residue":
-            residue = (2, 1)
-        else:
-            R = [list(row) for row in R]
-            R[2][0] = 1
-        A._table = R, pivots, row_step, col_step, residue, found, failure
-        with pytest.raises(NotTotallyNonnegativeError, match=self.REASON):
-            neville_decompose(A)
-        with pytest.raises(ReplayError, match=self.REASON):
-            replay(A, trace)
+        for check_tnn in (True, False):
+            found, trace = neville_decompose(A, check_tnn=check_tnn)
+            assert found == pair
+            assert replay(A, trace) == pair

@@ -9,7 +9,10 @@ reads its breaking column off the rows' leading columns; here it is held
 to the definition (the first column prefix that is not upper echelon), to
 its own replay, and to `reconstruct_lu`; on signed input, whenever it
 returns, its factors are the class factorization and nonnegative, and a
-replay of another matrix's trace returns only what it returns.  The
+replay of another matrix's trace returns only what it returns.  A walk of
+random legal moves, which Neville need not take, that ends strictly
+echelon is `certify`'s pair, and its replay returns that pair or names a
+negative multiplier, a negative entry of U or an unfinished trace.  The
 kernels run on each matrix's integer lift, so the class, minor and Neville
 checks also draw rational entries, whose rows lift with unequal scales,
 and a single Neville move is held to the `Fraction` row operation.
@@ -50,10 +53,13 @@ from conftest import (
 )
 from tnnlu import (
     ClassDesc,
+    DeleteRow,
     Eliminate,
     IndexSet,
+    LUPair,
     Mat,
     MovePreconditionError,
+    NevilleTrace,
     NotInClassError,
     NotTotallyNonnegativeError,
     ParseError,
@@ -85,6 +91,8 @@ from tnnlu import (
 )
 from tnnlu.cli import main as cli_main
 from tnnlu.core import _integer_lift, first_minor
+from tnnlu.mclass import certify
+from tnnlu.neville import _Factors, _move_precondition_failure, _step
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -428,6 +436,52 @@ def test_replay_returns_only_what_neville_returns(pair):
 @given(small_rational_matrices(count=2))
 def test_replay_returns_only_what_neville_returns_on_rationals(pair):
     check_replay_returns_only_what_neville_returns(*pair)
+
+
+def random_legal_walk(A, rng):
+    """Random legal moves from (I, A) until none is left: any zero-row
+    DeleteRow, or any Eliminate whose preconditions hold, in any order."""
+    state, moves = _Factors(A), []
+    while True:
+        rows = range(1, len(state.u) + 1)
+        legal = [DeleteRow(i) for i in rows if state.leads[i - 1] > state.ncols]
+        legal += [
+            Eliminate(s, t, state.multiplier(s, t))
+            for s in rows[:-1]
+            for t in range(1, state.ncols + 1)
+            if _move_precondition_failure(state, s, t) is None
+        ]
+        if not legal:
+            return state, moves
+        moves.append(rng.choice(legal))
+        assert _step(state, moves[-1]) is None
+
+
+@settings(SETTINGS, max_examples=400)
+@given(small_rational_matrices(), st.integers(0, 10**6))
+def test_any_legal_walk_that_finishes_is_the_certified_pair(A, seed):
+    # Neville's finish reads the class off its own state; this holds that
+    # on move orders Neville never takes, of any multiplier sign
+    state, moves = random_legal_walk(A, seeded(seed))
+    leads = state.leads
+    finished = all(a < b for a, b in zip(leads, leads[1:] + [state.ncols + 1]))
+    if finished:
+        elim = certify(A)
+        assert state.mats() == (elim.L, elim.U)
+    negative = [k for k, mv in enumerate(moves, 1) if getattr(mv, "multiplier", 0) < 0]
+    try:
+        replayed = replay(A, NevilleTrace(tuple(moves)))
+    except ReplayError as error:
+        if negative:
+            assert str(error).startswith(f"move {negative[0]} ")
+            assert "negative multiplier" in str(error)
+        elif not finished:
+            assert str(error) == "trace does not finish the elimination"
+        else:
+            assert str(error).startswith("U[") and "= -" in str(error)
+        return
+    assert finished and not negative
+    assert replayed == LUPair(elim.L, elim.U, elim.desc)
 
 
 def check_tnn_gate_against_the_sweep(A):
