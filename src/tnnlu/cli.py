@@ -7,7 +7,9 @@ either way all rationals are emitted exactly as "p" or "p/q" and identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage, 3 parse error, 4 class not found,
-5 not totally nonnegative, 6 size guard, 7 bad input.
+5 not totally nonnegative, 6 size guard, 7 bad input.  Only the TNN
+tests are size-guarded: check-tnn and auto decompose's --trace refuse
+past --max-bruteforce; auto without --trace answers at every size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix, size_guard
+from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, detect_class
@@ -86,10 +88,8 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         pair, trace = explicit_decompose(A), None
     else:
         pair, trace = reconstruct_lu(A), None
-        if args.method == "auto":
-            size_guard(A, args.max_bruteforce)  # auto still refuses past the guard: exit 6
-            if args.trace and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
-                trace = neville_decompose(A, check_tnn=False)[1]  # its pair is this one
+        if args.method == "auto" and args.trace and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
+            trace = neville_decompose(A, check_tnn=False)[1]  # its pair is this one
     (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)
     payload = {
         "command": "decompose",

@@ -94,68 +94,48 @@ def format_scalar(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class IndexSet:
+class IndexSet(tuple):
     """A strictly ascending tuple of 1-based indices; may be empty."""
 
-    __slots__ = ("indices",)
+    __slots__ = ()
 
-    def __init__(self, indices: Iterable[int] = ()):
+    def __new__(cls, indices: Iterable[int] = ()):
         idx = tuple(indices)
         for value in idx:
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"indices must be positive integers, got {value!r}")
         if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError(f"indices must be strictly ascending, got {idx}")
-        self.indices = idx
+        return super().__new__(cls, idx)
 
     @classmethod
     def coerce(cls, value: "IndexSetLike") -> "IndexSet":
         return value if isinstance(value, IndexSet) else cls(value)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, k: int) -> int:
-        return self.indices[k]
-
-    def __contains__(self, value: object) -> bool:
-        return value in self.indices
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IndexSet):
-            return self.indices == other.indices
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.indices)
-
     def __repr__(self) -> str:
-        return f"IndexSet({self.indices!r})"
+        return f"IndexSet({tuple(self)!r})"
 
     def prefix(self, count: int) -> "IndexSet":
         """The first ``count`` indices."""
-        return IndexSet(self.indices[:count])
+        return IndexSet(self[:count])
 
     def issubset(self, other: "IndexSetLike") -> bool:
-        pool = set(IndexSet.coerce(other).indices)
-        return all(i in pool for i in self.indices)
+        pool = set(IndexSet.coerce(other))
+        return all(i in pool for i in self)
 
     def isdisjoint(self, other: "IndexSetLike") -> bool:
-        pool = set(IndexSet.coerce(other).indices)
-        return not any(i in pool for i in self.indices)
+        pool = set(IndexSet.coerce(other))
+        return not any(i in pool for i in self)
 
     def disjoint_union(self, other: "IndexSetLike") -> "IndexSet":
         other = IndexSet.coerce(other)
         if not self.isdisjoint(other):
             raise ValueError(f"index sets overlap: {self!r}, {other!r}")
-        return IndexSet(sorted(self.indices + other.indices))
+        return IndexSet(sorted(self + other))
 
     def difference(self, other: "IndexSetLike") -> "IndexSet":
-        pool = set(IndexSet.coerce(other).indices)
-        return IndexSet(i for i in self.indices if i not in pool)
+        pool = set(IndexSet.coerce(other))
+        return IndexSet(i for i in self if i not in pool)
 
 
 IndexSetLike = Union[IndexSet, Iterable[int]]
@@ -267,16 +247,12 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
-def _in_range(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> tuple[IndexSet, IndexSet]:
-    """The index sets, coerced, after checking that they fit inside A."""
-    I = IndexSet.coerce(rows)
-    J = IndexSet.coerce(cols)
-    i, j = I.indices, J.indices
-    if i and i[-1] > A.nrows:
-        raise IndexError(f"row index {i[-1]} out of range for {A.nrows}x{A.ncols}")
-    if j and j[-1] > A.ncols:
-        raise IndexError(f"column index {j[-1]} out of range for {A.nrows}x{A.ncols}")
-    return I, J
+def _in_range(A: Mat, I: IndexSet, J: IndexSet) -> None:
+    """Check that the coerced index sets fit inside A."""
+    if I and I[-1] > A.nrows:
+        raise IndexError(f"row index {I[-1]} out of range for {A.nrows}x{A.ncols}")
+    if J and J[-1] > A.ncols:
+        raise IndexError(f"column index {J[-1]} out of range for {A.nrows}x{A.ncols}")
 
 
 def matmul(A: Mat, B: Mat) -> Mat:
@@ -375,24 +351,23 @@ def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
     pivot, signed by the order of the pivot rows, over the chosen rows'
     scales; 0 if a column runs out."""
     I, J = IndexSet.coerce(rows), IndexSet.coerce(cols)
-    rows, cols = I.indices, J.indices
-    if len(rows) != len(cols):
+    if len(I) != len(J):
         raise ValueError(f"minor needs equal-cardinality index sets: {I!r}, {J!r}")
-    if not rows:
+    if not I:
         return Fraction(1)
     _in_range(A, I, J)
-    if len(rows) == 1:
-        return A.entry(rows[0], cols[0])
+    if len(I) == 1:
+        return A.entry(I[0], J[0])
     lifted, scales = _integer_lift(A)
-    entries = [[lifted[i - 1][j - 1] for j in cols] for i in rows]
+    entries = [[lifted[i - 1][j - 1] for j in J] for i in I]
     pivots = _bareiss(entries, _next_column)
-    if len(pivots) < len(rows):
+    if len(pivots) < len(I):
         return Fraction(0)
     i, j = pivots[-1]
     value = entries[i][j]
     if pivots != sorted(pivots) and sum(a > b for (a, _), (b, _) in combinations(pivots, 2)) % 2:
         value = -value
-    return Fraction(value, math.prod(scales[i - 1] for i in rows))
+    return Fraction(value, math.prod(scales[i - 1] for i in I))
 
 
 def rank(A: Mat) -> int:

@@ -131,7 +131,7 @@ def laplace_sum_rows(A: Mat, I: IndexSetLike, J1: IndexSetLike, J2: IndexSetLike
     if len(J1) + len(J2) != len(I):
         raise ValueError(f"|J1| + |J2| must equal |I|: {J1!r}, {J2!r}, {I!r}")
     total = Fraction(0)
-    for chosen in combinations(I.indices, len(J1)):
+    for chosen in combinations(I, len(J1)):
         I1 = IndexSet(chosen)
         I2 = I.difference(I1)
         total += _sign(inversion_count(I1, I2)) * minor(A, I1, J1) * minor(A, I2, J2)
@@ -159,7 +159,7 @@ def vanishing_check(A: Mat, I: IndexSetLike, J: IndexSetLike, J1: IndexSetLike) 
     if not J1.issubset(J):
         raise ValueError(f"J1 = {J1!r} must be contained in J = {J!r}")
     hypothesis = all(
-        minor(A, IndexSet(sub), J1) == 0 for sub in combinations(I.indices, len(J1))
+        minor(A, IndexSet(sub), J1) == 0 for sub in combinations(I, len(J1))
     )
     if not hypothesis:
         return True

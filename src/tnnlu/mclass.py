@@ -47,7 +47,7 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = MAX_BRUTEFORCE) -> bool:
     hence the size guard.
     """
     _validate_desc(A, desc)
-    r, c = desc.r.indices, desc.c.indices
+    r, c = desc.r, desc.c
 
     def fails(rows: tuple[int, ...], cols: tuple[int, ...], value: Fraction) -> bool:
         if all(i >= p for i, p in zip(rows, r)) and all(j >= q for j, q in zip(cols, c)):

@@ -25,7 +25,8 @@ def indexset_leq(first, second):
 
 def submatrix(A, rows, cols):
     """The |rows| x |cols| matrix picking the given 1-based rows and columns."""
-    I, J = _in_range(A, rows, cols)
+    I, J = IndexSet.coerce(rows), IndexSet.coerce(cols)
+    _in_range(A, I, J)
     return Mat(len(I), len(J), [A.entry(i, j) for i in I for j in J])
 
 

@@ -154,7 +154,8 @@ def test_auto_builds_one_elimination_table_on_tnn_input(capsys, monkeypatch):
 def test_auto_without_trace_runs_no_tnn_test_or_neville(capsys, monkeypatch):
     # Neville's finish accepts only the certified pair, so without --trace
     # auto prints reconstruct's bytes and has no use for a TNN verdict
-    inputs = ("0 0 0; 1 0 1; 1 0 1", A4_INLINE, pascal_inline(4), "1 2; 3 4")
+    ones = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))  # past the size guard
+    inputs = ("0 0 0; 1 0 1; 1 0 1", A4_INLINE, pascal_inline(4), "1 2; 3 4", ones)
     expected = {}
     for inline in inputs:
         for fmt in ("text", "structured"):
@@ -177,9 +178,6 @@ def test_auto_without_trace_runs_no_tnn_test_or_neville(capsys, monkeypatch):
             [("method: auto", "method: reconstruct")],
             [('  "method": "auto",', '  "method": "reconstruct",')],
         )
-    ones = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
-    code, out, err = run_cli(capsys, "decompose", "--inline", ones)
-    assert (code, out) == (6, "") and err.startswith("error: size-guard: ")
     code, out, err = run_cli(capsys, "decompose", "--inline", "0 1 1; 1 1 0")
     assert (code, out) == (4, "") and err.startswith("error: class-not-found: ")
 
@@ -241,9 +239,16 @@ def test_empty_factor_has_one_empty_row_per_row(capsys):
     assert json.loads(out)["matrix"] == [[], []]
 
 
-def test_auto_certifies_before_the_size_guard(capsys):
-    member = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
-    code, out, err = run_cli(capsys, "decompose", "--inline", member)
+def test_auto_certifies_at_every_size(capsys):
+    # auto runs no size-guarded sweep, so past the guard it prints reconstruct's pair
+    ones = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
+    for member in (ones, pascal_inline(12)):
+        code, out, err = run_cli(capsys, "decompose", "--inline", member)
+        assert (code, err) == (0, "")
+        want = run_cli(capsys, "decompose", "--inline", member, "--method", "reconstruct")
+        assert want == (0, out.replace("method: auto", "method: reconstruct", 1), "")
+    # --trace asks for Neville's moves, which is_tnn's guard still refuses
+    code, out, err = run_cli(capsys, "decompose", "--inline", ones, "--trace")
     assert (code, out) == (6, "")
     assert err.startswith("error: size-guard: ")
     # [[0, 1], [1, 1]] beside I_7 is in no class, as [[0, 1], [1, 1]] alone is not

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +57,32 @@ class TestIndexSet:
             IndexSet((0, 2))
         with pytest.raises(ValueError):
             IndexSet((1, -2))
+
+    def test_is_a_validated_tuple(self):
+        I = IndexSet((1, 3, 7))
+        assert isinstance(I, tuple) and not hasattr(I, "indices")
+        assert I == (1, 3, 7) and (1, 3, 7) == I and hash(I) == hash((1, 3, 7))
+        assert {(1, 3, 7): "found"}[I] == "found" and {I: "found"}[(1, 3, 7)] == "found"
+        assert repr(I) == "IndexSet((1, 3, 7))" and repr(IndexSet()) == "IndexSet(())"
+        # tuple operations build plain tuples, so no unvalidated IndexSet comes out
+        for made in (I + (2,), (2,) + I, I * 2, I[::-1], I[:2], I[1:]):
+            assert type(made) is tuple
+        assert (I + (2,), I[::-1]) == ((1, 3, 7, 2), (7, 3, 1))
+        for copied in (copy.copy(I), copy.deepcopy(I), pickle.loads(pickle.dumps(I))):
+            assert type(copied) is IndexSet and copied == I
+        assert type(I.prefix(2)) is IndexSet and I.prefix(2) == (1, 3)
+        bad = [
+            ((3, 1), "indices must be strictly ascending, got (3, 1)"),
+            ((1, 1), "indices must be strictly ascending, got (1, 1)"),
+            ((0, 2), "indices must be positive integers, got 0"),
+            ((1, -2), "indices must be positive integers, got -2"),
+            ((True,), "indices must be positive integers, got True"),
+            ((1.0,), "indices must be positive integers, got 1.0"),
+        ]
+        for indices, message in bad:
+            with pytest.raises(ValueError) as caught:
+                IndexSet(indices)
+            assert str(caught.value) == message
 
     def test_leq_examples(self):
         assert indexset_leq([1, 3], [2, 4]) is True

@@ -27,6 +27,7 @@ kernel pivoting on any live nonzero cell, is held to the largest nonzero
 minor on inputs with planted dependent rows and columns.  `parse_matrix`,
 which reads each row's integer lift as it parses, is held to a per-token
 reference parser and lift, on its Mat, its lift and its error message.
+`IndexSet`'s set helpers are held to Python's `set` on subsets of 1..8.
 """
 
 import io
@@ -604,3 +605,19 @@ def test_parse_matrix_matches_the_per_token_reference(grid):
     A = parse_matrix(text)
     assert A == Mat.from_rows(rows)
     assert _integer_lift(A) == reference_lift(rows)
+
+
+_SUBSETS = st.sets(st.integers(1, 8)).map(lambda s: IndexSet(sorted(s)))
+
+
+@SETTINGS
+@given(_SUBSETS, _SUBSETS)
+def test_index_set_helpers_match_python_sets(I, J):
+    a, b = set(I), set(J)
+    assert I.issubset(J) == (a <= b) and I.isdisjoint(J) == a.isdisjoint(b)
+    assert I.difference(J) == tuple(sorted(a - b))
+    if a & b:
+        with pytest.raises(ValueError, match="index sets overlap"):
+            I.disjoint_union(J)
+    else:
+        assert I.disjoint_union(J) == tuple(sorted(a | b))
