@@ -1,9 +1,9 @@
 """Exact rational scalars, index sets, matrices, minors, and rank.
 
-All arithmetic in this package is exact: scalars are `fractions.Fraction`
-values and there is no floating point anywhere.  Class membership and
-elimination pivoting branch on exact zero tests of minors, which floats
-cannot decide.
+All arithmetic in this package is exact: a `Mat` holds integer rows over
+positive denominators, scalars are `fractions.Fraction` values, and there
+is no floating point anywhere.  Class membership and elimination pivoting
+branch on exact zero tests of minors, which floats cannot decide.
 
 Public indices are 1-based throughout (rows, columns, and the contents of
 index sets); internal storage is row-major and 0-based but never leaks.
@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .errors import ParseError, SizeGuardError
 
 Scalar = Fraction
-_ZERO = Fraction(0)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: no "1_000", no "١٢"
+_INTEGERS = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*")  # a row of integer tokens
 ScalarLike = Union[int, str, Fraction]
 
 __all__ = [
@@ -77,14 +77,19 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
-def parse_scalar(token: str) -> Fraction:
-    """Parse an integer or "p/q" token (q > 0) into an exact rational."""
+def _ratio(token: str) -> tuple[int, int]:
+    """An integer or "p/q" token (q > 0) as the pair (p, q), as written."""
     match = _RATIONAL.fullmatch(token.strip())
     if match is None:
         raise ParseError(f"not an exact rational: {token!r}")
     if match[2] is not None and not int(match[2]):
         raise ParseError(f"denominator must be positive: {token!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return int(match[1]), int(match[2] or 1)
+
+
+def parse_scalar(token: str) -> Fraction:
+    """Parse an integer or "p/q" token (q > 0) into an exact rational."""
+    return Fraction(*_ratio(token))
 
 
 def format_scalar(value: Fraction) -> str:
@@ -150,36 +155,39 @@ def inversion_count(first: IndexSetLike, second: IndexSetLike) -> int:
 
 
 class Mat:
-    """Immutable dense matrix of exact rationals.
+    """Immutable dense matrix of exact rationals, held as integers: row i is
+    ``_rows[i]`` over ``_dens[i]`` > 0 in lowest terms, gcd(den, *row) == 1.
+    Equality and hashing read that canonical form; a cell read is a Fraction.
 
     Either dimension may be zero: a rank-0 decomposition produces genuine
     m-by-0 and 0-by-n factors.  Entry access is 1-based.
     """
 
-    __slots__ = ("nrows", "ncols", "_cells", "_lift")
+    __slots__ = ("nrows", "ncols", "_rows", "_dens")
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable[ScalarLike]):
         if nrows < 0 or ncols < 0:
             raise ValueError(f"negative dimensions: {nrows}x{ncols}")
-        cells = tuple(as_scalar(x) for x in entries)
+        cells = [as_scalar(x) for x in entries]
         if len(cells) != nrows * ncols:
             raise ValueError(
                 f"expected {nrows * ncols} entries for {nrows}x{ncols}, got {len(cells)}"
             )
-        self.nrows, self.ncols, self._cells = nrows, ncols, cells
-        self._lift = None  # filled by `_integer_lift`
+        rows = (cells[i * ncols : (i + 1) * ncols] for i in range(nrows))
+        pairs = [_over_lcm([(x.numerator, x.denominator) for x in row]) for row in rows]
+        self.nrows, self.ncols = nrows, ncols
+        self._rows, self._dens = tuple(tuple(row) for row, _ in pairs), tuple(d for _, d in pairs)
 
     @classmethod
-    def _of(cls, nrows: int, ncols: int, cells: tuple[Fraction, ...], lift=None) -> "Mat":
-        """A Mat on package-made Fractions, as is: zero is ``_ZERO``, never 0."""
+    def _of(cls, nrows: int, ncols: int, pairs: list) -> "Mat":
+        """A Mat on package-made (row, den) pairs, as is: each in lowest terms."""
         A = object.__new__(cls)
-        A.nrows, A.ncols, A._cells, A._lift = nrows, ncols, cells, lift
+        A.nrows, A.ncols = nrows, ncols
+        A._rows, A._dens = tuple(tuple(row) for row, _ in pairs), tuple(den for _, den in pairs)
         return A
 
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[ScalarLike]], ncols: Optional[int] = None
-    ) -> "Mat":
+    def from_rows(cls, rows: Sequence[Sequence[ScalarLike]], ncols: Optional[int] = None) -> "Mat":
         rows = [list(row) for row in rows]
         if rows:
             width = len(rows[0])
@@ -203,47 +211,39 @@ class Mat:
         """The (i, j) entry, 1-based."""
         if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
             raise IndexError(f"entry ({i},{j}) out of range for {self.nrows}x{self.ncols}")
-        return self._cells[(i - 1) * self.ncols + (j - 1)]
+        return Fraction(self._rows[i - 1][j - 1], self._dens[i - 1])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 1 <= i <= self.nrows:
             raise IndexError(f"row {i} out of range for {self.nrows}x{self.ncols}")
-        start = (i - 1) * self.ncols
-        return self._cells[start : start + self.ncols]
+        return tuple(Fraction(x, self._dens[i - 1]) for x in self._rows[i - 1])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         if not 1 <= j <= self.ncols:
             raise IndexError(f"column {j} out of range for {self.nrows}x{self.ncols}")
-        return self._cells[j - 1 :: self.ncols] if self.ncols else ()
+        return tuple(Fraction(row[j - 1], den) for row, den in zip(self._rows, self._dens))
 
     def iter_rows(self) -> Iterator[tuple[Fraction, ...]]:
-        for i in range(self.nrows):
-            start = i * self.ncols
-            yield self._cells[start : start + self.ncols]
+        for row, den in zip(self._rows, self._dens):
+            yield tuple(Fraction(x, den) for x in row)
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.iter_rows()]
 
     def transpose(self) -> "Mat":
-        cols = (self._cells[j :: self.ncols] for j in range(self.ncols))
-        return Mat._of(self.ncols, self.nrows, tuple(x for col in cols for x in col))
+        cols = zip(*self._rows) if self.nrows else [()] * self.ncols
+        return Mat._of(self.ncols, self.nrows, [_over_lcm(list(zip(c, self._dens))) for c in cols])
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Mat):
-            return (
-                self.nrows == other.nrows
-                and self.ncols == other.ncols
-                and self._cells == other._cells
-            )
+        if isinstance(other, Mat):  # nrows is len(_rows)
+            return (self.ncols, self._rows, self._dens) == (other.ncols, other._rows, other._dens)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self._cells))
+        return hash((self.ncols, self._rows, self._dens))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(format_scalar(x) for x in row) for row in self.iter_rows()
-        )
+        body = "; ".join(" ".join(_texts(row, den)) for row, den in zip(self._rows, self._dens))
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
@@ -259,44 +259,44 @@ def matmul(A: Mat, B: Mat) -> Mat:
     """Exact product; an empty shared dimension yields the zero matrix."""
     if A.ncols != B.nrows:
         raise ValueError(f"cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}")
-    arows = A.to_rows()
-    bcols = [B.col(j) for j in range(1, B.ncols + 1)]
-    return Mat._of(
-        A.nrows,
-        B.ncols,
-        tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for row in arows for col in bcols),
-    )
+    BT = B.transpose()
+    cols = list(zip(BT._rows, BT._dens))
+    return Mat._of(A.nrows, B.ncols, [
+        _over_lcm([(sum(map(operator.mul, row, col)), d * e) for col, e in cols])
+        for row, d in zip(A._rows, A._dens)
+    ])
 
 
-def _lift(rows: Sequence[Sequence[Union[int, Fraction]]]) -> tuple:
-    """Each row times the lcm of its denominators, and those lcms."""
-    scales = tuple(math.lcm(*[x.denominator for x in row]) for row in rows)
-    lifted = (tuple([x.numerator * (s // x.denominator) for x in r]) for r, s in zip(rows, scales))
-    return tuple(lifted), scales
+def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den divided through by the gcd, the sign folded in so that the
+    denominator is positive: a row in lowest terms."""
+    g = math.gcd(den, *nums)
+    g = -g if den < 0 else g
+    return (nums, den) if g == 1 else ([v // g for v in nums], den // g)
+
+
+def _over_lcm(cells: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Cells num/den (den nonzero, of either sign) as one row in lowest
+    terms: each cell reduced, then lifted to the lcm of their denominators."""
+    cells = [(x // g, d // g) for x, d in cells for g in (math.gcd(x, d),)]
+    den = math.lcm(*[d for _, d in cells])
+    return [x * (den // d) for x, d in cells], den
 
 
 def _integer_lift(A: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """A's integer lift (rows, scales): row i of A times scales[i], the lcm
-    of its denominators.  Computed at most once per Mat (`parse_matrix`
-    stores the one it read) and cached on it; a caller that needs to write
-    copies the rows first."""
-    if A._lift is None:
-        A._lift = _lift(list(A.iter_rows()))
-    return A._lift
+    of its denominators; A's own integers, which no caller writes to."""
+    return A._rows, A._dens
 
 
 def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[list[int], int]:
-    """(cx·x + cy·y) / den divided through by the gcd, the sign folded in
-    so that the denominator is positive."""
-    nums = [cx * a + cy * b for a, b in zip(x, y)]
-    g = math.gcd(den, *nums)
-    g = -g if den < 0 else g
-    return [v // g for v in nums], den // g
+    """(cx·x + cy·y) / den in lowest terms (see `_reduce`)."""
+    return _reduce([cx * a + cy * b for a, b in zip(x, y)], den)
 
 
 def _bareiss(rows: list[list[int]], pick: Callable) -> list[tuple[int, int]]:
     """Fraction-free elimination in place, on a fresh list of lists (never
-    the rows `_integer_lift` caches), returning the pivots taken, 0-based.
+    a Mat's own rows), returning the pivots taken, 0-based.
     ``pick(rows, live_rows, live_cols, pivots)`` names the next pivot, a
     nonzero cell whose row and column are both live (not yet pivoted), or
     None to stop; it is not asked once no row is live.  Each step updates
@@ -403,9 +403,7 @@ def iter_minor_layers(
         for I in combinations(range(1, m + 1), s):
             base = I[:-1]
             last_row = lifted[I[-1] - 1]
-            denom = 1
-            for i in I:
-                denom *= scales[i - 1]
+            denom = math.prod(scales[i - 1] for i in I)
             for J in combinations(range(1, n + 1), s):
                 acc = 0
                 for pos, col in enumerate(J):
@@ -488,22 +486,29 @@ def parse_matrix(text: str) -> Mat:
         return Mat.zeros(nrows, ncols)
     if len(data) != nrows:
         raise ParseError(f"expected {nrows} rows, got {len(data)}")
-    cells, rows = [], []
+    pairs = []
     for line in data:
         tokens = line.split()
         if len(tokens) != ncols:
             raise ParseError(f"expected {ncols} entries per row, got {len(tokens)}: {line!r}")
-        # an integer token as an int; `parse_scalar` reads p/q or raises its error
-        row = [int(tok) if (hit := _RATIONAL.fullmatch(tok)) and not hit[2] else parse_scalar(tok)
-               for tok in tokens]
-        cells += [x if type(x) is Fraction else Fraction(x) for x in row]
-        rows.append(row)
-    return Mat._of(nrows, ncols, tuple(cells), _lift(rows))
+        if _INTEGERS.fullmatch(line):
+            pairs.append((list(map(int, tokens)), 1))
+        else:  # `_ratio` reads p/q or raises its error
+            pairs.append(_over_lcm([_ratio(token) for token in tokens]))
+    return Mat._of(nrows, ncols, pairs)
+
+
+def _texts(row: tuple[int, ...], den: int) -> Iterable[str]:
+    """Each cell of row / den rendered as `format_scalar` renders it."""
+    if den == 1:
+        return map(str, row)
+    cells = ((x // g, den // g) for x in row for g in (math.gcd(x, den),))
+    return (str(x) if d == 1 else f"{x}/{d}" for x, d in cells)
 
 
 def format_matrix(A: Mat) -> str:
     """Render in the text format accepted by `parse_matrix`; exact round trip."""
     lines = [f"{A.nrows} {A.ncols}"]
     if A.ncols:
-        lines.extend(" ".join(format_scalar(x) for x in row) for row in A.iter_rows())
+        lines.extend(" ".join(_texts(row, den)) for row, den in zip(A._rows, A._dens))
     return "\n".join(lines) + "\n"

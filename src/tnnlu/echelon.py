@@ -10,10 +10,9 @@ of each column (resp. row) to a prescribed index list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import IndexSet, IndexSetLike, Mat
+from .core import IndexSet, IndexSetLike, Mat, _integer_lift
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class EchelonReport:
 _NOT_ECHELON = EchelonReport(False, False, IndexSet())
 
 
-def row_leads(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[int]:
+def row_leads(rows: Iterable[Sequence], ncols: int) -> list[int]:
     """Each row's leftmost nonzero column, or ``ncols + 1`` for a zero row."""
     return [next((j for j, x in enumerate(row, start=1) if x != 0), ncols + 1) for row in rows]
 
@@ -41,7 +40,7 @@ def row_leads(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[int]:
 def is_upper_echelon(U: Mat) -> EchelonReport:
     """Check the upper staircase pattern: each lead left of the next one,
     or the next row zero."""
-    leads = row_leads(U.iter_rows(), U.ncols)
+    leads = row_leads(_integer_lift(U)[0], U.ncols)
     if any(a >= b and b <= U.ncols for a, b in zip(leads, leads[1:])):
         return _NOT_ECHELON
     pivots = [j for j in leads if j <= U.ncols]
@@ -75,4 +74,4 @@ def in_class_U(U: Mat, c: IndexSetLike) -> bool:
         raise ValueError(f"{U.nrows}x{U.ncols} matrix needs {U.nrows} leaders, got {len(leaders)}")
     if leaders and leaders[-1] > U.ncols:
         raise ValueError(f"leader column {leaders[-1]} out of range for {U.ncols} columns")
-    return row_leads(U.iter_rows(), U.ncols) == list(leaders)
+    return row_leads(_integer_lift(U)[0], U.ncols) == list(leaders)

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import (
-    IndexSet,
-    IndexSetLike,
-    Mat,
-    det,
-    inversion_count,
-    matmul,
-    minor,
-)
+from .core import IndexSet, IndexSetLike, Mat, det, inversion_count, matmul, minor
 
 IndexPair = tuple[IndexSet, IndexSet]
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import _ZERO, MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
+from .core import _over_lcm, _reduce
 from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .errors import NotInClassError
 
@@ -128,7 +129,8 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     and R[h, j] = [r_<s, h | c_<s, j], lifted, so U's row s is R[i, k] /
     (s_i·p_<s) and L's column s is R[h, j]·s_i / (s_h·p_s), wherever k (or h)
     was live at step s, else 0; ``residue`` is the first live cell left
-    nonzero.
+    nonzero.  Both factors are handed over as integer rows: U's row s reduced
+    by one gcd, L's row h over the lcm of its reduced cells.
     """
     if desc is not None:
         _validate_desc(A, desc)
@@ -136,16 +138,17 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     R, pivots, row_step, col_step, residue, found, failure = _table(A, desc)
     scales, t = _integer_lift(A)[1], len(pivots)
     p = [1] + [R[i][j] for i, j in pivots]
-    U = tuple(
-        Fraction(R[i][k], scales[i] * p[s]) if col_step[k] >= s else _ZERO
+    U = [
+        _reduce([R[i][k] if col_step[k] >= s else 0 for k in range(n)], scales[i] * p[s])
         for s, (i, _) in enumerate(pivots)
-        for k in range(n)
-    )
-    L = tuple(
-        Fraction(R[h][j] * scales[i], scales[h] * p[s + 1]) if row_step[h] >= s else _ZERO
+    ]
+    L = [
+        _over_lcm([
+            (R[h][j] * scales[i], scales[h] * p[s + 1]) if row_step[h] >= s else (0, 1)
+            for s, (i, j) in enumerate(pivots)
+        ])
         for h in range(m)
-        for s, (i, j) in enumerate(pivots)
-    )
+    ]
     return Elimination(found, Mat._of(m, t, L), Mat._of(t, n, U), residue, failure)
 
 

@@ -12,14 +12,14 @@ form:
 
 The run is fraction-free in the manner of Bareiss: each row of U (and each
 column of L) is held as integer numerators over one positive denominator,
-seeded from A's cached integer lift.  Clearing u[s+1, t], with a and b the
+seeded from A's own integer rows.  Clearing u[s+1, t], with a and b the
 numerators of u[s+1, t] and u[s, t], sets row s+1 to b·row s+1 - a·row s
 over b times its denominator, divided through by the gcd.  Each row's lead
 (leftmost nonzero column) is kept in a list, and a move rescans only the
 lead of the row it changed, so finding the next move and checking its
 preconditions read the leads instead of the rows.  The finish runs on the
-same integers (see `_run`): Fractions appear only as multipliers, in
-recorded stages and in the one finished pair.
+same integers (see `_run`) and hands them to the factors as they are: a
+Fraction is built once per move, as its multiplier.
 
 On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
@@ -37,19 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Optional, Union
 
 from .core import (
-    _ZERO, MAX_BRUTEFORCE, Mat, _combine, _integer_lift, format_scalar, parse_int, parse_scalar,
-    within_guard,
+    MAX_BRUTEFORCE, Mat, _combine, _integer_lift, _over_lcm, format_scalar, parse_int,
+    parse_scalar, within_guard,
 )
-from .errors import (
-    MovePreconditionError,
-    NotTotallyNonnegativeError,
-    ParseError,
-    ReplayError,
-)
+from .errors import MovePreconditionError, NotTotallyNonnegativeError, ParseError, ReplayError
 from .explicit import LUPair
 from .mclass import ClassDesc
 from .tnn import is_tnn
@@ -94,10 +88,11 @@ def _lead(row: list[int], after: int) -> int:
 
 
 class _Factors:
-    """The running (L, U) on integers: row k of U is ``u[k] / du[k]``,
-    column k of L is ``l[k] / dl[k]`` (each denominator positive), and
-    ``leads[k]`` is row k's first nonzero column, ``ncols + 1`` for a zero
-    row.  A move touches one row of U, its lead and one column of L."""
+    """The running (L, U) on integers in lowest terms: row k of U is
+    ``u[k] / du[k]`` and column k of L is ``l[k] / dl[k]`` (denominators
+    positive); ``leads[k]`` is row k's first nonzero column, ``ncols + 1``
+    for a zero row, and ``origin[k]`` its 0-based row in A, where column k
+    of L leads.  A move touches one row of U, its lead and one column of L."""
 
     def __init__(self, A: Mat):
         lifted, scales = _integer_lift(A)
@@ -106,6 +101,7 @@ class _Factors:
         self.leads = [_lead(row, 0) for row in self.u]
         self.l = [[int(i == k) for i in range(A.nrows)] for k in range(A.nrows)]
         self.dl = [1] * A.nrows
+        self.origin = list(range(A.nrows))
 
     def multiplier(self, s: int, t: int) -> Fraction:
         """u[s+1, t] / u[s, t]."""
@@ -113,9 +109,8 @@ class _Factors:
 
     def mats(self) -> tuple[Mat, Mat]:
         m, t, cols = self.nrows, len(self.u), list(zip(self.l, self.dl))
-        L = (Fraction(c[h], d) if c[h] else _ZERO for h in range(m) for c, d in cols)
-        U = (Fraction(x, d) if x else _ZERO for row, d in zip(self.u, self.du) for x in row)
-        return Mat._of(m, t, tuple(L)), Mat._of(t, self.ncols, tuple(U))
+        L = [_over_lcm([(c[h], d) for c, d in cols]) for h in range(m)]
+        return Mat._of(m, t, L), Mat._of(t, self.ncols, list(zip(self.u, self.du)))
 
 
 def _move_precondition_failure(state: _Factors, s: int, t: int) -> Optional[str]:
@@ -163,11 +158,15 @@ def _find_move(state: _Factors) -> Optional[Move]:
     NotTotallyNonnegativeError.
     """
     rows, leads, n = state.u, state.leads, state.ncols
-    for k in range(len(leads), 0, -1):
-        if leads[k - 1] > n:
-            return DeleteRow(k)
-    t = min((b for b, top in zip(leads[1:], accumulate(leads, max)) if top >= b), default=None)
-    if t is None:
+    if max(leads, default=0) > n:
+        return DeleteRow(len(leads) - leads[::-1].index(n + 1))
+    t, top = n + 1, 0
+    for b in leads:
+        if b > top:
+            top = b
+        elif b < t:
+            t = b
+    if t > n:
         return None
     leftmost = min(leads)
     if leads[0] != leftmost:
@@ -201,27 +200,27 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
             return f"row {i} out of range"
         if state.leads[i - 1] <= state.ncols:
             return f"row {i} is not a zero row"
-        for part in (u, du, state.leads, l, dl):
+        for part in (u, du, state.leads, l, dl, state.origin):
             del part[i - 1]
         return None
     s, t = move.s, move.t
     failure = _move_precondition_failure(state, s, t)
     if failure is not None:
         return failure
-    lam = state.multiplier(s, t)
-    if lam != move.multiplier:
-        return (
-            f"multiplier {format_scalar(move.multiplier)} does not "
-            f"match state value {format_scalar(lam)}"
-        )
+    # the multiplier u[s+1, t] / u[s, t] is p/q, unreduced, q nonzero
+    a, b = u[s][t - 1], u[s - 1][t - 1]
+    p, q = a * du[s - 1], b * du[s]
+    lam = move.multiplier
+    if lam.numerator * q != lam.denominator * p:
+        state_value = format_scalar(Fraction(p, q))
+        return f"multiplier {format_scalar(lam)} does not match state value {state_value}"
     # row s+1 becomes b·row s+1 - a·row s over b·du; the precondition
     # leaves both rows zero left of column t
-    a, b = u[s][t - 1], u[s - 1][t - 1]
     u[s][t - 1 :], du[s] = _combine(b, u[s][t - 1 :], -a, u[s - 1][t - 1 :], b * du[s])
     state.leads[s] = _lead(u[s], t)
-    # column s of L gains lam = p/q times column s+1
-    p, q = lam.numerator, lam.denominator
-    l[s - 1], dl[s - 1] = _combine(q * dl[s], l[s - 1], p * dl[s - 1], l[s], q * dl[s - 1] * dl[s])
+    # column s of L gains p/q times column s+1, both zero above row o, its lead
+    o, d0, d1 = state.origin[s - 1], dl[s - 1], dl[s]
+    l[s - 1][o:], dl[s - 1] = _combine(q * d1, l[s - 1][o:], p * d0, l[s][o:], q * d0 * d1)
     return None
 
 
@@ -271,7 +270,7 @@ def _run(
             if x < 0:
                 raise refuse(f"U[{i + 1},{j + 1}] = {format_scalar(Fraction(x, d))}")
     L, U = state.mats()
-    r = [next(h for h, x in enumerate(col, start=1) if x) for col in state.l]
+    r = [o + 1 for o in state.origin]
     trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
     return LUPair(L, U, ClassDesc(r, leads)), trace
 

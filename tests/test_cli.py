@@ -229,6 +229,35 @@ def test_detect_and_certify_build_one_table_per_call(monkeypatch):
         assert one_table(tnnlu.greedy_leaders, A) == one_table(tnnlu.eliminate, A).desc
 
 
+def test_factor_and_detect_build_no_fraction(capsys, monkeypatch):
+    # a Mat is integer rows over one denominator: parsing, the table, both
+    # factors and the printout never need a Fraction
+    inputs = (
+        "1/2 1/3 1 -2/4; 1/5 1 2/7 0; 3 1/4 1 7/3; 6/4 -0 +5 1/1",  # signed, unreduced tokens
+        "0 0 0; 1/2 0 1/3; 2/4 0 2/6",  # rank 1, with a zero row and column
+        _inline(random_tnn(5, 6, seed=11, factors=30)),
+        "0 1/2 1; 1/3 1 0",  # in no class: exit 4
+    )
+    calls = []
+    for inline in inputs:
+        for fmt in ("text", "structured"):
+            common = ("--inline", inline, "--format", fmt)
+            calls += [("decompose", "--method", "reconstruct", *common)]
+            calls += [("decompose", "--method", "explicit", *common)]
+            calls += [("decompose", *common), ("detect", *common)]
+    expected = [run_cli(capsys, *argv) for argv in calls]
+    assert {code for code, _, _ in expected} == {0, 4}
+    assert any("/" in out for _, out, _ in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Fraction")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tnnlu") and hasattr(module, "Fraction"):
+            monkeypatch.setattr(module, "Fraction", refuse)
+    assert [run_cli(capsys, *argv) for argv in calls] == expected
+
+
 def test_empty_factor_has_one_empty_row_per_row(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--inline", "0 0; 0 0; 0 0", "--format", "structured")
     assert code == 0

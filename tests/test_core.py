@@ -165,7 +165,7 @@ class TestSubmatrixAndMinor:
 
 
 class TestSharedLift:
-    """Every kernel reads one integer lift per Mat, cached on first use; none
+    """Every kernel reads the one integer lift a Mat holds, its rows; none
     may write to it (`_bareiss` works in place on its argument)."""
 
     ROWS = [["1/2", "1/3", 1], ["1/5", 1, "2/7"], [3, "1/4", 1]]

@@ -28,6 +28,10 @@ minor on inputs with planted dependent rows and columns.  `parse_matrix`,
 which reads each row's integer lift as it parses, is held to a per-token
 reference parser and lift, on its Mat, its lift and its error message.
 `IndexSet`'s set helpers are held to Python's `set` on subsets of 1..8.
+Every way of making a Mat (parsing signed, unreduced p/q tokens, `Mat`,
+`from_rows`, a double transpose, a product with the identity, and
+`eliminate`'s factors) gives rows in lowest terms, equal with equal
+hashes, whose cells read back as the `Fraction` reference.
 """
 
 import io
@@ -621,3 +625,65 @@ def test_index_set_helpers_match_python_sets(I, J):
             I.disjoint_union(J)
     else:
         assert I.disjoint_union(J) == tuple(sorted(a | b))
+
+
+@st.composite
+def signed_token_grids(draw):
+    """(m, n, tokens, values): an m x n grid, either dimension possibly 0, of
+    signed p/q tokens, unreduced or written as integers, "-0" and "+3"
+    included, with zero cells frequent enough to make zero rows."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    tokens, values = [], []
+    for _ in range(m):
+        row = []
+        for _ in range(n):
+            p = draw(st.one_of(st.just(0), st.integers(-12, 12)))
+            q = draw(st.integers(1, 12))
+            sign = "-" if p < 0 else draw(st.sampled_from(("", "+", "-") if p == 0 else ("", "+")))
+            integral = q == 1 and draw(st.booleans())
+            row.append((f"{sign}{abs(p)}" + ("" if integral else f"/{q}"), Fraction(p, q)))
+        tokens.append([token for token, _ in row])
+        values.append([value for _, value in row])
+    return m, n, tokens, values
+
+
+def assert_canonical(M, m, n):
+    """M is m x n and each row is integers over a positive denominator in
+    lowest terms: gcd(den, *row) == 1."""
+    rows, dens = _integer_lift(M)
+    assert (M.nrows, M.ncols, len(rows), len(dens)) == (m, n, m, m)
+    assert all(len(row) == n and den > 0 and gcd(den, *row) == 1 for row, den in zip(rows, dens))
+
+
+@SETTINGS
+@given(signed_token_grids())
+def test_every_way_of_making_a_mat_gives_one_canonical_form(grid):
+    m, n, tokens, values = grid
+    text = f"{m} {n}\n" + ("".join(" ".join(row) + "\n" for row in tokens) if n else "")
+    A = parse_matrix(text)
+    made = [
+        Mat(m, n, [x for row in values for x in row]),
+        Mat.from_rows(values, ncols=n),
+        Mat.from_rows(tokens, ncols=n),
+        A.transpose().transpose(),
+        matmul(A, Mat.identity(n)),
+        matmul(Mat.identity(m), A),
+    ]
+    assert_canonical(A, m, n)
+    assert_canonical(A.transpose(), n, m)
+    for M in made:
+        assert_canonical(M, m, n)
+        assert M == A and hash(M) == hash(A)
+    assert A.to_rows() == values
+    for i in range(1, m + 1):
+        assert A.row(i) == tuple(values[i - 1])
+        for j in range(1, n + 1):
+            assert A.entry(i, j) == values[i - 1][j - 1] and type(A.entry(i, j)) is Fraction
+    for j in range(1, n + 1):
+        assert A.col(j) == tuple(row[j - 1] for row in values)
+    elim = eliminate(A)
+    t = len(elim.desc.r)
+    for F, shape in ((elim.L, (m, t)), (elim.U, (t, n))):
+        assert_canonical(F, *shape)
+        rebuilt = Mat.from_rows(F.to_rows(), ncols=F.ncols)
+        assert F == rebuilt and hash(F) == hash(rebuilt)
