@@ -36,7 +36,7 @@ from .errors import (
     ReplayError,
     SizeGuardError,
 )
-from .explicit import LUPair, explicit_decompose, reconstruct_lu
+from .explicit import explicit_decompose, reconstruct_lu
 from .identities import (
     MinorTerm,
     TermIdentity,
@@ -50,7 +50,9 @@ from .identities import (
     vanishing_check,
     vanishing_check_dual,
 )
-from .mclass import ClassDesc, Elimination, detect_class, eliminate, greedy_leaders, in_class_M
+from .mclass import (
+    ClassDesc, Elimination, LUPair, detect_class, eliminate, greedy_leaders, in_class_M,
+)
 from .neville import (
     DeleteRow,
     Eliminate,

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
-from .mclass import ClassDesc, detect_class
-from .explicit import explicit_decompose, reconstruct_lu
+from .mclass import ClassDesc, certify, detect_class
 from .neville import format_trace, neville_decompose
 from .tnn import is_tnn, random_tnn
 
@@ -84,10 +83,8 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         pair, trace = neville_decompose(
             A, check_tnn=not args.unchecked, max_size=args.max_bruteforce
         )
-    elif args.method == "explicit":
-        pair, trace = explicit_decompose(A), None
     else:
-        pair, trace = reconstruct_lu(A), None
+        pair, trace = certify(A), None
         if args.method == "auto" and args.trace and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
             trace = neville_decompose(A, check_tnn=False)[1]  # its pair is this one
     (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)

@@ -180,10 +180,12 @@ class Mat:
 
     @classmethod
     def _of(cls, nrows: int, ncols: int, pairs: list) -> "Mat":
-        """A Mat on package-made (row, den) pairs, as is: each in lowest terms."""
+        """A Mat on package-made (row, den) pairs, as is: each in lowest terms.
+        Its tuples are made from lists: CPython sizes a tuple of a generator by
+        guess and shrinks it, which strands freed tuples on its free lists."""
         A = object.__new__(cls)
         A.nrows, A.ncols = nrows, ncols
-        A._rows, A._dens = tuple(tuple(row) for row, _ in pairs), tuple(den for _, den in pairs)
+        A._rows, A._dens = tuple([tuple(row) for row, _ in pairs]), tuple([d for _, d in pairs])
         return A
 
     @classmethod
@@ -384,8 +386,9 @@ MAX_BRUTEFORCE = 8
 
 def iter_minor_layers(
     A: Mat, max_order: Optional[int] = None
-) -> Iterator[tuple[int, dict[MinorKey, Fraction]]]:
-    """Yield (size, {(rows, cols): minor}) for all square minors, size by size.
+) -> Iterator[tuple[int, dict[MinorKey, int]]]:
+    """Yield (size, {(rows, cols): minor}) for all square minors, size by size,
+    on A's integer lift: each an int, the minor times its rows' positive scales.
 
     Uses cofactor expansion along each row set's last row, reusing the
     previous layer, so enumerating every minor costs far less than
@@ -394,16 +397,14 @@ def iter_minor_layers(
     """
     m, n = A.nrows, A.ncols
     top = min(m, n) if max_order is None else min(max_order, m, n)
-    yield 0, {((), ()): Fraction(1)}
-    lifted, scales = _integer_lift(A)
-    prev: dict[MinorKey, int] = {((), ()): 1}
+    lifted = _integer_lift(A)[0]
+    layer: dict[MinorKey, int] = {((), ()): 1}
+    yield 0, layer
     for s in range(1, top + 1):
-        layer_int: dict[MinorKey, int] = {}
-        layer: dict[MinorKey, Fraction] = {}
+        prev, layer = layer, {}
         for I in combinations(range(1, m + 1), s):
             base = I[:-1]
             last_row = lifted[I[-1] - 1]
-            denom = math.prod(scales[i - 1] for i in I)
             for J in combinations(range(1, n + 1), s):
                 acc = 0
                 for pos, col in enumerate(J):
@@ -414,10 +415,8 @@ def iter_minor_layers(
                             acc += entry * sub
                         else:
                             acc -= entry * sub
-                layer_int[(I, J)] = acc
-                layer[(I, J)] = Fraction(acc, denom)
+                layer[(I, J)] = acc
         yield s, layer
-        prev = layer_int
 
 
 def within_guard(A: Mat, max_size: int) -> bool:
@@ -438,28 +437,30 @@ def size_guard(A: Mat, max_size: int) -> None:
 
 def first_minor(
     A: Mat,
-    fails: Callable[[tuple[int, ...], tuple[int, ...], Fraction], bool],
+    fails: Callable[[tuple[int, ...], tuple[int, ...], int], bool],
     max_size: int = MAX_BRUTEFORCE,
     max_order: Optional[int] = None,
 ) -> Optional[tuple[IndexSet, IndexSet, Fraction]]:
     """The exhaustive minor sweep, guarded by `size_guard`: the first nonempty
     minor, size ascending then lexicographic, up to ``max_order``, for which
-    ``fails(rows, cols, value)`` holds (on index tuples), as (rows, cols,
-    value) with IndexSets; None when there is none."""
+    ``fails(rows, cols, value)`` holds on index tuples and `iter_minor_layers`'
+    int, as (rows, cols, minor) with IndexSets and a Fraction; None if none."""
     size_guard(A, max_size)
     for _, layer in islice(iter_minor_layers(A, max_order), 1, None):
         for (rows, cols), value in layer.items():
             if fails(rows, cols, value):
+                value = Fraction(value, math.prod(A._dens[i - 1] for i in rows))
                 return IndexSet(rows), IndexSet(cols), value
     return None
 
 
 def all_minors(A: Mat, max_order: Optional[int] = None) -> dict[MinorKey, Fraction]:
     """All square minors up to ``max_order``, keyed by (rows, cols) tuples."""
-    table: dict[MinorKey, Fraction] = {}
-    for _, layer in iter_minor_layers(A, max_order):
-        table.update(layer)
-    return table
+    return {
+        (I, J): Fraction(value, math.prod(A._dens[i - 1] for i in I))
+        for _, layer in iter_minor_layers(A, max_order)
+        for (I, J), value in layer.items()
+    }
 
 
 def parse_matrix(text: str) -> Mat:

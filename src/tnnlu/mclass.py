@@ -9,7 +9,6 @@ A matrix belongs to at most one such class, and may belong to none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
@@ -50,7 +49,7 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = MAX_BRUTEFORCE) -> bool:
     _validate_desc(A, desc)
     r, c = desc.r, desc.c
 
-    def fails(rows: tuple[int, ...], cols: tuple[int, ...], value: Fraction) -> bool:
+    def fails(rows: tuple[int, ...], cols: tuple[int, ...], value: int) -> bool:
         if all(i >= p for i, p in zip(rows, r)) and all(j >= q for j, q in zip(cols, c)):
             return value == 0 and rows == r[: len(rows)] and cols == c[: len(cols)]
         return value != 0
@@ -108,7 +107,7 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
         row_step[i], col_step[j] = s, s
     live = ((h, k) for h in range(m) for k in range(n) if row_step[h] == col_step[k] == t)
     residue = next(((h + 1, k + 1) for h, k in live if R[h][k]), None)
-    found = ClassDesc(IndexSet(i + 1 for i, _ in pivots), IndexSet(j + 1 for _, j in pivots))
+    found = ClassDesc([i + 1 for i, _ in pivots], [j + 1 for _, j in pivots])
     failure = None
     if any(R[h][j] for s, (i, j) in enumerate(pivots) for h in range(i) if row_step[h] > s):
         failure = f"L does not lead with 1 at rows {list(found.r)}"
@@ -152,14 +151,23 @@ def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
     return Elimination(found, Mat._of(m, t, L), Mat._of(t, n, U), residue, failure)
 
 
-def certify(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
-    """`eliminate` gated by its certificate, the one test every factorization
-    route passes: a failed clause raises NotInClassError naming it."""
+@dataclass(frozen=True)
+class LUPair:
+    """A factorization A = L U together with the class it belongs to."""
+
+    L: Mat
+    U: Mat
+    desc: ClassDesc
+
+
+def certify(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:
+    """`eliminate`'s factors, gated by its certificate, the one test every
+    factorization route passes: a failed clause raises NotInClassError naming it."""
     elim = eliminate(A, desc)
     if elim.failure is not None:
         verdict = "matrix belongs to no class" if desc is None else "not in declared class"
         raise NotInClassError(f"{verdict}: {elim.failure}")
-    return elim
+    return LUPair(elim.L, elim.U, elim.desc)
 
 
 def greedy_leaders(A: Mat) -> Optional[ClassDesc]:

@@ -44,8 +44,7 @@ from .core import (
     parse_scalar, within_guard,
 )
 from .errors import MovePreconditionError, NotTotallyNonnegativeError, ParseError, ReplayError
-from .explicit import LUPair
-from .mclass import ClassDesc
+from .mclass import ClassDesc, LUPair
 from .tnn import is_tnn
 
 

@@ -74,19 +74,18 @@ def _deleting_derivations_accept(A: Mat) -> bool:
 def is_tnn(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
     """Decide total nonnegativity by the deleting-derivations test; only
     when it rejects, sweep all square minors for the first negative one,
-    the witness.  A Fraction's denominator is positive, so its numerator
-    carries the sign.  The size guard applies whichever path decides."""
+    the witness.  The size guard applies whichever path decides."""
     size_guard(A, max_size)
     if _deleting_derivations_accept(A):
         return TnnReport(True)
-    witness = first_minor(A, lambda rows, cols, v: v.numerator < 0, max_size)
+    witness = first_minor(A, lambda rows, cols, v: v < 0, max_size)
     return TnnReport(witness is None, witness)
 
 
 def is_tp(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
     """Variant demanding strict positivity: `is_tnn` is True iff every
     minor is > 0, and the witness is the first minor <= 0."""
-    witness = first_minor(A, lambda rows, cols, v: v.numerator <= 0, max_size)
+    witness = first_minor(A, lambda rows, cols, v: v <= 0, max_size)
     return TnnReport(witness is None, witness)
 
 

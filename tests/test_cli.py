@@ -109,7 +109,7 @@ def _inline(A):
     ],
     ids=["A4", "cryer", "random_tnn", "non-tnn-member"],
 )
-def test_auto_takes_the_certified_factors_not_explicit(capsys, monkeypatch, inline, tnn):
+def test_auto_certifies_once(capsys, monkeypatch, inline, tnn):
     argv = ("decompose", "--inline", inline, "--trace", "--format", "structured")
     expected = []
     for method in ("explicit", "reconstruct"):
@@ -118,12 +118,16 @@ def test_auto_takes_the_certified_factors_not_explicit(capsys, monkeypatch, inli
         expected.append({k: json.loads(out)[k] for k in ("class", "L", "U")})
     assert expected[0] == expected[1]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("auto decompose must not run explicit_decompose")
+    certify, calls = tnnlu.cli.certify, []
 
-    monkeypatch.setattr("tnnlu.cli.explicit_decompose", refuse)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(tnnlu.cli, "certify", counting)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert len(calls) == 1
     payload = json.loads(out)
     assert {k: payload[k] for k in ("class", "L", "U")} == expected[0]
     if tnn:

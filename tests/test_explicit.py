@@ -7,6 +7,7 @@ from conftest import minor_cofactor, minor_ratio_pair, seeded
 from tnnlu import (
     ClassDesc,
     IndexSet,
+    LUPair,
     Mat,
     NotInClassError,
     detect_class,
@@ -20,6 +21,7 @@ from tnnlu import (
     rank,
     reconstruct_lu,
 )
+from tnnlu.mclass import certify
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 CRYER_DESC = ClassDesc(IndexSet((2,)), IndexSet((1,)))
@@ -32,6 +34,9 @@ def test_cryer_golden():
     assert lu.L == Mat.from_rows([[0], [1], [1]])
     assert lu.U == Mat.from_rows([[1, 0, 1]])
     assert reconstruct_lu(CRYER, CRYER_DESC) == lu
+    # one route: both names are the class gate, which returns the pair
+    assert explicit_decompose is reconstruct_lu is certify
+    assert isinstance(certify(CRYER), LUPair) and certify(CRYER) == lu
 
 
 def test_a4_golden():

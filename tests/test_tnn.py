@@ -15,7 +15,7 @@ from tnnlu import (
     random_tnn,
     rank,
 )
-from tnnlu.core import first_minor
+from tnnlu.core import _integer_lift, first_minor
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 
@@ -53,6 +53,22 @@ def test_witness_recomputes_negative():
         assert value < 0
         assert minor_cofactor(A, tuple(rows), tuple(cols)) == value
         found += 1
+    # the sweep runs on the integer lift; the witness is divided back by its
+    # rows' denominators, here unequal from row to row
+    found = 0
+    while found < 10:
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        dens = rng.sample((2, 3, 5, 7), m)
+        A = Mat.from_rows([[Fraction(rng.randint(-2, 3), d) for _ in range(n)] for d in dens])
+        report = is_tnn(A)
+        if report.is_tnn or len(set(_integer_lift(A)[1])) < 2:
+            continue
+        rows, cols, value = report.witness
+        assert value < 0
+        assert minor_cofactor(A, tuple(rows), tuple(cols)) == value
+        found += 1
+    A = Mat.from_rows([["1/2", 1, 1], ["1/3", 1, "2/5"], [1, "1/7", 1]])
+    assert is_tnn(A).witness == (IndexSet((1, 2)), IndexSet((1, 3)), Fraction(-2, 15))
 
 
 def test_size_guard_and_override():
