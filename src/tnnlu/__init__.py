@@ -50,9 +50,7 @@ from .identities import (
     vanishing_check,
     vanishing_check_dual,
 )
-from .mclass import (
-    ClassDesc, Elimination, LUPair, detect_class, eliminate, greedy_leaders, in_class_M,
-)
+from .mclass import ClassDesc, LUPair, detect_class, eliminate, greedy_leaders, in_class_M
 from .neville import (
     DeleteRow,
     Eliminate,
@@ -63,7 +61,7 @@ from .neville import (
     parse_trace,
     replay,
 )
-from .tnn import TnnReport, is_tnn, is_tp, random_tnn
+from .tnn import TnnReport, is_tnn, random_tnn
 
 __version__ = "0.1.0"
 
@@ -89,7 +87,6 @@ __all__ = [
     "in_class_U",
     "ClassDesc",
     "in_class_M",
-    "Elimination",
     "eliminate",
     "detect_class",
     "greedy_leaders",
@@ -106,7 +103,6 @@ __all__ = [
     "parse_trace",
     "TnnReport",
     "is_tnn",
-    "is_tp",
     "random_tnn",
     "MinorTerm",
     "TermIdentity",

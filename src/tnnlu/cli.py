@@ -260,12 +260,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "max_bruteforce", 0) < 0:
             raise ValueError(f"--max-bruteforce must be nonnegative, got {args.max_bruteforce}")
         payload = args.func(args)
-    except tuple(exc for exc, _, _ in _EXIT_CODES) as exc:
+    except Exception as exc:
         for exc_type, category, code in _EXIT_CODES:
             if isinstance(exc, exc_type):
                 print(f"error: {category}: {exc}", file=sys.stderr)
                 return code
-        raise  # unreachable
+        raise
     if args.format == "structured":
         sys.stdout.write(emit_structured(payload))
     else:

@@ -285,12 +285,6 @@ def _over_lcm(cells: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [x * (den // d) for x, d in cells], den
 
 
-def _integer_lift(A: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """A's integer lift (rows, scales): row i of A times scales[i], the lcm
-    of its denominators; A's own integers, which no caller writes to."""
-    return A._rows, A._dens
-
-
 def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[list[int], int]:
     """(cx·x + cy·y) / den in lowest terms (see `_reduce`)."""
     return _reduce([cx * a + cy * b for a, b in zip(x, y)], den)
@@ -349,9 +343,9 @@ def det(A: Mat) -> Fraction:
 
 def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
     """The minor on the given rows and columns; the empty minor is 1, a 1x1
-    minor its entry.  Otherwise read off A's integer lift: the last `_bareiss`
+    minor its entry.  Otherwise read off A's integer rows: the last `_bareiss`
     pivot, signed by the order of the pivot rows, over the chosen rows'
-    scales; 0 if a column runs out."""
+    denominators; 0 if a column runs out."""
     I, J = IndexSet.coerce(rows), IndexSet.coerce(cols)
     if len(I) != len(J):
         raise ValueError(f"minor needs equal-cardinality index sets: {I!r}, {J!r}")
@@ -360,8 +354,7 @@ def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
     _in_range(A, I, J)
     if len(I) == 1:
         return A.entry(I[0], J[0])
-    lifted, scales = _integer_lift(A)
-    entries = [[lifted[i - 1][j - 1] for j in J] for i in I]
+    entries = [[A._rows[i - 1][j - 1] for j in J] for i in I]
     pivots = _bareiss(entries, _next_column)
     if len(pivots) < len(I):
         return Fraction(0)
@@ -369,13 +362,13 @@ def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
     value = entries[i][j]
     if pivots != sorted(pivots) and sum(a > b for (a, _), (b, _) in combinations(pivots, 2)) % 2:
         value = -value
-    return Fraction(value, math.prod(scales[i - 1] for i in I))
+    return Fraction(value, math.prod(A._dens[i - 1] for i in I))
 
 
 def rank(A: Mat) -> int:
     """Exact rank over the rationals: the pivots `_bareiss` takes on A's
-    integer lift, each the first live nonzero cell."""
-    return len(_bareiss([list(row) for row in _integer_lift(A)[0]], _any_live))
+    integer rows, each the first live nonzero cell."""
+    return len(_bareiss([list(row) for row in A._rows], _any_live))
 
 
 MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -388,7 +381,7 @@ def iter_minor_layers(
     A: Mat, max_order: Optional[int] = None
 ) -> Iterator[tuple[int, dict[MinorKey, int]]]:
     """Yield (size, {(rows, cols): minor}) for all square minors, size by size,
-    on A's integer lift: each an int, the minor times its rows' positive scales.
+    on A's integer rows: each an int, the minor times its rows' denominators.
 
     Uses cofactor expansion along each row set's last row, reusing the
     previous layer, so enumerating every minor costs far less than
@@ -397,14 +390,13 @@ def iter_minor_layers(
     """
     m, n = A.nrows, A.ncols
     top = min(m, n) if max_order is None else min(max_order, m, n)
-    lifted = _integer_lift(A)[0]
     layer: dict[MinorKey, int] = {((), ()): 1}
     yield 0, layer
     for s in range(1, top + 1):
         prev, layer = layer, {}
         for I in combinations(range(1, m + 1), s):
             base = I[:-1]
-            last_row = lifted[I[-1] - 1]
+            last_row = A._rows[I[-1] - 1]
             for J in combinations(range(1, n + 1), s):
                 acc = 0
                 for pos, col in enumerate(J):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import IndexSet, IndexSetLike, Mat, _integer_lift
+from .core import IndexSet, IndexSetLike, Mat
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def row_leads(rows: Iterable[Sequence], ncols: int) -> list[int]:
 def is_upper_echelon(U: Mat) -> EchelonReport:
     """Check the upper staircase pattern: each lead left of the next one,
     or the next row zero."""
-    leads = row_leads(_integer_lift(U)[0], U.ncols)
+    leads = row_leads(U._rows, U.ncols)
     if any(a >= b and b <= U.ncols for a, b in zip(leads, leads[1:])):
         return _NOT_ECHELON
     pivots = [j for j in leads if j <= U.ncols]
@@ -74,4 +74,4 @@ def in_class_U(U: Mat, c: IndexSetLike) -> bool:
         raise ValueError(f"{U.nrows}x{U.ncols} matrix needs {U.nrows} leaders, got {len(leaders)}")
     if leaders and leaders[-1] > U.ncols:
         raise ValueError(f"leader column {leaders[-1]} out of range for {U.ncols} columns")
-    return row_leads(_integer_lift(U)[0], U.ncols) == list(leaders)
+    return row_leads(U._rows, U.ncols) == list(leaders)

@@ -15,7 +15,7 @@ class NotInClassError(ArithmeticError):
 
 
 class NotTotallyNonnegativeError(ArithmeticError):
-    """Elimination detected that its input is not totally nonnegative."""
+    """Neville elimination detected that its input is not totally nonnegative."""
 
 
 class MovePreconditionError(ValueError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, _integer_lift, first_minor, rank
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, first_minor, rank
 from .core import _over_lcm, _reduce
 from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .errors import NotInClassError
@@ -58,26 +58,23 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = MAX_BRUTEFORCE) -> bool:
 
 
 @dataclass(frozen=True)
-class Elimination:
-    """Leaders and factors found by `eliminate`.  ``residue`` is the first
-    (i, j), row-major, where A - L·U is nonzero, or None; ``failure`` is the
-    first failed clause of the class certificate (L in L*(r), U in U(c),
-    L·U == A), or None, read off the table by `_table`.  By Cauchy-Binet and
-    the uniqueness of a member's factors, which elimination recovers, None
-    equals `in_class_M`."""
+class LUPair:
+    """A factorization A = L U together with the class it belongs to."""
 
-    desc: ClassDesc
     L: Mat
     U: Mat
-    residue: Optional[tuple[int, int]]
-    failure: Optional[str]
+    desc: ClassDesc
 
 
 def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     """`eliminate`'s table (R, pivots, row_step, col_step, residue, found,
     failure): the step at which each row and column was pivoted is t if
-    never, ``found`` is the class the 0-based pivots name, and ``failure``
-    the first failed clause of its certificate (see `Elimination`).
+    never, ``found`` is the class the 0-based pivots name, ``residue`` the
+    first (i, j), row-major, where A - L·U is nonzero, or None, and
+    ``failure`` the first failed clause of the class certificate (L in
+    L*(r), U in U(c), L·U == A), or None.  By Cauchy-Binet and the
+    uniqueness of a member's factors, which elimination recovers, None
+    equals `in_class_M`.
 
     The pivots are the leads: L's column s is 1 at row i_s, and U's row s
     is nonzero at column j_s.  So L fails iff a row h < i_s pivoted after
@@ -85,8 +82,10 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     pivoted after step s, or never, has R[i_s, k] != 0.  Under the scan the
     L clause cannot fire, since a skipped row is zero right of the last
     pivot and later updates keep it zero; a declared ``desc`` can fail it."""
+    if desc is not None:
+        _validate_desc(A, desc)
     m, n = A.nrows, A.ncols
-    R = [list(row) for row in _integer_lift(A)[0]]
+    R = [list(row) for row in A._rows]
     leaders = None if desc is None else iter([(i - 1, j - 1) for i, j in zip(desc.r, desc.c)])
 
     def pick(R, live_rows, live_cols, pivots):
@@ -118,56 +117,52 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     return R, pivots, row_step, col_step, residue, found, failure
 
 
-def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> Elimination:
-    """Lexicographic Schur-complement elimination: one `_bareiss` table R on
-    A's integer lift, row h of A times its scale s_h.
+def _factors(A: Mat, table: tuple) -> LUPair:
+    """L and U read off `_table`'s ``table`` of A, with its class; see `eliminate`."""
+    R, pivots, row_step, col_step, _, found, _ = table
+    m, n, t, dens = A.nrows, A.ncols, len(pivots), A._dens
+    p = [1] + [R[i][j] for i, j in pivots]
+    U = [
+        _reduce([R[i][k] if col_step[k] >= s else 0 for k in range(n)], dens[i] * p[s])
+        for s, (i, _) in enumerate(pivots)
+    ]
+    L = [
+        _over_lcm([
+            (R[h][j] * dens[i], dens[h] * p[s + 1]) if row_step[h] >= s else (0, 1)
+            for s, (i, j) in enumerate(pivots)
+        ])
+        for h in range(m)
+    ]
+    return LUPair(Mat._of(m, t, L), Mat._of(t, n, U), found)
+
+
+def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:
+    """The uncertified pair of lexicographic Schur-complement elimination:
+    one `_bareiss` table R on A's integer rows, row h of A times its
+    denominator s_h.
 
     Without ``desc`` each pivot is the first nonzero cell, row-major, below
     and right of the last; with ``desc`` they are its leaders and a zero one
     raises.  Pivot s, (i, j) of value p_s, leaves R[i, k] = [r_<s, i | c_<s, k]
     and R[h, j] = [r_<s, h | c_<s, j], lifted, so U's row s is R[i, k] /
     (s_i·p_<s) and L's column s is R[h, j]·s_i / (s_h·p_s), wherever k (or h)
-    was live at step s, else 0; ``residue`` is the first live cell left
-    nonzero.  Both factors are handed over as integer rows: U's row s reduced
-    by one gcd, L's row h over the lcm of its reduced cells.
+    was live at step s, else 0.  Both factors are handed over as integer
+    rows: U's row s reduced by one gcd, L's row h over the lcm of its reduced
+    cells.  L·U equals A only where `certify` passes.
     """
-    if desc is not None:
-        _validate_desc(A, desc)
-    m, n = A.nrows, A.ncols
-    R, pivots, row_step, col_step, residue, found, failure = _table(A, desc)
-    scales, t = _integer_lift(A)[1], len(pivots)
-    p = [1] + [R[i][j] for i, j in pivots]
-    U = [
-        _reduce([R[i][k] if col_step[k] >= s else 0 for k in range(n)], scales[i] * p[s])
-        for s, (i, _) in enumerate(pivots)
-    ]
-    L = [
-        _over_lcm([
-            (R[h][j] * scales[i], scales[h] * p[s + 1]) if row_step[h] >= s else (0, 1)
-            for s, (i, j) in enumerate(pivots)
-        ])
-        for h in range(m)
-    ]
-    return Elimination(found, Mat._of(m, t, L), Mat._of(t, n, U), residue, failure)
-
-
-@dataclass(frozen=True)
-class LUPair:
-    """A factorization A = L U together with the class it belongs to."""
-
-    L: Mat
-    U: Mat
-    desc: ClassDesc
+    return _factors(A, _table(A, desc))
 
 
 def certify(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:
-    """`eliminate`'s factors, gated by its certificate, the one test every
-    factorization route passes: a failed clause raises NotInClassError naming it."""
-    elim = eliminate(A, desc)
-    if elim.failure is not None:
+    """`eliminate`'s pair, gated by its certificate, the one test every
+    factorization route passes: a failed clause raises NotInClassError
+    naming it before any factor is built."""
+    table = _table(A, desc)
+    failure = table[-1]
+    if failure is not None:
         verdict = "matrix belongs to no class" if desc is None else "not in declared class"
-        raise NotInClassError(f"{verdict}: {elim.failure}")
-    return LUPair(elim.L, elim.U, elim.desc)
+        raise NotInClassError(f"{verdict}: {failure}")
+    return _factors(A, table)
 
 
 def greedy_leaders(A: Mat) -> Optional[ClassDesc]:

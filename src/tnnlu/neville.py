@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .core import (
-    MAX_BRUTEFORCE, Mat, _combine, _integer_lift, _over_lcm, format_scalar, parse_int,
+    MAX_BRUTEFORCE, Mat, _combine, _over_lcm, format_scalar, parse_int,
     parse_scalar, within_guard,
 )
 from .errors import MovePreconditionError, NotTotallyNonnegativeError, ParseError, ReplayError
@@ -94,9 +94,8 @@ class _Factors:
     of L leads.  A move touches one row of U, its lead and one column of L."""
 
     def __init__(self, A: Mat):
-        lifted, scales = _integer_lift(A)
         self.nrows, self.ncols = A.nrows, A.ncols
-        self.u, self.du = [list(row) for row in lifted], list(scales)
+        self.u, self.du = [list(row) for row in A._rows], list(A._dens)
         self.leads = [_lead(row, 0) for row in self.u]
         self.l = [[int(i == k) for i in range(A.nrows)] for k in range(A.nrows)]
         self.dl = [1] * A.nrows

@@ -1,14 +1,13 @@
-"""Total nonnegativity and total positivity testing, and corpus generation.
+"""Total nonnegativity testing and corpus generation.
 
 A matrix is totally nonnegative (TNN) when every square minor of every
-size is >= 0, and totally positive (TP) when every minor is > 0.  `is_tnn`
-decides TNN in polynomial time by Cauchon's deleting-derivations test,
-which holds for real m x n matrices of any rank, singular and rectangular
-ones included (Goodearl, Launois & Lenagan, Adv. Math. 226, 2011; for its
-cost, Launois & Lenagan, Found. Comput. Math. 14, 2014).  The exhaustive
-minor sweep runs only when that test rejects, to name the first negative
-minor in scan order; `is_tp` is the sweep alone.  Both refuse matrices
-beyond the size guard.
+size is >= 0.  `is_tnn` decides TNN in polynomial time by Cauchon's
+deleting-derivations test, which holds for real m x n matrices of any
+rank, singular and rectangular ones included (Goodearl, Launois & Lenagan,
+Adv. Math. 226, 2011; for its cost, Launois & Lenagan, Found. Comput.
+Math. 14, 2014).  The exhaustive minor sweep runs only when that test
+rejects, to name the first negative minor in scan order.  It refuses
+matrices beyond the size guard.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, _combine, _integer_lift, first_minor, size_guard
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, _combine, first_minor, matmul, size_guard
 
 Witness = tuple[IndexSet, IndexSet, Fraction]
 
@@ -37,7 +36,7 @@ class TnnReport:
 
 
 def _deleting_derivations_accept(A: Mat) -> bool:
-    """Cauchon's deleting-derivations test on A's integer lift; True only
+    """Cauchon's deleting-derivations test on A's integer rows; True only
     if A is TNN.  Each row is integer numerators over one positive
     denominator.  For each pivot (j, c), from (m, n) down in reverse
     row-major order, with p = a[j,c] nonzero, every row i < j with
@@ -48,10 +47,9 @@ def _deleting_derivations_accept(A: Mat) -> bool:
     pivot positive; a reject is never final, since `is_tnn` then sweeps
     the minors, so this early exit costs time at worst, never an answer.
     """
-    lifted, scales = _integer_lift(A)
-    if any(v < 0 for row in lifted for v in row):
+    if any(v < 0 for row in A._rows for v in row):
         return False
-    rows, dens = [list(row) for row in lifted], list(scales)
+    rows, dens = [list(row) for row in A._rows], list(A._dens)
     for j in range(A.nrows - 1, 0, -1):
         for c in range(A.ncols - 1, -1, -1):
             p = rows[j][c]
@@ -82,13 +80,6 @@ def is_tnn(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
     return TnnReport(witness is None, witness)
 
 
-def is_tp(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
-    """Variant demanding strict positivity: `is_tnn` is True iff every
-    minor is > 0, and the witness is the first minor <= 0."""
-    witness = first_minor(A, lambda rows, cols, v: v <= 0, max_size)
-    return TnnReport(witness is None, witness)
-
-
 def _small_positive(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 3), rng.randint(1, 2))
 
@@ -102,38 +93,28 @@ def random_tnn(m: int, n: int, seed: int, factors: int = 12) -> Mat:
     zeros.  Every factor is TNN, so the product is TNN; zero diagonal
     entries and the rectangular shape keep the rank low on purpose.  With
     ``factors`` = 0 the result is exactly the rectangular identity.
+
+    Left and right factors commute, so the product is P·I·Q: a left factor
+    acts on the rows of P and a right one on the rows of Qᵀ, where column
+    j += lam·column j+1 is row j += lam·row j+1, by one shared step.
     """
     rng = random.Random(f"{seed}:{m}:{n}:{factors}")
-    work = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(m)]
+    P, QT = ([[Fraction(int(i == j)) for j in range(k)] for i in range(k)] for k in (m, n))
     for _ in range(factors):
-        roll = rng.random()
-        if roll < 0.3 or (m < 2 and n < 2):
+        if rng.random() < 0.3 or (m < 2 and n < 2):
             # diagonal factor, zeros allowed
-            if rng.random() < 0.5 and m >= 1:
-                i = rng.randint(1, m)
+            side = P if rng.random() < 0.5 and m >= 1 else QT
+            if side:
+                i = rng.randint(1, len(side))
                 d = Fraction(0) if rng.random() < 0.35 else _small_positive(rng)
-                work[i - 1] = [d * x for x in work[i - 1]]
-            elif n >= 1:
-                j = rng.randint(1, n)
-                d = Fraction(0) if rng.random() < 0.35 else _small_positive(rng)
-                for row in work:
-                    row[j - 1] = d * row[j - 1]
+                side[i - 1] = [d * x for x in side[i - 1]]
         else:
             lam = Fraction(rng.randint(0, 4), rng.randint(1, 3))
-            if (rng.random() < 0.5 and m >= 2) or n < 2:
-                i = rng.randint(1, m - 1)
-                if rng.random() < 0.5:
-                    # row i+1 += lam * row i
-                    work[i] = [x + lam * y for x, y in zip(work[i], work[i - 1])]
-                else:
-                    work[i - 1] = [x + lam * y for x, y in zip(work[i - 1], work[i])]
-            else:
-                j = rng.randint(1, n - 1)
-                if rng.random() < 0.5:
-                    # col j += lam * col j+1
-                    for row in work:
-                        row[j - 1] = row[j - 1] + lam * row[j]
-                else:
-                    for row in work:
-                        row[j] = row[j] + lam * row[j - 1]
-    return Mat.from_rows(work, ncols=n)
+            side = P if (rng.random() < 0.5 and m >= 2) or n < 2 else QT
+            i = rng.randint(1, len(side) - 1)
+            # on P, row i+1 += lam * row i first; on Qᵀ, row i += lam * row i+1
+            a, b = (i, i - 1) if (rng.random() < 0.5) == (side is P) else (i - 1, i)
+            side[a] = [x + lam * y for x, y in zip(side[a], side[b])]
+    k = min(m, n)
+    Q = Mat.from_rows([row[:k] for row in QT], ncols=k).transpose()
+    return matmul(Mat.from_rows([row[:k] for row in P], ncols=k), Q)

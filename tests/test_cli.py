@@ -187,7 +187,7 @@ def test_auto_without_trace_runs_no_tnn_test_or_neville(capsys, monkeypatch):
 
 
 def test_detect_builds_no_factors(capsys, monkeypatch):
-    # detect_class and greedy_leaders read the scan's table; eliminate builds L and U
+    # detect_class and greedy_leaders read the scan's table; _factors builds L and U
     import tnnlu.mclass
 
     inputs = ("0 0 0; 1 0 1; 1 0 1", A4_INLINE, "0 1 1; 1 1 0", "0 1; 1 1", "0 0; 0 0")
@@ -199,7 +199,7 @@ def test_detect_builds_no_factors(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the class was read off built factors")
 
-    monkeypatch.setattr(tnnlu.mclass, "eliminate", refuse)
+    monkeypatch.setattr(tnnlu.mclass, "_factors", refuse)
     assert [run_cli(capsys, "detect", "--inline", inline) for inline in inputs] == before
     assert [tnnlu.greedy_leaders(parse_matrix(text)) for text in texts] == greedy
 
@@ -443,11 +443,32 @@ def test_negative_max_bruteforce_is_bad_input(capsys, argv):
 
 
 def test_generate_round_trips(capsys):
-    code, out, _ = run_cli(capsys, "generate", "--size", "3", "4", "--seed", "11")
-    assert code == 0
-    A = parse_matrix(out)
-    assert A == random_tnn(3, 4, seed=11)
-    assert format_matrix(A) == out
+    shapes = [(3, 4, 11), (0, 3, 0), (3, 0, 0), (1, 1, 0), (1, 6, 0), (6, 1, 0)]
+    for (m, n, seed), factors in zip(shapes, [12] + [20] * 5):
+        argv = ["--size", str(m), str(n), "--seed", str(seed), "--factors", str(factors)]
+        code, out, _ = run_cli(capsys, "generate", *argv)
+        assert code == 0
+        A = parse_matrix(out)
+        assert A == random_tnn(m, n, seed=seed, factors=factors)
+        assert format_matrix(A) == out
+
+
+# `random_tnn`'s draws, pinned: any change to their order changes these bytes.
+GENERATE_GOLDENS = {
+    (4, 5, 9, 30): "4 5\n61/9 1037/18 4577/54 1144/27 1552/27\n13/3 221/6 1969/36 286/9 388/9\n"
+    "0 0 41/4 286/3 388/3\n0 0 6 143/2 97\n",
+    (0, 3, 0, 20): "0 3\n",
+    (3, 0, 0, 20): "3 0\n",
+    (1, 1, 0, 20): "1 1\n0\n",
+    (1, 6, 0, 20): "1 6\n27/4 135/8 0 0 0 0\n",
+    (6, 1, 0, 20): "6 1\n4\n16\n0\n0\n0\n0\n",
+}
+
+
+@pytest.mark.parametrize("m, n, seed, factors", list(GENERATE_GOLDENS))
+def test_generate_golden(capsys, m, n, seed, factors):
+    argv = ["generate", "--size", str(m), str(n), "--seed", str(seed), "--factors", str(factors)]
+    assert run_cli(capsys, *argv) == (0, GENERATE_GOLDENS[m, n, seed, factors], "")
 
 
 def test_generate_structured(capsys):

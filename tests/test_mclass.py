@@ -1,5 +1,6 @@
 import pytest
 
+import tnnlu.mclass
 from conftest import (
     all_candidate_descs,
     random_ascending_subset,
@@ -11,6 +12,7 @@ from tnnlu import (
     ClassDesc,
     IndexSet,
     Mat,
+    NotInClassError,
     SizeGuardError,
     detect_class,
     greedy_leaders,
@@ -18,6 +20,7 @@ from tnnlu import (
     matmul,
     rank,
 )
+from tnnlu.mclass import certify
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
@@ -110,3 +113,27 @@ def test_membership_requires_matching_rank():
     assert not in_class_M(CRYER, ClassDesc(IndexSet((2, 3)), IndexSet((1, 3))))
     assert not in_class_M(A4, ClassDesc(IndexSet((1,)), IndexSet((2,))))
     assert rank(A4) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, desc, message",
+    [
+        (
+            [[0, 1, 1], [1, 1, 0]],
+            None,
+            "matrix belongs to no class: U does not lead at columns [2, 3]",
+        ),
+        ([[1, 0], [1, 1]], ([2], [1]), "not in declared class: L does not lead with 1 at rows [2]"),
+        ([[1, 1], [0, 1]], ([1], [2]), "not in declared class: U does not lead at columns [2]"),
+        ([[1, 2], [3, 4]], ([1], [1]), "not in declared class: A - L*U is nonzero at (2,2)"),
+        ([[1, 0], [0, 0]], ([2], [2]), "not in declared class: zero pivot at (2,2)"),
+    ],
+)
+def test_certify_refuses_before_building_factors(monkeypatch, rows, desc, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify built factors for a non-member")
+
+    monkeypatch.setattr(tnnlu.mclass, "_factors", refuse)
+    with pytest.raises(NotInClassError) as raised:
+        certify(Mat.from_rows(rows), None if desc is None else ClassDesc(*desc))
+    assert str(raised.value) == message

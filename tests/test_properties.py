@@ -95,7 +95,7 @@ from tnnlu import (
     replay,
 )
 from tnnlu.cli import main as cli_main
-from tnnlu.core import _integer_lift, first_minor
+from tnnlu.core import first_minor
 from tnnlu.mclass import certify
 from tnnlu.neville import _Factors, _move_precondition_failure, _step
 
@@ -216,16 +216,20 @@ def certificate_inputs(draw):
     return A, ClassDesc(IndexSet(sorted(r)), IndexSet(sorted(c)))
 
 
-def factor_clauses(elim):
-    """The certificate as first written, on the emitted factors: L in the
-    starred class L*(r), then U in U(c), then the residue."""
-    r, c = elim.desc.r, elim.desc.c
-    if not in_class_L(elim.L, r, starred=True):
+def factor_clauses(A, pair):
+    """The certificate as first written, on the uncertified factors: L in
+    the starred class L*(r), then U in U(c), then the first cell, row-major,
+    where L·U differs from A."""
+    r, c = pair.desc.r, pair.desc.c
+    if not in_class_L(pair.L, r, starred=True):
         return f"L does not lead with 1 at rows {list(r)}"
-    if not in_class_U(elim.U, c):
+    if not in_class_U(pair.U, c):
         return f"U does not lead at columns {list(c)}"
-    if elim.residue is not None:
-        return "A - L*U is nonzero at ({},{})".format(*elim.residue)
+    LU = matmul(pair.L, pair.U)
+    cells = ((i, j) for i in range(1, A.nrows + 1) for j in range(1, A.ncols + 1))
+    residue = next(((i, j) for i, j in cells if LU.entry(i, j) != A.entry(i, j)), None)
+    if residue is not None:
+        return "A - L*U is nonzero at ({},{})".format(*residue)
     return None
 
 
@@ -237,12 +241,19 @@ def test_table_certificate_matches_the_factor_clauses():
     def check(sample):
         A, desc = sample
         try:
-            elim = eliminate(A, desc)
+            pair = eliminate(A, desc)
         except NotInClassError:
             seen["zero pivot"] += 1
             return
-        assert elim.failure == factor_clauses(elim)
-        clause = "none" if elim.failure is None else elim.failure[0]
+        try:
+            certify(A, desc)
+            failure = None
+        except NotInClassError as exc:
+            verdict, _, failure = str(exc).partition(": ")
+            expected = "matrix belongs to no class" if desc is None else "not in declared class"
+            assert verdict == expected
+        assert failure == factor_clauses(A, pair)
+        clause = "none" if failure is None else failure[0]
         # the scan skips a row only where it is zero right of the last pivot
         assert not (desc is None and clause == "L")
         seen[clause] += 1
@@ -608,7 +619,7 @@ def test_parse_matrix_matches_the_per_token_reference(grid):
         return
     A = parse_matrix(text)
     assert A == Mat.from_rows(rows)
-    assert _integer_lift(A) == reference_lift(rows)
+    assert (A._rows, A._dens) == reference_lift(rows)
 
 
 _SUBSETS = st.sets(st.integers(1, 8)).map(lambda s: IndexSet(sorted(s)))
@@ -650,7 +661,7 @@ def signed_token_grids(draw):
 def assert_canonical(M, m, n):
     """M is m x n and each row is integers over a positive denominator in
     lowest terms: gcd(den, *row) == 1."""
-    rows, dens = _integer_lift(M)
+    rows, dens = M._rows, M._dens
     assert (M.nrows, M.ncols, len(rows), len(dens)) == (m, n, m, m)
     assert all(len(row) == n and den > 0 and gcd(den, *row) == 1 for row, den in zip(rows, dens))
 
@@ -681,9 +692,9 @@ def test_every_way_of_making_a_mat_gives_one_canonical_form(grid):
             assert A.entry(i, j) == values[i - 1][j - 1] and type(A.entry(i, j)) is Fraction
     for j in range(1, n + 1):
         assert A.col(j) == tuple(row[j - 1] for row in values)
-    elim = eliminate(A)
-    t = len(elim.desc.r)
-    for F, shape in ((elim.L, (m, t)), (elim.U, (t, n))):
+    pair = eliminate(A)
+    t = len(pair.desc.r)
+    for F, shape in ((pair.L, (m, t)), (pair.U, (t, n))):
         assert_canonical(F, *shape)
         rebuilt = Mat.from_rows(F.to_rows(), ncols=F.ncols)
         assert F == rebuilt and hash(F) == hash(rebuilt)

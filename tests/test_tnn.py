@@ -10,12 +10,11 @@ from tnnlu import (
     SizeGuardError,
     TnnReport,
     is_tnn,
-    is_tp,
     matmul,
     random_tnn,
     rank,
 )
-from tnnlu.core import _integer_lift, first_minor
+from tnnlu.core import first_minor
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 
@@ -27,17 +26,8 @@ def test_is_tnn_examples():
     assert report.witness == (IndexSet((1, 2)), IndexSet((1, 2)), Fraction(-1))
 
 
-def test_identity_is_tnn_but_not_tp():
-    eye = Mat.identity(3)
-    assert is_tnn(eye).is_tnn
-    report = is_tp(eye)
-    assert not report.is_tnn
-    rows, cols, value = report.witness
-    assert value == 0
-
-
-def test_tp_example():
-    assert is_tp(Mat.from_rows([[1, 1], [1, 2]])).is_tnn
+def test_identity_is_tnn():
+    assert is_tnn(Mat.identity(3)).is_tnn
 
 
 def test_witness_recomputes_negative():
@@ -61,7 +51,7 @@ def test_witness_recomputes_negative():
         dens = rng.sample((2, 3, 5, 7), m)
         A = Mat.from_rows([[Fraction(rng.randint(-2, 3), d) for _ in range(n)] for d in dens])
         report = is_tnn(A)
-        if report.is_tnn or len(set(_integer_lift(A)[1])) < 2:
+        if report.is_tnn or len(set(A._dens)) < 2:
             continue
         rows, cols, value = report.witness
         assert value < 0
