@@ -23,6 +23,7 @@ from .errors import ParseError, SizeGuardError
 Scalar = Fraction
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: no "1_000", no "١٢"
 _INTEGERS = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*")  # a row of integer tokens
+_RATIONALS = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?(?:\s+[+-]?[0-9]+(?:/[0-9]+)?)*\s*")  # a p/q row
 ScalarLike = Union[int, str, Fraction]
 
 __all__ = [
@@ -486,8 +487,15 @@ def parse_matrix(text: str) -> Mat:
             raise ParseError(f"expected {ncols} entries per row, got {len(tokens)}: {line!r}")
         if _INTEGERS.fullmatch(line):
             pairs.append((list(map(int, tokens)), 1))
-        else:  # `_ratio` reads p/q or raises its error
-            pairs.append(_over_lcm([_ratio(token) for token in tokens]))
+            continue
+        if _RATIONALS.fullmatch(line):
+            cells = [token.partition("/") for token in tokens]
+            dens = [int(q or 1) for _, _, q in cells]
+            den = math.lcm(*dens)
+            if den:  # else a denominator is zero
+                pairs.append(_reduce([int(p) * (den // q) for (p, _, _), q in zip(cells, dens)], den))
+                continue
+        pairs.append(_over_lcm([_ratio(token) for token in tokens]))  # or `_ratio` names the bad token
     return Mat._of(nrows, ncols, pairs)
 
 

@@ -16,10 +16,11 @@ seeded from A's own integer rows.  Clearing u[s+1, t], with a and b the
 numerators of u[s+1, t] and u[s, t], sets row s+1 to b·row s+1 - a·row s
 over b times its denominator, divided through by the gcd.  Each row's lead
 (leftmost nonzero column) is kept in a list, and a move rescans only the
-lead of the row it changed, so finding the next move and checking its
-preconditions read the leads instead of the rows.  The finish runs on the
-same integers (see `_run`) and hands them to the factors as they are: a
-Fraction is built once per move, as its multiplier.
+lead of the row it changed.  The preconditions read the leads, and so does
+the scan for the next move, run only where a column sweep starts or ends;
+inside one, the next move follows from the last (see `_find_move`).  The
+finish runs on the same integers (see `_run`) and hands them over as they
+are: a Fraction is built once per move, as its multiplier.
 
 On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     MAX_BRUTEFORCE, Mat, _combine, _over_lcm, format_scalar, parse_int,
@@ -83,7 +84,7 @@ class NevilleTrace:
 def _lead(row: list[int], after: int) -> int:
     """The first nonzero column of ``row`` right of column ``after``, or
     ``len(row) + 1`` when there is none."""
-    return next((j for j in range(after + 1, len(row) + 1) if row[j - 1]), len(row) + 1)
+    return next((j for j, x in enumerate(row[after:], after + 1) if x), len(row) + 1)
 
 
 class _Factors:
@@ -114,8 +115,7 @@ class _Factors:
 def _move_precondition_failure(state: _Factors, s: int, t: int) -> Optional[str]:
     """The first violated elimination-move precondition, or None; a
     nonzero left of column t is named by the first row's lead."""
-    rows, leads = state.u, state.leads
-    m = len(rows)
+    rows, leads, m = state.u, state.leads, len(state.u)
     n = len(rows[0]) if rows else 0
     if not (1 <= s and s + 1 <= m and 1 <= t <= n):
         return f"move position (s={s}, t={t}) out of range for {m}x{n}"
@@ -123,12 +123,11 @@ def _move_precondition_failure(state: _Factors, s: int, t: int) -> Optional[str]
         return f"pivot u[{s},{t}] is zero"
     if rows[s][t - 1] == 0:
         return f"entry to clear u[{s + 1},{t}] is zero"
-    for i in range(s, m + 1):
-        if leads[i - 1] < t:
-            return f"u[{i},{leads[i - 1]}] is nonzero left of the pivot column"
-    for i in range(s + 2, m + 1):
-        if rows[i - 1][t - 1] != 0:
-            return f"u[{i},{t}] is nonzero below the entry being cleared"
+    if min(leads[s - 1 :]) < t:
+        i = next(i for i in range(s, m + 1) if leads[i - 1] < t)
+        return f"u[{i},{leads[i - 1]}] is nonzero left of the pivot column"
+    if t in leads[s + 1 :]:  # no lead from row s down is left of t, so a nonzero at t leads
+        return f"u[{leads.index(t, s + 1) + 1},{t}] is nonzero below the entry being cleared"
     return None
 
 
@@ -147,15 +146,32 @@ def neville_move(U: Mat, s: int, t: int) -> Mat:
     return state.mats()[1]
 
 
-def _find_move(state: _Factors) -> Optional[Move]:
+def _find_move(state: _Factors, moves: Sequence[Move] = ()) -> Optional[Move]:
     """The next move read off the rows' leads, or None once U is strictly
     upper echelon: delete the bottom-most zero row, else clear column t,
     the leftmost one whose column prefix breaks the staircase (the
     smallest lead at or left of the running maximum of the leads above
     it).  Any structural state a TNN matrix cannot reach raises
     NotTotallyNonnegativeError.
+
+    Given the moves it chose so far, a column sweep's next move is read off
+    the last: after ``Eliminate(s, t)`` the scan gives ``DeleteRow(s + 1)``
+    if that emptied row s+1, then ``Eliminate(s - 1, t)`` whenever row s-1
+    leads at t.  No other row is zero, as the scan saw none before the
+    move; t still breaks first and ``leads[0]`` is still least, as the move
+    raised only row s+1's lead and `_step` found every lead from row s down
+    at or right of t; and (s-1, s) is column t's lowest adjacent nonzero
+    pair, as `_step` found every row below s+1 zero there.  Every other
+    state, a sweep's first move and its end included, goes through the scan.
     """
     rows, leads, n = state.u, state.leads, state.ncols
+    last = next((move for move in moves[:-3:-1] if isinstance(move, Eliminate)), None)
+    if last is not None:
+        s, t = last.s, last.t
+        if s < len(leads) and leads[s] > n:
+            return DeleteRow(s + 1)
+        if s > 1 and leads[s - 2] == t:
+            return Eliminate(s - 1, t, state.multiplier(s - 1, t))
     if max(leads, default=0) > n:
         return DeleteRow(len(leads) - leads[::-1].index(n + 1))
     t, top = n + 1, 0
@@ -172,10 +188,7 @@ def _find_move(state: _Factors) -> Optional[Move]:
             "input not totally nonnegative: "
             f"leftmost nonzero column {leftmost} has a zero uppermost entry"
         )
-    s = next(
-        (s for s in range(len(rows) - 1, 0, -1) if rows[s - 1][t - 1] != 0 and rows[s][t - 1] != 0),
-        None,
-    )
+    s = next((s for s in range(len(rows) - 1, 0, -1) if rows[s - 1][t - 1] and rows[s][t - 1]), None)
     if s is None:
         raise NotTotallyNonnegativeError(
             f"input not totally nonnegative: column {t} breaks the staircase "
@@ -224,15 +237,16 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
 
 def _run(
     A: Mat,
-    next_move: Callable[[_Factors], Optional[Move]],
+    next_move: Callable[[_Factors, list[Move]], Optional[Move]],
     refuse: Callable[..., Exception],
     record_stages: bool = False,
 ) -> tuple[LUPair, NevilleTrace]:
-    """From (L, U) = (I, A) in `_Factors`, apply ``next_move(state)`` through
-    `_step` until it gives None.  Then accept only if no multiplier is
-    negative, the leads make U strictly echelon and no numerator of U is
-    negative; each error is ``refuse(reason, step=None)``.  The pair is then
-    `certify(A)`'s, in the class of L's column leads r and U's leads c:
+    """From (L, U) = (I, A) in `_Factors`, apply ``next_move(state, moves)``,
+    given the moves so far, through `_step` until it gives None.  Then
+    accept only if no multiplier is negative, the leads make U strictly
+    echelon and no numerator of U is negative; each error is ``refuse(reason,
+    step=None)``.  The pair is then `certify(A)`'s, in the class of L's
+    column leads r and U's leads c:
 
     * each move keeps A = L·U: an Eliminate applies an elementary E to U and
       E⁻¹ to L, a DeleteRow drops a zero row of U and L's matching column;
@@ -246,13 +260,13 @@ def _run(
     state = _Factors(A)
     moves: list[Move] = []
     stages: list[tuple[Mat, Mat]] = []
-    for move in iter(lambda: next_move(state), None):
+    for move in iter(lambda: next_move(state, moves), None):
         failure = _step(state, move)
         if failure is not None:
             raise refuse(failure, len(moves) + 1)
         moves.append(move)
         # after the step, so that a failed precondition is the one reported
-        if isinstance(move, Eliminate) and move.multiplier < 0:
+        if isinstance(move, Eliminate) and move.multiplier.numerator < 0:
             raise refuse(
                 f"move {len(moves)} (s={move.s}, t={move.t}) has negative "
                 f"multiplier {format_scalar(move.multiplier)}"
@@ -319,7 +333,7 @@ def replay(A: Mat, trace: NevilleTrace) -> LUPair:
     moves = iter(trace.moves)
     return _run(
         A,
-        lambda state: next(moves, None),
+        lambda state, done: next(moves, None),
         lambda reason, step=None: ReplayError(reason if step is None else f"step {step}: {reason}"),
     )[0]
 

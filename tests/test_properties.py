@@ -7,7 +7,9 @@ the greedy leaders by bordered minors, and the certificate, read off the
 table, is held to its clauses checked on the emitted factors.  Neville elimination
 reads its breaking column off the rows' leading columns; here it is held
 to the definition (the first column prefix that is not upper echelon), to
-its own replay, and to `reconstruct_lu`; on signed input, whenever it
+its own replay, and to `reconstruct_lu`; inside a column sweep it reads
+the next move off the last one, and its moves, pair and refusals are
+held to a run that scans for every move; on signed input, whenever it
 returns, its factors are the class factorization and nonnegative, and a
 replay of another matrix's trace returns only what it returns.  A walk of
 random legal moves, which Neville need not take, that ends strictly
@@ -26,7 +28,9 @@ the ratios as written, each minor by cofactor expansion.  `rank`, the
 kernel pivoting on any live nonzero cell, is held to the largest nonzero
 minor on inputs with planted dependent rows and columns.  `parse_matrix`,
 which reads each row's integer lift as it parses, is held to a per-token
-reference parser and lift, on its Mat, its lift and its error message.
+reference parser and lift, on its Mat, its lift and its error message,
+and its one-pass rational rows to its own per-token path, on rows with
+tabs and padding; malformed tokens keep their exact messages.
 `IndexSet`'s set helpers are held to Python's `set` on subsets of 1..8.
 Every way of making a Mat (parsing signed, unreduced p/q tokens, `Mat`,
 `from_rows`, a double transpose, a product with the identity, and
@@ -95,9 +99,9 @@ from tnnlu import (
     replay,
 )
 from tnnlu.cli import main as cli_main
-from tnnlu.core import first_minor
+from tnnlu.core import _over_lcm, _ratio, first_minor
 from tnnlu.mclass import certify
-from tnnlu.neville import _Factors, _move_precondition_failure, _step
+from tnnlu.neville import _Factors, _find_move, _move_precondition_failure, _run, _step
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -454,6 +458,44 @@ def test_replay_returns_only_what_neville_returns_on_rationals(pair):
     check_replay_returns_only_what_neville_returns(*pair)
 
 
+@st.composite
+def sweep_inputs(draw):
+    """`random_tnn` up to 7x7, as it is or with one entry raised or lowered,
+    or a signed matrix up to 6x4, tall enough for sweeps of three moves."""
+    kind = draw(st.sampled_from(("tnn", "nudged", "signed")))
+    if kind == "signed":
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        entry = st.sampled_from((0, 0, 0, 1, 1, -1, 2, Fraction(1, 2)))
+        return Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n)))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    A = random_tnn(m, n, draw(st.integers(0, 10**6)), factors=draw(st.integers(0, 40)))
+    if kind == "tnn":
+        return A
+    rows = A.to_rows()
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    rows[i][j] += draw(st.sampled_from((1, -1, Fraction(1, 3), Fraction(-1, 2))))
+    return Mat.from_rows(rows)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(sweep_inputs())
+def test_column_sweep_takes_the_moves_of_the_full_scan(A):
+    # the reference finds every move by the scan, with no hint from the last
+    def refuse(reason, step=None):
+        return NotTotallyNonnegativeError(f"input not totally nonnegative: {reason}")
+
+    try:
+        pair, trace = _run(A, lambda state, moves: _find_move(state), refuse)
+    except NotTotallyNonnegativeError as error:
+        with pytest.raises(NotTotallyNonnegativeError) as raised:
+            neville_decompose(A, check_tnn=False)
+        assert str(raised.value) == str(error)
+        return
+    swept, swept_trace = neville_decompose(A, check_tnn=False)
+    assert swept_trace.moves == trace.moves
+    assert swept == pair
+
+
 def random_legal_walk(A, rng):
     """Random legal moves from (I, A) until none is left: any zero-row
     DeleteRow, or any Eliminate whose preconditions hold, in any order."""
@@ -620,6 +662,52 @@ def test_parse_matrix_matches_the_per_token_reference(grid):
     A = parse_matrix(text)
     assert A == Mat.from_rows(rows)
     assert (A._rows, A._dens) == reference_lift(rows)
+
+
+_PQ = st.builds("{}{}/{}".format, st.sampled_from(("", "+", "-")), st.integers(0, 99), st.integers(1, 99))
+_ROW_TOKENS = st.one_of(_PQ, st.sampled_from(("0/5", "7/1", "-0", "+3", "12", "-4/6", "006/04")))
+_MALFORMED = ("1/0", "1//2", "1.5", "1_0", "\u0661\u0662", "+-1", "1/+2")
+
+
+@st.composite
+def rational_rows(draw):
+    """1 to 3 rows of one width: p/q and integer tokens of either sign,
+    separated by spaces and tabs and padded, some with a malformed token."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = draw(st.lists(_ROW_TOKENS, min_size=n, max_size=n))
+        if draw(st.integers(0, 3)) == 0:
+            tokens[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_MALFORMED))
+        gaps = draw(st.lists(st.sampled_from((" ", "  ", "\t", " \t ")), min_size=n + 1, max_size=n + 1))
+        gaps[0] = draw(st.sampled_from(("", " ", "\t")))
+        rows.append((tokens, "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[n]))
+    return n, rows
+
+
+@SETTINGS
+@given(rational_rows())
+def test_row_parser_matches_the_per_token_path(sample):
+    n, rows = sample
+    text = f"{len(rows)} {n}\n" + "".join(line + "\n" for _, line in rows)
+    try:
+        expected = [_over_lcm([_ratio(token) for token in tokens]) for tokens, _ in rows]
+    except ParseError as error:
+        with pytest.raises(ParseError) as raised:
+            parse_matrix(text)
+        assert str(raised.value) == str(error)
+        return
+    A = parse_matrix(text)
+    assert A._rows == tuple(tuple(nums) for nums, _ in expected)
+    assert A._dens == tuple(den for _, den in expected)
+
+
+@pytest.mark.parametrize("token", _MALFORMED)
+def test_malformed_tokens_keep_their_messages(token):
+    kind = "denominator must be positive" if token == "1/0" else "not an exact rational"
+    with pytest.raises(ParseError) as raised:
+        parse_matrix(f"1 3\n1/2\t{token} 3\n")
+    assert str(raised.value) == f"{kind}: {token!r}"
 
 
 _SUBSETS = st.sets(st.integers(1, 8)).map(lambda s: IndexSet(sorted(s)))
