@@ -21,11 +21,11 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix
+from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix, size_guard
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, certify, detect_class
-from .neville import format_trace, neville_decompose
+from .neville import _tnn_gate, format_trace, neville_decompose
 from .tnn import is_tnn, random_tnn
 
 _EXIT_CODES = (
@@ -85,8 +85,9 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         )
     else:
         pair, trace = certify(A), None
-        if args.method == "auto" and args.trace and is_tnn(A, max_size=args.max_bruteforce).is_tnn:
-            trace = neville_decompose(A, check_tnn=False)[1]  # its pair is this one
+        if args.method == "auto" and args.trace:
+            size_guard(A, args.max_bruteforce)
+            trace = _tnn_gate(A)  # pass 1's moves, whose pair is this one
     (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)
     payload = {
         "command": "decompose",
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unchecked",
         action="store_true",
-        help="skip neville's up-front TNN test; the class certificate always runs",
+        help="skip neville's second TNN pass and witness sweep; the class certificate always runs",
     )
     p.set_defaults(func=_cmd_decompose)
 

@@ -10,13 +10,13 @@ form:
   and clear the lowest nonzero entry of its last column by subtracting a
   multiple of the row directly above it, applying the inverse update to L.
 
-The run is fraction-free in the manner of Bareiss: each row of U (and each
-column of L) is held as integer numerators over one positive denominator,
-seeded from A's own integer rows.  Clearing u[s+1, t], with a and b the
-numerators of u[s+1, t] and u[s, t], sets row s+1 to b·row s+1 - a·row s
-over b times its denominator, divided through by the gcd.  Each row's lead
-(leftmost nonzero column) is kept in a list, and a move rescans only the
-lead of the row it changed.  The preconditions read the leads, and so does
+The run is fraction-free in the manner of Bareiss: each row of U is held
+as integer numerators over one positive denominator, seeded from A's own
+integer rows.  Clearing u[s+1, t], with a and b the numerators of u[s+1, t]
+and u[s, t], sets row s+1 to b·row s+1 - a·row s over b times its
+denominator, divided through by the gcd.  Each row's lead (leftmost
+nonzero column) is kept in a list, and a move rescans only the lead of
+the row it changed.  The preconditions read the leads, and so does
 the scan for the next move, run only where a column sweep starts or ends;
 inside one, the next move follows from the last (see `_find_move`).  The
 finish runs on the same integers (see `_run`) and hands them over as they
@@ -26,12 +26,12 @@ On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
 state a TNN matrix can never reach (a zero with nonzeros to its right and
 below, so a negative entry or 2x2 minor), or a negative entry in the final
-U raises; these checks are necessary only, so past the size guard some
-non-TNN inputs still factor.  A run is fully described by its move list,
-which can be serialized, parsed back, and replayed: decomposition and
-replay are one run, fed moves read off U or taken from the trace, whose
-finished pair is `mclass.certify`'s by construction, with no table built
-(see `_run`).
+U raises.  These checks are necessary only; a second run, on Uᵀ, makes
+them exact (`_tnn_gate`, the TNN test).  A run keeps U only and is fully
+described by its move list, which can be serialized, parsed back, and
+replayed, and which determines L (see `_pair`): decomposition and replay
+are one run, fed moves read off U or taken from the trace, whose finished
+pair is `mclass.certify`'s by construction, with no table built.
 """
 
 from __future__ import annotations
@@ -41,12 +41,11 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .core import (
-    MAX_BRUTEFORCE, Mat, _combine, _over_lcm, format_scalar, parse_int,
+    MAX_BRUTEFORCE, Mat, _combine, _over_lcm, first_minor, format_scalar, parse_int,
     parse_scalar, within_guard,
 )
 from .errors import MovePreconditionError, NotTotallyNonnegativeError, ParseError, ReplayError
 from .mclass import ClassDesc, LUPair
-from .tnn import is_tnn
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,10 @@ class NevilleTrace:
     stages: Optional[tuple[tuple[Mat, Mat], ...]] = None
 
 
+def _not_tnn(reason: str, step: Optional[int] = None) -> NotTotallyNonnegativeError:
+    return NotTotallyNonnegativeError(f"input not totally nonnegative: {reason}")
+
+
 def _lead(row: list[int], after: int) -> int:
     """The first nonzero column of ``row`` right of column ``after``, or
     ``len(row) + 1`` when there is none."""
@@ -88,28 +91,22 @@ def _lead(row: list[int], after: int) -> int:
 
 
 class _Factors:
-    """The running (L, U) on integers in lowest terms: row k of U is
-    ``u[k] / du[k]`` and column k of L is ``l[k] / dl[k]`` (denominators
-    positive); ``leads[k]`` is row k's first nonzero column, ``ncols + 1``
-    for a zero row, and ``origin[k]`` its 0-based row in A, where column k
-    of L leads.  A move touches one row of U, its lead and one column of L."""
+    """The running U on integers in lowest terms: row k is ``u[k] / du[k]``
+    (denominator positive) and ``leads[k]`` is its first nonzero column,
+    ``ncols + 1`` for a zero row.  A move touches one row and its lead; L
+    is not kept, as the moves determine it (see `_pair`)."""
 
     def __init__(self, A: Mat):
-        self.nrows, self.ncols = A.nrows, A.ncols
+        self.ncols = A.ncols
         self.u, self.du = [list(row) for row in A._rows], list(A._dens)
         self.leads = [_lead(row, 0) for row in self.u]
-        self.l = [[int(i == k) for i in range(A.nrows)] for k in range(A.nrows)]
-        self.dl = [1] * A.nrows
-        self.origin = list(range(A.nrows))
 
     def multiplier(self, s: int, t: int) -> Fraction:
         """u[s+1, t] / u[s, t]."""
         return Fraction(self.u[s][t - 1] * self.du[s - 1], self.u[s - 1][t - 1] * self.du[s])
 
-    def mats(self) -> tuple[Mat, Mat]:
-        m, t, cols = self.nrows, len(self.u), list(zip(self.l, self.dl))
-        L = [_over_lcm([(c[h], d) for c, d in cols]) for h in range(m)]
-        return Mat._of(m, t, L), Mat._of(t, self.ncols, list(zip(self.u, self.du)))
+    def mat(self) -> Mat:
+        return Mat._of(len(self.u), self.ncols, list(zip(self.u, self.du)))
 
 
 def _move_precondition_failure(state: _Factors, s: int, t: int) -> Optional[str]:
@@ -143,7 +140,7 @@ def neville_move(U: Mat, s: int, t: int) -> Mat:
     if failure is not None:
         raise MovePreconditionError(failure)
     _step(state, Eliminate(s, t, state.multiplier(s, t)))
-    return state.mats()[1]
+    return state.mat()
 
 
 def _find_move(state: _Factors, moves: Sequence[Move] = ()) -> Optional[Move]:
@@ -184,34 +181,28 @@ def _find_move(state: _Factors, moves: Sequence[Move] = ()) -> Optional[Move]:
         return None
     leftmost = min(leads)
     if leads[0] != leftmost:
-        raise NotTotallyNonnegativeError(
-            "input not totally nonnegative: "
-            f"leftmost nonzero column {leftmost} has a zero uppermost entry"
-        )
+        raise _not_tnn(f"leftmost nonzero column {leftmost} has a zero uppermost entry")
     s = next((s for s in range(len(rows) - 1, 0, -1) if rows[s - 1][t - 1] and rows[s][t - 1]), None)
     if s is None:
-        raise NotTotallyNonnegativeError(
-            f"input not totally nonnegative: column {t} breaks the staircase "
-            "but has no adjacent nonzero pair"
-        )
+        raise _not_tnn(f"column {t} breaks the staircase but has no adjacent nonzero pair")
     return Eliminate(s, t, state.multiplier(s, t))
 
 
 def _step(state: _Factors, move: Move) -> Optional[str]:
-    """Apply one validated move to the running factors in place.
+    """Apply one validated move to U in place.
 
-    Returns the violated condition instead, leaving the factors untouched:
-    a row out of range or not zero, a failed elimination precondition, or
-    a multiplier that does not match the state.
+    Returns the violated condition instead, leaving U untouched: a row out
+    of range or not zero, a failed elimination precondition, or a
+    multiplier that does not match the state.
     """
-    u, du, l, dl = state.u, state.du, state.l, state.dl
+    u, du = state.u, state.du
     if isinstance(move, DeleteRow):
         i = move.i
         if not 1 <= i <= len(u):
             return f"row {i} out of range"
         if state.leads[i - 1] <= state.ncols:
             return f"row {i} is not a zero row"
-        for part in (u, du, state.leads, l, dl, state.origin):
+        for part in (u, du, state.leads):
             del part[i - 1]
         return None
     s, t = move.s, move.t
@@ -229,9 +220,6 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
     # leaves both rows zero left of column t
     u[s][t - 1 :], du[s] = _combine(b, u[s][t - 1 :], -a, u[s - 1][t - 1 :], b * du[s])
     state.leads[s] = _lead(u[s], t)
-    # column s of L gains p/q times column s+1, both zero above row o, its lead
-    o, d0, d1 = state.origin[s - 1], dl[s - 1], dl[s]
-    l[s - 1][o:], dl[s - 1] = _combine(q * d1, l[s - 1][o:], p * d0, l[s][o:], q * d0 * d1)
     return None
 
 
@@ -239,14 +227,13 @@ def _run(
     A: Mat,
     next_move: Callable[[_Factors, list[Move]], Optional[Move]],
     refuse: Callable[..., Exception],
-    record_stages: bool = False,
-) -> tuple[LUPair, NevilleTrace]:
-    """From (L, U) = (I, A) in `_Factors`, apply ``next_move(state, moves)``,
-    given the moves so far, through `_step` until it gives None.  Then
-    accept only if no multiplier is negative, the leads make U strictly
-    echelon and no numerator of U is negative; each error is ``refuse(reason,
-    step=None)``.  The pair is then `certify(A)`'s, in the class of L's
-    column leads r and U's leads c:
+) -> tuple[_Factors, list[Move]]:
+    """From U = A in `_Factors`, apply ``next_move(state, moves)``, given
+    the moves so far, through `_step` until it gives None.  Then accept
+    only if no multiplier is negative, the leads make U strictly echelon
+    and no numerator of U is negative; each error is ``refuse(reason,
+    step=None)``.  With L rebuilt from the moves (`_pair`), the pair is
+    then `certify(A)`'s, in the class of L's column leads r and U's leads c:
 
     * each move keeps A = L·U: an Eliminate applies an elementary E to U and
       E⁻¹ to L, a DeleteRow drops a zero row of U and L's matching column;
@@ -259,7 +246,6 @@ def _run(
       (Pinkus, Thm 2.10 and Prop. 2.11)."""
     state = _Factors(A)
     moves: list[Move] = []
-    stages: list[tuple[Mat, Mat]] = []
     for move in iter(lambda: next_move(state, moves), None):
         failure = _step(state, move)
         if failure is not None:
@@ -271,20 +257,76 @@ def _run(
                 f"move {len(moves)} (s={move.s}, t={move.t}) has negative "
                 f"multiplier {format_scalar(move.multiplier)}"
             )
-        if record_stages:
-            stages.append(state.mats())
     leads = state.leads
     if any(a >= b for a, b in zip(leads, leads[1:] + [state.ncols + 1])):
         raise refuse("trace does not finish the elimination")
     # every denominator is positive, so a numerator carries its entry's sign
     for i, (row, d) in enumerate(zip(state.u, state.du)):
-        for j, x in enumerate(row):
-            if x < 0:
-                raise refuse(f"U[{i + 1},{j + 1}] = {format_scalar(Fraction(x, d))}")
-    L, U = state.mats()
-    r = [o + 1 for o in state.origin]
+        if min(row, default=0) < 0:
+            j = next(j for j, x in enumerate(row) if x < 0)
+            raise refuse(f"U[{i + 1},{j + 1}] = {format_scalar(Fraction(row[j], d))}")
+    return state, moves
+
+
+def _pair(
+    A: Mat, state: _Factors, moves: list[Move], record_stages: bool = False
+) -> tuple[LUPair, NevilleTrace]:
+    """A finished run's pair, L rebuilt from its moves as `_run` describes,
+    column k as ``l[k] / dl[k]`` in lowest terms, and its trace, which with
+    ``record_stages`` keeps (L, U) after each move, U stepped again from A."""
+    m, U, stages = A.nrows, _Factors(A) if record_stages else None, []
+    l, dl, origin = [[int(i == k) for i in range(m)] for k in range(m)], [1] * m, list(range(m))
+
+    def lower() -> Mat:
+        return Mat._of(m, len(l), [_over_lcm([(c[h], d) for c, d in zip(l, dl)]) for h in range(m)])
+
+    for move in moves:
+        if isinstance(move, DeleteRow):
+            for part in (l, dl, origin):
+                del part[move.i - 1]
+        else:
+            s, p, q = move.s, move.multiplier.numerator, move.multiplier.denominator
+            o, d0, d1 = origin[s - 1], dl[s - 1], dl[s]
+            l[s - 1][o:], dl[s - 1] = _combine(q * d1, l[s - 1][o:], p * d0, l[s][o:], q * d0 * d1)
+        if U is not None:
+            _step(U, move)
+            stages.append((lower(), U.mat()))
     trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
-    return LUPair(L, U, ClassDesc(r, leads)), trace
+    return LUPair(lower(), state.mat(), ClassDesc([o + 1 for o in origin], state.leads)), trace
+
+
+def _passes(A: Mat, second: bool = True) -> tuple[_Factors, list[Move]]:
+    """`_tnn_gate`'s pass 1, `_run` on A, and with ``second`` its pass 2, on
+    pass 1's U transposed; a reject raises NotTotallyNonnegativeError.  With
+    ``second``, a negative entry of A rejects before pass 1 starts."""
+    if second and any(min(row, default=0) < 0 for row in A._rows):
+        raise _not_tnn("negative entry")
+    state, moves = _run(A, _find_move, _not_tnn)
+    if second:
+        _run(state.mat().transpose(), _find_move, _not_tnn)
+    return state, moves
+
+
+def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
+    """Decide total nonnegativity exactly, at any size, by two runs: pass
+    1 on A gives A = L·U, pass 2 on Uᵀ gives Uᵀ = L₂·V.  Accept, returning
+    pass 1's moves, only if both finish.  V is then D, the diagonal of U's
+    leading entries, positive by pass 1's finish, whatever A is: U is row
+    echelon at its leads with no zero row, so Uᵀ = (Uᵀ·D⁻¹)·D is Uᵀ's class
+    pair, and a finished run gives the class pair (see `_run`).
+
+    Sound: a finished run has no negative multiplier, so each Eliminate
+    puts into L (or L₂) a bidiagonal factor I + λ·e_{s+1}·e_sᵀ with λ >= 0,
+    and each DeleteRow a 0/1 embedding; both are TNN, and so is D.  So
+    A = L·D·L₂ᵀ is TNN by Cauchy–Binet.
+
+    Complete: for TNN A, pass 1 finishes with U TNN (the paper's theorem),
+    so Uᵀ is TNN and pass 2 finishes too.  So a reject is exact (Gasca &
+    Peña, LAA 165, 1992)."""
+    try:
+        return NevilleTrace(tuple(_passes(A)[1]))
+    except NotTotallyNonnegativeError:
+        return None
 
 
 def neville_decompose(
@@ -294,32 +336,22 @@ def neville_decompose(
     check_tnn: bool = True,
     max_size: int = MAX_BRUTEFORCE,
 ) -> tuple[LUPair, NevilleTrace]:
-    """Run the elimination on a totally nonnegative matrix.
-
-    Total nonnegativity is verified up front by `is_tnn` (polynomial; it
-    enumerates minors only to name a rejected input's witness) when the
-    matrix is within the size guard and ``check_tnn`` is left on; beyond
-    the guard it is only policed move by move and by the signs of the
-    factors.  With ``record_stages`` the trace keeps a snapshot of (L, U)
-    after every move.  The finished factors are A's certified class
-    factorization by construction (see `_run`).
-    """
-    if check_tnn and within_guard(A, max_size):
-        report = is_tnn(A, max_size=max_size)
-        if not report.is_tnn:
-            rows, cols, value = report.witness
-            raise NotTotallyNonnegativeError(
-                f"input not totally nonnegative: minor [{list(rows)}|{list(cols)}] = "
-                f"{format_scalar(value)}"
-            )
-    return _run(
-        A,
-        _find_move,
-        lambda reason, step=None: NotTotallyNonnegativeError(
-            f"input not totally nonnegative: {reason}"
-        ),
-        record_stages,
-    )
+    """Run the elimination on a totally nonnegative matrix: A's certified
+    class factorization (see `_run`) and its moves, with (L, U) after each
+    move if ``record_stages``.  Within the size guard, with ``check_tnn``
+    on, `_tnn_gate`'s pass 2 follows, so TNN is decided exactly, and a
+    refusal names the first negative minor in scan order if the sweep finds
+    one; otherwise TNN is policed only move by move and by U's signs."""
+    gated = check_tnn and within_guard(A, max_size)
+    try:
+        state, moves = _passes(A, gated)
+    except NotTotallyNonnegativeError:
+        witness = first_minor(A, lambda rows, cols, v: v < 0, max_size) if gated else None
+        if witness is None:
+            raise
+        rows, cols, value = witness
+        raise _not_tnn(f"minor [{list(rows)}|{list(cols)}] = {format_scalar(value)}") from None
+    return _pair(A, state, moves, record_stages)
 
 
 def replay(A: Mat, trace: NevilleTrace) -> LUPair:
@@ -331,11 +363,11 @@ def replay(A: Mat, trace: NevilleTrace) -> LUPair:
     the finished factors pass the same checks as `neville_decompose`'s.
     """
     moves = iter(trace.moves)
-    return _run(
+    return _pair(A, *_run(
         A,
         lambda state, done: next(moves, None),
         lambda reason, step=None: ReplayError(reason if step is None else f"step {step}: {reason}"),
-    )[0]
+    ))[0]
 
 
 def format_trace(trace: NevilleTrace) -> str:

@@ -1,13 +1,12 @@
 """Total nonnegativity testing and corpus generation.
 
 A matrix is totally nonnegative (TNN) when every square minor of every
-size is >= 0.  `is_tnn` decides TNN in polynomial time by Cauchon's
-deleting-derivations test, which holds for real m x n matrices of any
-rank, singular and rectangular ones included (Goodearl, Launois & Lenagan,
-Adv. Math. 226, 2011; for its cost, Launois & Lenagan, Found. Comput.
-Math. 14, 2014).  The exhaustive minor sweep runs only when that test
-rejects, to name the first negative minor in scan order.  It refuses
-matrices beyond the size guard.
+size is >= 0.  `is_tnn` decides TNN in polynomial time by two runs of
+Neville elimination, on A and then on its factor Uᵀ (`neville._tnn_gate`,
+whose docstring has the argument), exact for m x n matrices of any rank.
+The exhaustive minor sweep runs only when that gate rejects, to name the
+first negative minor in scan order.  It refuses matrices beyond the size
+guard.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, _combine, first_minor, matmul, size_guard
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor, matmul, size_guard
+from .neville import _tnn_gate
 
 Witness = tuple[IndexSet, IndexSet, Fraction]
 
@@ -35,46 +35,12 @@ class TnnReport:
     witness: Optional[Witness] = None
 
 
-def _deleting_derivations_accept(A: Mat) -> bool:
-    """Cauchon's deleting-derivations test on A's integer rows; True only
-    if A is TNN.  Each row is integer numerators over one positive
-    denominator.  For each pivot (j, c), from (m, n) down in reverse
-    row-major order, with p = a[j,c] nonzero, every row i < j with
-    f = a[i,c] nonzero gets a[i,k] - f·a[j,k]/p at each k < c.  A is TNN iff
-    the result has no negative entry and each of its zeros has only zeros
-    above it or only zeros to its left (a Cauchon diagram).  The test
-    rejects at the first negative entry on the way, which keeps every
-    pivot positive; a reject is never final, since `is_tnn` then sweeps
-    the minors, so this early exit costs time at worst, never an answer.
-    """
-    if any(v < 0 for row in A._rows for v in row):
-        return False
-    rows, dens = [list(row) for row in A._rows], list(A._dens)
-    for j in range(A.nrows - 1, 0, -1):
-        for c in range(A.ncols - 1, -1, -1):
-            p = rows[j][c]
-            if not p:
-                continue
-            left = rows[j][:c] + [0] * (A.ncols - c)
-            for i in range(j):
-                f = rows[i][c]
-                if f:
-                    rows[i], dens[i] = _combine(p, rows[i], -f, left, dens[i] * p)
-                    if min(rows[i]) < 0:
-                        return False
-    return not any(
-        v == 0 and any(row[:k]) and any(above[k] for above in rows[:i])
-        for i, row in enumerate(rows)
-        for k, v in enumerate(row)
-    )
-
-
 def is_tnn(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
-    """Decide total nonnegativity by the deleting-derivations test; only
-    when it rejects, sweep all square minors for the first negative one,
-    the witness.  The size guard applies whichever path decides."""
+    """Decide total nonnegativity by Neville's two-pass gate; only when it
+    rejects, sweep all square minors for the first negative one, the
+    witness.  The size guard applies whichever path decides."""
     size_guard(A, max_size)
-    if _deleting_derivations_accept(A):
+    if _tnn_gate(A) is not None:
         return TnnReport(True)
     witness = first_minor(A, lambda rows, cols, v: v < 0, max_size)
     return TnnReport(witness is None, witness)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tnnlu import ClassDesc, IndexSet, Mat
-from tnnlu.core import _in_range
+from tnnlu.core import _combine, _in_range
 
 
 def indexset_leq(first, second):
@@ -171,3 +171,39 @@ def random_class_U(rng, n, c):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def deleting_derivations_accept(A):
+    """Cauchon's deleting-derivations test on A's integer rows; True iff A
+    is TNN, for real m x n matrices of any rank (Goodearl, Launois &
+    Lenagan, Adv. Math. 226, 2011).  It shares no code with Neville
+    elimination, so it is the polynomial oracle for the two-pass gate past
+    the size guard.  Each row is integer numerators over one positive
+    denominator.  For each pivot (j, c), from (m, n) down in reverse
+    row-major order, with p = a[j,c] nonzero, every row i < j with
+    f = a[i,c] nonzero gets a[i,k] - f·a[j,k]/p at each k < c.  A is TNN iff
+    the result has no negative entry and each of its zeros has only zeros
+    above it or only zeros to its left (a Cauchon diagram).  The test
+    rejects at the first negative entry on the way, which keeps every
+    pivot positive.
+    """
+    if any(v < 0 for row in A._rows for v in row):
+        return False
+    rows, dens = [list(row) for row in A._rows], list(A._dens)
+    for j in range(A.nrows - 1, 0, -1):
+        for c in range(A.ncols - 1, -1, -1):
+            p = rows[j][c]
+            if not p:
+                continue
+            left = rows[j][:c] + [0] * (A.ncols - c)
+            for i in range(j):
+                f = rows[i][c]
+                if f:
+                    rows[i], dens[i] = _combine(p, rows[i], -f, left, dens[i] * p)
+                    if min(rows[i]) < 0:
+                        return False
+    return not any(
+        v == 0 and any(row[:k]) and any(above[k] for above in rows[:i])
+        for i, row in enumerate(rows)
+        for k, v in enumerate(row)
+    )

@@ -172,6 +172,7 @@ def test_auto_without_trace_runs_no_tnn_test_or_neville(capsys, monkeypatch):
         raise AssertionError("auto decompose without --trace ran a TNN test or Neville")
 
     monkeypatch.setattr("tnnlu.cli.is_tnn", refuse)
+    monkeypatch.setattr("tnnlu.cli._tnn_gate", refuse)
     monkeypatch.setattr("tnnlu.cli.neville_decompose", refuse)
     for argv, lines in expected.items():
         code, out, err = run_cli(capsys, *argv)
@@ -280,7 +281,7 @@ def test_auto_certifies_at_every_size(capsys):
         assert (code, err) == (0, "")
         want = run_cli(capsys, "decompose", "--inline", member, "--method", "reconstruct")
         assert want == (0, out.replace("method: auto", "method: reconstruct", 1), "")
-    # --trace asks for Neville's moves, which is_tnn's guard still refuses
+    # --trace asks for Neville's moves, which the TNN test's guard still refuses
     code, out, err = run_cli(capsys, "decompose", "--inline", ones, "--trace")
     assert (code, out) == (6, "")
     assert err.startswith("error: size-guard: ")
@@ -363,7 +364,7 @@ def pascal_inline(n, bent=None):
 
 
 def test_neville_rejects_negative_multiplier_beyond_the_guard(capsys):
-    # [1,2|1,2] = -98 < 0, but min dimension 9 skips the up-front sweep
+    # [1,2|1,2] = -98 < 0, but min dimension 9 skips the second TNN pass and the sweep
     inline = pascal_inline(9, bent=((1, 2), 100))
     code, out, err = run_cli(capsys, "decompose", "--inline", inline, "--method", "neville")
     assert (code, out) == (5, "")

@@ -202,7 +202,7 @@ class TestDecompose:
             neville_decompose(Mat.from_rows([[0, 1], [1, 0]]))
 
     def test_negative_max_size_is_rejected(self):
-        # not skipped as "beyond the guard": the up-front sweep's bound is invalid
+        # not skipped as "beyond the guard": the TNN check's bound is invalid
         with pytest.raises(ValueError, match="max_size must be nonnegative"):
             neville_decompose(Mat.from_rows([[0, 1], [1, 1]]), max_size=-1)
 
@@ -230,7 +230,7 @@ class TestDecompose:
                     assert move.multiplier >= 0
 
     def test_stage_invariants_beyond_the_guard(self):
-        # no up-front sweep runs here, and `is_tnn` is guarded: scan the entries
+        # no second TNN pass runs here, and `is_tnn` is guarded: scan the entries
         pascal = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
         fractional = random_tnn(10, 11, seed=3, factors=80)
         assert any(x.denominator > 1 for row in fractional.iter_rows() for x in row)
@@ -272,7 +272,7 @@ class TestReplayAndTraceText:
             assert replay(A, trace) == pair
 
     def test_replay_reproduces_pascal_beyond_the_guard(self):
-        # 12x12 skips the up-front TNN sweep; all 66 eliminations are replayed
+        # 12x12 skips the second TNN pass; all 66 eliminations are replayed
         A = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
         pair, trace = neville_decompose(A)
         assert len(trace.moves) == 66
@@ -347,3 +347,38 @@ def test_neville_and_replay_build_no_table(monkeypatch):
             found, trace = neville_decompose(A, check_tnn=check_tnn)
             assert found == pair
             assert replay(A, trace) == pair
+
+
+def test_each_route_runs_one_elimination_on_A(monkeypatch, capsys):
+    # inside the guard the gate's pass 1 is the factorization: one run on A,
+    # then one on Uᵀ
+    from tnnlu import neville
+    from tnnlu.cli import main
+
+    built = []
+
+    class Counted(neville._Factors):
+        def __init__(self, A):
+            built.append((A.nrows, A.ncols))
+            super().__init__(A)
+
+    monkeypatch.setattr(neville, "_Factors", Counted)
+    A = random_tnn(6, 8, seed=5, factors=40)
+    neville_decompose(A)
+    assert built == [(6, 8), (8, rank(A))]
+    built.clear()
+    inline = ";".join(" ".join(str(x) for x in row) for row in A.iter_rows())
+    assert main(["decompose", "--trace", "--inline", inline]) == 0
+    assert not capsys.readouterr().out.endswith("trace:\nunavailable\n")
+    assert built == [(6, 8), (8, rank(A))]
+
+
+def test_the_gate_builds_no_L(monkeypatch):
+    from tnnlu import neville
+
+    def no_L(*args, **kwargs):
+        raise AssertionError("L built on the gate's path")
+
+    monkeypatch.setattr(neville, "_pair", no_L)
+    pascal = Mat.from_rows([[comb(i + j, i) for j in range(8)] for i in range(8)])
+    assert is_tnn(pascal).is_tnn

@@ -18,11 +18,13 @@ negative multiplier, a negative entry of U or an unfinished trace.  The
 kernels run on each matrix's integer lift, so the class, minor and Neville
 checks also draw rational entries, whose rows lift with unequal scales,
 and a single Neville move is held to the `Fraction` row operation.
-`is_tnn`'s deleting-derivations gate is held to the bare minor sweep, on
-its verdict and its witness.  Auto `decompose`, run in process, prints
-`--method reconstruct`'s bytes but for its `method:` line; with `--trace`
-it lists moves exactly when the input is TNN, and they replay to the
-printed pair.  `explicit_decompose` reads its minor ratios
+`is_tnn`'s two-pass Neville gate is held to the bare minor sweep, called
+alone, as `is_tnn`'s sweep would hide a false reject, and through
+`is_tnn`, on its verdict and its witness, m x 0 and 0 x n included; a
+second pass that finishes ends in the diagonal of U's leading entries.
+Auto `decompose`, run in process, prints `--method reconstruct`'s bytes
+but for its `method:` line; with `--trace` it lists moves exactly when the
+input is TNN, and they replay to the printed pair.  `explicit_decompose` reads its minor ratios
 off the same elimination table; on signed class members they are held to
 the ratios as written, each minor by cofactor expansion.  `rank`, the
 kernel pivoting on any live nonzero cell, is held to the largest nonzero
@@ -101,7 +103,9 @@ from tnnlu import (
 from tnnlu.cli import main as cli_main
 from tnnlu.core import _over_lcm, _ratio, first_minor
 from tnnlu.mclass import certify
-from tnnlu.neville import _Factors, _find_move, _move_precondition_failure, _run, _step
+from tnnlu.neville import (
+    _Factors, _find_move, _move_precondition_failure, _not_tnn, _pair, _run, _step, _tnn_gate,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -485,7 +489,7 @@ def test_column_sweep_takes_the_moves_of_the_full_scan(A):
         return NotTotallyNonnegativeError(f"input not totally nonnegative: {reason}")
 
     try:
-        pair, trace = _run(A, lambda state, moves: _find_move(state), refuse)
+        pair, trace = _pair(A, *_run(A, lambda state, moves: _find_move(state), refuse))
     except NotTotallyNonnegativeError as error:
         with pytest.raises(NotTotallyNonnegativeError) as raised:
             neville_decompose(A, check_tnn=False)
@@ -525,7 +529,8 @@ def test_any_legal_walk_that_finishes_is_the_certified_pair(A, seed):
     finished = all(a < b for a, b in zip(leads, leads[1:] + [state.ncols + 1]))
     if finished:
         elim = certify(A)
-        assert state.mats() == (elim.L, elim.U)
+        walked = _pair(A, state, moves)[0]  # L read from the walk's moves
+        assert (walked.L, walked.U) == (elim.L, elim.U)
     negative = [k for k, mv in enumerate(moves, 1) if getattr(mv, "multiplier", 0) < 0]
     try:
         replayed = replay(A, NevilleTrace(tuple(moves)))
@@ -544,7 +549,29 @@ def test_any_legal_walk_that_finishes_is_the_certified_pair(A, seed):
 
 def check_tnn_gate_against_the_sweep(A):
     witness = first_minor(A, lambda rows, cols, value: value < 0, 99)
+    assert (_tnn_gate(A) is not None) == (witness is None)
     assert is_tnn(A) == TnnReport(witness is None, witness)
+
+
+@SETTINGS
+@given(sweep_inputs())
+def test_a_finished_second_pass_ends_in_the_diagonal_of_U(A):
+    # so the gate needs no check that V is a positive monomial
+    try:
+        U = _run(A, _find_move, _not_tnn)[0].mat()
+        V = _run(U.transpose(), _find_move, _not_tnn)[0].mat()
+    except NotTotallyNonnegativeError:
+        return
+    heads = [next(x for x in row if x) for row in U.iter_rows()]
+    assert all(x > 0 for x in heads)
+    t = len(heads)
+    D = [[x if i == k else 0 for i in range(t)] for k, x in enumerate(heads)]
+    assert V == Mat.from_rows(D, ncols=t)
+
+
+def test_tnn_gate_matches_the_minor_sweep_on_empty_shapes():
+    for m, n in ((0, 0), (1, 0), (4, 0), (0, 1), (0, 5)):
+        check_tnn_gate_against_the_sweep(Mat.zeros(m, n))
 
 
 @SETTINGS

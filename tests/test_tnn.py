@@ -3,7 +3,14 @@ from math import comb
 
 import pytest
 
-from conftest import cauchon_check, delete_col, delete_row, minor_cofactor, seeded
+from conftest import (
+    cauchon_check,
+    delete_col,
+    delete_row,
+    deleting_derivations_accept,
+    minor_cofactor,
+    seeded,
+)
 from tnnlu import (
     IndexSet,
     Mat,
@@ -15,6 +22,7 @@ from tnnlu import (
     rank,
 )
 from tnnlu.core import first_minor
+from tnnlu.neville import _tnn_gate
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 
@@ -109,6 +117,33 @@ def test_accept_path_enumerates_no_minor(monkeypatch):
     assert is_tnn(singular) == TnnReport(True)
     with pytest.raises(SizeGuardError):
         is_tnn(Mat.identity(9))
+
+
+def test_gate_pins_past_the_guard():
+    # the identity with a[1,2] = a[2,3] = 1 and a[1,3] = 2: minor [1,2|2,3] = -1
+    found = [[int(i == j) for j in range(9)] for i in range(9)]
+    found[0][1] = found[1][2] = 1
+    found[0][2] = 2
+    assert _tnn_gate(Mat.from_rows(found)) is None
+    assert _tnn_gate(Mat.from_rows([[1] * 9] * 9)) is not None
+    pascal = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
+    assert _tnn_gate(pascal) is not None
+
+
+def test_gate_agrees_with_deleting_derivations_past_the_guard():
+    # Cauchon's test shares no code with Neville, and stays polynomial here
+    rng = seeded(88)
+    verdicts = {True: 0, False: 0}
+    for _ in range(100):
+        m, n = rng.randint(9, 12), rng.randint(9, 12)
+        A = random_tnn(m, n, seed=rng.randint(0, 10**6), factors=rng.randint(40, 160))
+        rows = A.to_rows()
+        rows[rng.randrange(m)][rng.randrange(n)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+        for M in (A, Mat.from_rows(rows)):
+            accept = deleting_derivations_accept(M)
+            assert (_tnn_gate(M) is not None) == accept
+            verdicts[accept] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 50
 
 
 def test_negative_max_size_is_rejected():
