@@ -250,8 +250,8 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
-def _in_range(A: Mat, I: IndexSet, J: IndexSet) -> None:
-    """Check that the coerced index sets fit inside A."""
+def _in_range(A: Mat, I: Sequence[int], J: Sequence[int]) -> None:
+    """Check that ascending index sequences fit inside A."""
     if I and I[-1] > A.nrows:
         raise IndexError(f"row index {I[-1]} out of range for {A.nrows}x{A.ncols}")
     if J and J[-1] > A.ncols:
@@ -344,26 +344,30 @@ def det(A: Mat) -> Fraction:
 
 def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
     """The minor on the given rows and columns; the empty minor is 1, a 1x1
-    minor its entry.  Otherwise read off A's integer rows: the last `_bareiss`
-    pivot, signed by the order of the pivot rows, over the chosen rows'
-    denominators; 0 if a column runs out."""
+    minor its entry.  It is `_minor_num` over the chosen rows' denominators."""
     I, J = IndexSet.coerce(rows), IndexSet.coerce(cols)
     if len(I) != len(J):
         raise ValueError(f"minor needs equal-cardinality index sets: {I!r}, {J!r}")
-    if not I:
-        return Fraction(1)
+    return Fraction(_minor_num(A, I, J), math.prod(A._dens[i - 1] for i in I))
+
+
+def _minor_num(A: Mat, I: Sequence[int], J: Sequence[int]) -> int:
+    """The minor on ascending 1-based rows I and columns J of equal length,
+    times the product of those rows' denominators: read off A's integer
+    rows, the last `_bareiss` pivot signed by the order of the pivot rows;
+    0 if a column runs out.  An index past A raises `minor`'s IndexError."""
     _in_range(A, I, J)
-    if len(I) == 1:
-        return A.entry(I[0], J[0])
+    if len(I) < 2:
+        return A._rows[I[0] - 1][J[0] - 1] if I else 1
     entries = [[A._rows[i - 1][j - 1] for j in J] for i in I]
     pivots = _bareiss(entries, _next_column)
     if len(pivots) < len(I):
-        return Fraction(0)
+        return 0
     i, j = pivots[-1]
     value = entries[i][j]
     if pivots != sorted(pivots) and sum(a > b for (a, _), (b, _) in combinations(pivots, 2)) % 2:
         value = -value
-    return Fraction(value, math.prod(A._dens[i - 1] for i in I))
+    return value
 
 
 def rank(A: Mat) -> int:

@@ -9,16 +9,20 @@ ones by adjoining disjoint row and column index sets to every minor.
 
 All sign bookkeeping goes through `inversion_count`; there are no ad-hoc
 parity computations.
+
+Each check reads minors off integer rows as `_minor_num`'s numerators,
+a minor times its rows' denominators, and makes at most one `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import IndexSet, IndexSetLike, Mat, det, inversion_count, matmul, minor
+from .core import IndexSet, IndexSetLike, Mat, _minor_num, _over_lcm, inversion_count, matmul, minor
 
 IndexPair = tuple[IndexSet, IndexSet]
 
@@ -48,16 +52,30 @@ class TermIdentity:
     terms: tuple[MinorTerm, ...]
 
 
+def _lift(A: Mat) -> tuple[Mat, int]:
+    """(D·A, D), D the lcm of A's row denominators: an integer matrix whose
+    order-k minors are D^k times A's, so each homogeneous identity holds on
+    it exactly when on A."""
+    D = math.lcm(*A._dens)
+    return Mat._of(A.nrows, A.ncols, [([x * (D // d) for x in row], 1) for row, d in zip(A._rows, A._dens)]), D
+
+
 def evaluate_identity(identity: TermIdentity, A: Mat) -> Fraction:
-    """Exact value of the term sum on a concrete matrix."""
-    total = Fraction(0)
-    for term in identity.terms:
+    """Exact value of the term sum on a concrete matrix: an integer sum on
+    D·A's minors (`_lift`) over Q·D^top, Q the lcm of the coefficients'
+    denominators and top the largest degree of a term."""
+    B, D = _lift(A)
+    degrees = [len(term.first[0]) + len(term.second[0]) for term in identity.terms]
+    top = max(degrees, default=0)
+    Q = math.lcm(*[term.coefficient.denominator for term in identity.terms])
+    total = 0
+    for term, degree in zip(identity.terms, degrees):
+        c = term.coefficient
         total += (
-            term.coefficient
-            * minor(A, term.first[0], term.first[1])
-            * minor(A, term.second[0], term.second[1])
+            c.numerator * (Q // c.denominator) * D ** (top - degree)
+            * _minor_num(B, *term.first) * _minor_num(B, *term.second)
         )
-    return total
+    return Fraction(total, Q * D**top)
 
 
 def laplace_three_term(i: int, s: int, j: int, k: int) -> TermIdentity:
@@ -122,12 +140,12 @@ def laplace_sum_rows(A: Mat, I: IndexSetLike, J1: IndexSetLike, J2: IndexSetLike
     J2 = IndexSet.coerce(J2)
     if len(J1) + len(J2) != len(I):
         raise ValueError(f"|J1| + |J2| must equal |I|: {J1!r}, {J2!r}, {I!r}")
-    total = Fraction(0)
+    total = 0
     for chosen in combinations(I, len(J1)):
         I1 = IndexSet(chosen)
         I2 = I.difference(I1)
-        total += _sign(inversion_count(I1, I2)) * minor(A, I1, J1) * minor(A, I2, J2)
-    return total
+        total += _sign(inversion_count(I1, I2)) * _minor_num(A, I1, J1) * _minor_num(A, I2, J2)
+    return Fraction(total, math.prod(A._dens[i - 1] for i in I))
 
 
 def laplace_sum_cols(A: Mat, J: IndexSetLike, I1: IndexSetLike, I2: IndexSetLike) -> Fraction:
@@ -150,12 +168,8 @@ def vanishing_check(A: Mat, I: IndexSetLike, J: IndexSetLike, J1: IndexSetLike) 
         raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
     if not J1.issubset(J):
         raise ValueError(f"J1 = {J1!r} must be contained in J = {J!r}")
-    hypothesis = all(
-        minor(A, IndexSet(sub), J1) == 0 for sub in combinations(I, len(J1))
-    )
-    if not hypothesis:
-        return True
-    return minor(A, I, J) == 0
+    hypothesis = all(_minor_num(A, sub, J1) == 0 for sub in combinations(I, len(J1)))
+    return not hypothesis or _minor_num(A, I, J) == 0
 
 
 def vanishing_check_dual(A: Mat, I: IndexSetLike, J: IndexSetLike, I1: IndexSetLike) -> bool:
@@ -174,11 +188,11 @@ def cauchy_binet_check(A: Mat, B: Mat, I: IndexSetLike, J: IndexSetLike) -> bool
         raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
     if len(I) > A.ncols:
         raise ValueError(f"minor order {len(I)} exceeds inner dimension {A.ncols}")
-    left = minor(matmul(A, B), I, J)
-    right = Fraction(0)
-    for K in combinations(range(1, A.ncols + 1), len(I)):
-        right += minor(A, I, K) * minor(B, K, J)
-    return left == right
+    AB, E = _lift(matmul(A, B))
+    left = _minor_num(AB, I, J)
+    (A, D), (B, F) = _lift(A), _lift(B)
+    right = sum(_minor_num(A, I, K) * _minor_num(B, K, J) for K in combinations(range(1, A.ncols + 1), len(I)))
+    return left * (D * F) ** len(I) == right * E ** len(I)
 
 
 def sylvester_check(A: Mat, m: int) -> bool:
@@ -193,27 +207,18 @@ def sylvester_check(A: Mat, m: int) -> bool:
     n = A.nrows
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n = {n}, got m = {m}")
-    lead = tuple(range(1, m + 1))
-    B = Mat(
-        n - m,
-        n - m,
-        (
-            minor(A, lead + (m + i,), lead + (m + j,))
-            for i in range(1, n - m + 1)
-            for j in range(1, n - m + 1)
-        ),
-    )
-    left = det(B)
-    right = det(A) * minor(A, lead, lead) ** (n - m - 1)
-    return left == right
+    A = _lift(A)[0]
+    lead, rest = tuple(range(1, m + 1)), range(m + 1, n + 1)
+    B = Mat._of(n - m, n - m, [([_minor_num(A, lead + (i,), lead + (j,)) for j in rest], 1) for i in rest])
+    left = _minor_num(B, range(1, n - m + 1), range(1, n - m + 1))
+    return left == _minor_num(A, range(1, n + 1), range(1, n + 1)) * _minor_num(A, lead, lead) ** (n - m - 1)
 
 
 def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> Mat:
-    entries = [
-        Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-        for _ in range(nrows * ncols)
-    ]
-    return Mat(nrows, ncols, entries)
+    """Cells p/q drawn as `randint(-4, 4)` and `choice((1, 1, 2, 3))` draw
+    them, one `_randbelow` each: a seed runs the instances it always has."""
+    cells = [(rng.randrange(9) - 4, (1, 1, 2, 3)[rng.randrange(4)]) for _ in range(nrows * ncols)]
+    return Mat._of(nrows, ncols, [_over_lcm(cells[i * ncols : (i + 1) * ncols]) for i in range(nrows)])
 
 
 def _random_subset(rng: random.Random, limit: int, size: int) -> IndexSet:

@@ -1,5 +1,6 @@
 """Shared helpers: independent oracles, random exact matrix generators, and
-the index-set and matrix helpers that only tests use.
+the index-set and matrix helpers that only tests use, and the hypothesis
+strategies for small integer and rational matrices.
 
 The cofactor-expansion determinant here is deliberately naive and separate
 from the production path; it is the oracle the fast determinant is judged
@@ -9,6 +10,8 @@ against (n <= 5 keeps it affordable).
 import random
 from fractions import Fraction
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from tnnlu import ClassDesc, IndexSet, Mat
 from tnnlu.core import _combine, _in_range
@@ -167,6 +170,33 @@ def random_class_U(rng, n, c):
             else:
                 entries.append(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))))
     return Mat(t, n, entries)
+
+
+def _same_shape(draw, entry, count, m=None, n=None):
+    """Up to 4x5 with entries drawn from ``entry``, or m x n where given (either
+    may be 0); with ``count`` > 1, a tuple of that many matrices of one shape."""
+    m = draw(st.integers(1, 4)) if m is None else m
+    n = draw(st.integers(1, 5)) if n is None else n
+    drawn = tuple(
+        Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n))) for _ in range(count)
+    )
+    return drawn if count > 1 else drawn[0]
+
+
+@st.composite
+def small_integer_matrices(draw, count=1):
+    """Entries of both signs with zero three times as likely as any other."""
+    return _same_shape(draw, st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3)), count)
+
+
+@st.composite
+def small_rational_matrices(draw, count=1, m=None, n=None):
+    """Integer and fractional entries of both signs, so that the rows' integer
+    lifts carry unequal scales; zero is three times as likely as any other."""
+    entry = st.sampled_from(
+        (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-3, 2))
+    )
+    return _same_shape(draw, entry, count, m, n)
 
 
 def seeded(seed):

@@ -60,6 +60,8 @@ from conftest import (
     random_class_L,
     random_class_U,
     seeded,
+    small_integer_matrices,
+    small_rational_matrices,
     submatrix,
 )
 from tnnlu import (
@@ -108,33 +110,6 @@ from tnnlu.neville import (
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-def _same_shape(draw, entry, count):
-    """Up to 4x5 with entries drawn from ``entry``; with ``count`` > 1, a tuple of
-    that many matrices of one shape."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 5))
-    drawn = tuple(
-        Mat(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n))) for _ in range(count)
-    )
-    return drawn if count > 1 else drawn[0]
-
-
-@st.composite
-def small_integer_matrices(draw, count=1):
-    """Entries of both signs with zero three times as likely as any other."""
-    return _same_shape(draw, st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3)), count)
-
-
-@st.composite
-def small_rational_matrices(draw, count=1):
-    """Integer and fractional entries of both signs, so that the rows' integer
-    lifts carry unequal scales; zero is three times as likely as any other."""
-    entry = st.sampled_from(
-        (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-3, 2))
-    )
-    return _same_shape(draw, entry, count)
 
 
 @st.composite
