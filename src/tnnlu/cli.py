@@ -7,9 +7,11 @@ either way all rationals are emitted exactly as "p" or "p/q" and identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage, 3 parse error, 4 class not found,
-5 not totally nonnegative, 6 size guard, 7 bad input.  Only the TNN
-tests are size-guarded: check-tnn and auto decompose's --trace refuse
-past --max-bruteforce; auto without --trace answers at every size.
+5 not totally nonnegative, 6 size guard, 7 bad input.  Only check-tnn
+refuses past --max-bruteforce; decompose --method neville runs its exact
+TNN check and witness sweep only within it, and auto decompose, --trace
+included, answers at every size.  --unchecked changes nothing: every
+method's checks always run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix, size_guard
+from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, certify, detect_class
@@ -80,13 +82,10 @@ def _read_matrix(args: argparse.Namespace) -> Mat:
 def _cmd_decompose(args: argparse.Namespace) -> dict:
     A = _read_matrix(args)
     if args.method == "neville":
-        pair, trace = neville_decompose(
-            A, check_tnn=not args.unchecked, max_size=args.max_bruteforce
-        )
+        pair, trace = neville_decompose(A, max_size=args.max_bruteforce)
     else:
         pair, trace = certify(A), None
         if args.method == "auto" and args.trace:
-            size_guard(A, args.max_bruteforce)
             trace = _tnn_gate(A)  # pass 1's moves, whose pair is this one
     (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)
     payload = {
@@ -202,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=MAX_BRUTEFORCE,
                 metavar="N",
-                help="size guard (N >= 0) for the TNN tests and their witness sweeps; "
-                "detect is unguarded (default %(default)s)",
+                help="size guard (N >= 0): check-tnn refuses past it, and neville's exact "
+                "TNN check and witness sweep run only within it (default %(default)s)",
             )
 
     p = sub.add_parser("decompose", help="factor a matrix as L*U with its class")
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unchecked",
         action="store_true",
-        help="skip neville's second TNN pass and witness sweep; the class certificate always runs",
+        help="accepted and ignored: every method's checks always run",
     )
     p.set_defaults(func=_cmd_decompose)
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import IndexSet, IndexSetLike, Mat, _minor_num, _over_lcm, inversion_count, matmul, minor
+from .core import (
+    IndexSet, IndexSetLike, Mat, _in_range, _minor_num, _over_lcm, inversion_count, matmul, minor,
+)
 
 IndexPair = tuple[IndexSet, IndexSet]
 
@@ -168,6 +170,7 @@ def vanishing_check(A: Mat, I: IndexSetLike, J: IndexSetLike, J1: IndexSetLike) 
         raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
     if not J1.issubset(J):
         raise ValueError(f"J1 = {J1!r} must be contained in J = {J!r}")
+    _in_range(A, I, J)
     hypothesis = all(_minor_num(A, sub, J1) == 0 for sub in combinations(I, len(J1)))
     return not hypothesis or _minor_num(A, I, J) == 0
 
@@ -188,11 +191,11 @@ def cauchy_binet_check(A: Mat, B: Mat, I: IndexSetLike, J: IndexSetLike) -> bool
         raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
     if len(I) > A.ncols:
         raise ValueError(f"minor order {len(I)} exceeds inner dimension {A.ncols}")
-    AB, E = _lift(matmul(A, B))
-    left = _minor_num(AB, I, J)
-    (A, D), (B, F) = _lift(A), _lift(B)
-    right = sum(_minor_num(A, I, K) * _minor_num(B, K, J) for K in combinations(range(1, A.ncols + 1), len(I)))
-    return left * (D * F) ** len(I) == right * E ** len(I)
+    # on D·A and F·B both sides scale by (D·F)^|I|
+    A, B = _lift(A)[0], _lift(B)[0]
+    return _minor_num(matmul(A, B), I, J) == sum(
+        _minor_num(A, I, K) * _minor_num(B, K, J) for K in combinations(range(1, A.ncols + 1), len(I))
+    )
 
 
 def sylvester_check(A: Mat, m: int) -> bool:

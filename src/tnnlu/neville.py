@@ -330,19 +330,16 @@ def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
 
 
 def neville_decompose(
-    A: Mat,
-    record_stages: bool = False,
-    *,
-    check_tnn: bool = True,
-    max_size: int = MAX_BRUTEFORCE,
+    A: Mat, record_stages: bool = False, *, max_size: int = MAX_BRUTEFORCE
 ) -> tuple[LUPair, NevilleTrace]:
     """Run the elimination on a totally nonnegative matrix: A's certified
     class factorization (see `_run`) and its moves, with (L, U) after each
-    move if ``record_stages``.  Within the size guard, with ``check_tnn``
-    on, `_tnn_gate`'s pass 2 follows, so TNN is decided exactly, and a
-    refusal names the first negative minor in scan order if the sweep finds
-    one; otherwise TNN is policed only move by move and by U's signs."""
-    gated = check_tnn and within_guard(A, max_size)
+    move if ``record_stages``.  Within the size guard (min(m, n) <=
+    ``max_size``), `_tnn_gate`'s pass 2 follows, so TNN is decided exactly,
+    and a refusal names the first negative minor in scan order if the sweep
+    finds one; past it, TNN is policed only move by move and by U's signs,
+    and ``max_size=0`` asks for pass 1 alone."""
+    gated = within_guard(A, max_size)
     try:
         state, moves = _passes(A, gated)
     except NotTotallyNonnegativeError:

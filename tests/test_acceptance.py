@@ -294,7 +294,7 @@ def test_criterion_06_move_minor_law(capsys):
                 continue
             if is_upper_echelon(A).is_strict:
                 continue
-            _, trace = neville_decompose(A, check_tnn=False)
+            _, trace = neville_decompose(A, max_size=0)
             first = trace.moves[0]
             if not isinstance(first, Eliminate):
                 continue
@@ -370,10 +370,10 @@ def test_criterion_09_negative_controls(capsys):
         with pytest.raises(NotTotallyNonnegativeError, match="input not totally nonnegative"):
             neville_decompose(poisoned)
         with pytest.raises(NotTotallyNonnegativeError, match="input not totally nonnegative"):
-            neville_decompose(poisoned, check_tnn=False)
+            neville_decompose(poisoned, max_size=0)
         deeper = Mat.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
         with pytest.raises(NotTotallyNonnegativeError, match="input not totally nonnegative"):
-            neville_decompose(deeper, check_tnn=False)
+            neville_decompose(deeper, max_size=0)
 
 
 def test_criterion_10_cli_round_trip_and_goldens(capsys, corpus):

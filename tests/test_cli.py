@@ -281,10 +281,13 @@ def test_auto_certifies_at_every_size(capsys):
         assert (code, err) == (0, "")
         want = run_cli(capsys, "decompose", "--inline", member, "--method", "reconstruct")
         assert want == (0, out.replace("method: auto", "method: reconstruct", 1), "")
-    # --trace asks for Neville's moves, which the TNN test's guard still refuses
-    code, out, err = run_cli(capsys, "decompose", "--inline", ones, "--trace")
-    assert (code, out) == (6, "")
-    assert err.startswith("error: size-guard: ")
+    # --trace adds the gate's pass 1 moves, which need no size guard: they are
+    # neville's run, whose pair is reconstruct's
+    for member in (ones, pascal_inline(64)):
+        code, out, err = run_cli(capsys, "decompose", "--inline", member, "--trace")
+        assert (code, err) == (0, "")
+        want = run_cli(capsys, "decompose", "--inline", member, "--method", "neville", "--trace")
+        assert want == (0, out.replace("method: auto", "method: neville", 1), "")
     # [[0, 1], [1, 1]] beside I_7 is in no class, as [[0, 1], [1, 1]] alone is not
     rows = [["1" if i == j else "0" for j in range(9)] for i in range(9)]
     rows[0][0], rows[0][1], rows[1][0] = "0", "1", "1"
@@ -350,6 +353,22 @@ def test_unchecked_still_certifies_the_class(capsys, method):
         "error: class-not-found: matrix belongs to no class: "
         "U does not lead at columns [2, 3]\n"
     )
+
+
+@pytest.mark.parametrize("method", ["auto", "explicit", "neville", "reconstruct"])
+def test_unchecked_changes_nothing(capsys, method):
+    # every method runs all of its checks: neville's exact TNN check inside
+    # the guard too, so the 3x3, whose minor [1,2|2,3] is -1, exits 5 with it
+    ones = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
+    for inline in ("1 1 2; 0 1 1; 0 0 1", "0 1 1; 1 1 0", pascal_inline(4), ones):
+        for trace in ((), ("--trace",)):
+            argv = ("decompose", "--inline", inline, "--method", method, *trace)
+            assert run_cli(capsys, *argv, "--unchecked") == run_cli(capsys, *argv)
+    if method == "neville":
+        argv = ("decompose", "--inline", "1 1 2; 0 1 1; 0 0 1", "--method", method, "--unchecked")
+        assert run_cli(capsys, *argv) == (
+            5, "", "error: not-tnn: input not totally nonnegative: minor [[1, 2]|[2, 3]] = -1\n"
+        )
 
 
 def pascal_inline(n, bent=None):

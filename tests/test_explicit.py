@@ -124,7 +124,7 @@ def test_three_paths_agree_and_factors_are_tnn():
         desc = detect_class(A)
         explicit = explicit_decompose(A, desc)
         rebuilt = reconstruct_lu(A, desc)
-        eliminated, _ = neville_decompose(A, check_tnn=False)
+        eliminated, _ = neville_decompose(A, max_size=0)
         assert explicit == rebuilt
         assert (explicit.L, explicit.U) == minor_ratio_pair(A, desc)
         assert eliminated.L == explicit.L and eliminated.U == explicit.U

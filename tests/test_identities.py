@@ -113,6 +113,14 @@ class TestVanishing:
         with pytest.raises(ValueError):
             vanishing_check(A4, [1, 2], [1, 2], [3])
 
+    def test_index_past_A_raises_whatever_the_hypothesis(self):
+        # the hypothesis fails on both ([1|1] = 1), yet I and J are checked first
+        A = Mat.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        with pytest.raises(IndexError, match="row index 9 out of range for 3x3"):
+            vanishing_check(A, [1, 9], [1, 2], [1])
+        with pytest.raises(IndexError, match="column index 7 out of range for 3x3"):
+            vanishing_check(A, [1, 2], [1, 7], [1])
+
 
 class TestCauchyBinet:
     def test_cryer_factors(self):

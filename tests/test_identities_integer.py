@@ -84,12 +84,11 @@ def fraction_vanishing(A, I, J, J1):
         raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
     if not J1.issubset(J):
         raise ValueError(f"J1 = {J1!r} must be contained in J = {J!r}")
+    value = minor(A, I, J)  # an index past A raises before the hypothesis is read
     hypothesis = all(
         minor(A, IndexSet(sub), J1) == 0 for sub in combinations(I, len(J1))
     )
-    if not hypothesis:
-        return True
-    return minor(A, I, J) == 0
+    return not hypothesis or value == 0
 
 
 def fraction_vanishing_dual(A, I, J, I1):

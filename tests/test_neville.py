@@ -129,7 +129,7 @@ def _first_elimination_state(A):
         return None
     if is_upper_echelon(A).is_strict:
         return None
-    pair, trace = neville_decompose(A, check_tnn=False)
+    pair, trace = neville_decompose(A, max_size=0)
     first = trace.moves[0]
     if isinstance(first, Eliminate):
         return first.s, first.t
@@ -208,11 +208,11 @@ class TestDecompose:
 
     def test_poisoned_pattern_rejected_dynamically(self):
         with pytest.raises(NotTotallyNonnegativeError, match="not totally nonnegative"):
-            neville_decompose(Mat.from_rows([[0, 1], [1, 0]]), check_tnn=False)
+            neville_decompose(Mat.from_rows([[0, 1], [1, 0]]), max_size=0)
         # legal first move, but the state two moves later is impossible for TNN
         poisoned = Mat.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
         with pytest.raises(NotTotallyNonnegativeError, match="not totally nonnegative"):
-            neville_decompose(poisoned, check_tnn=False)
+            neville_decompose(poisoned, max_size=0)
 
     def test_corpus_invariants_per_stage(self):
         rng = seeded(92)
@@ -314,7 +314,7 @@ class TestReplayAndTraceText:
         )
         for A, trace, reason in cases:
             with pytest.raises(NotTotallyNonnegativeError, match=reason):
-                neville_decompose(A, check_tnn=False)
+                neville_decompose(A, max_size=0)
             with pytest.raises(ReplayError, match=reason):
                 replay(A, trace)
 
@@ -343,8 +343,8 @@ def test_neville_and_replay_build_no_table(monkeypatch):
     monkeypatch.setattr("tnnlu.mclass._bareiss", refuse)
     for rows, pair in zip(inputs, expected):
         A = Mat.from_rows(rows)
-        for check_tnn in (True, False):
-            found, trace = neville_decompose(A, check_tnn=check_tnn)
+        for max_size in (12, 0):  # both passes on every input, then pass 1 alone
+            found, trace = neville_decompose(A, max_size=max_size)
             assert found == pair
             assert replay(A, trace) == pair
 

@@ -365,7 +365,7 @@ def test_neville_moves_replay_and_agree_with_reconstruct(m, n, seed):
 
 def check_neville_returns_only_the_nonnegative_class_factorization(A):
     try:
-        pair, _ = neville_decompose(A, check_tnn=False)
+        pair, _ = neville_decompose(A, max_size=0)
     except NotTotallyNonnegativeError as error:
         # a refused factor entry is the class pair's first negative one, L before U
         reason = str(error).removeprefix("input not totally nonnegative: ")
@@ -415,14 +415,14 @@ def test_neville_move_is_the_row_operation_on_rationals(U):
 
 def check_replay_returns_only_what_neville_returns(A, B):
     try:
-        _, trace = neville_decompose(B, check_tnn=False)
+        _, trace = neville_decompose(B, max_size=0)
     except NotTotallyNonnegativeError:
         return
     try:
         replayed = replay(A, parse_trace(format_trace(trace)))
     except ReplayError:
         return
-    assert neville_decompose(A, check_tnn=False)[0] == replayed
+    assert neville_decompose(A, max_size=0)[0] == replayed
 
 
 @SETTINGS
@@ -467,10 +467,10 @@ def test_column_sweep_takes_the_moves_of_the_full_scan(A):
         pair, trace = _pair(A, *_run(A, lambda state, moves: _find_move(state), refuse))
     except NotTotallyNonnegativeError as error:
         with pytest.raises(NotTotallyNonnegativeError) as raised:
-            neville_decompose(A, check_tnn=False)
+            neville_decompose(A, max_size=0)
         assert str(raised.value) == str(error)
         return
-    swept, swept_trace = neville_decompose(A, check_tnn=False)
+    swept, swept_trace = neville_decompose(A, max_size=0)
     assert swept_trace.moves == trace.moves
     assert swept == pair
 

@@ -22,6 +22,7 @@ from tnnlu import (
     rank,
 )
 from tnnlu.core import first_minor
+from tnnlu.mclass import certify
 from tnnlu.neville import _tnn_gate
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
@@ -128,6 +129,16 @@ def test_gate_pins_past_the_guard():
     assert _tnn_gate(Mat.from_rows([[1] * 9] * 9)) is not None
     pascal = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
     assert _tnn_gate(pascal) is not None
+
+
+def test_certified_factors_pass_the_gate_past_the_guard():
+    # the paper's theorem: a TNN matrix's class factors L and U are both TNN
+    inputs = [Mat.from_rows([[comb(i + j, i) for j in range(n)] for i in range(n)]) for n in (16, 32, 64)]
+    inputs += [random_tnn(12, 16, seed=4, factors=120), random_tnn(30, 40, seed=5, factors=400)]
+    for A in inputs:
+        assert _tnn_gate(A) is not None
+        pair = certify(A)
+        assert _tnn_gate(pair.L) is not None and _tnn_gate(pair.U) is not None
 
 
 def test_gate_agrees_with_deleting_derivations_past_the_guard():
