@@ -385,23 +385,27 @@ MAX_BRUTEFORCE = 8
 def iter_minor_layers(
     A: Mat, max_order: Optional[int] = None
 ) -> Iterator[tuple[int, dict[MinorKey, int]]]:
-    """Yield (size, {(rows, cols): minor}) for all square minors, size by size,
-    on A's integer rows: each an int, the minor times its rows' denominators.
+    """Yield (size, {(rows, cols): minor}) for all square minors, size by size
+    and, within a size, row set by row set, one dict each: every minor an int
+    on A's integer rows, the minor times its rows' denominators.
 
     Uses cofactor expansion along each row set's last row, reusing the
-    previous layer, so enumerating every minor costs far less than
-    independent determinants.  Keys are ascending 1-based index tuples;
-    within a layer, insertion order is lexicographic in (rows, cols).
+    previous size's minors, so enumerating every minor costs far less than
+    independent determinants, and a consumer that stops early skips the rest
+    of a size.  Keys are ascending 1-based index tuples, yielded in
+    lexicographic (rows, cols) order.
     """
     m, n = A.nrows, A.ncols
     top = min(m, n) if max_order is None else min(max_order, m, n)
-    layer: dict[MinorKey, int] = {((), ()): 1}
-    yield 0, layer
+    layer: dict[tuple[int, ...], dict[MinorKey, int]] = {(): {((), ()): 1}}
+    yield 0, layer[()]
     for s in range(1, top + 1):
-        prev, layer = layer, {}
+        prev_layer, layer = layer, {}
         for I in combinations(range(1, m + 1), s):
             base = I[:-1]
+            prev = prev_layer[base]
             last_row = A._rows[I[-1] - 1]
+            layer[I] = row_set = {}
             for J in combinations(range(1, n + 1), s):
                 acc = 0
                 for pos, col in enumerate(J):
@@ -412,8 +416,8 @@ def iter_minor_layers(
                             acc += entry * sub
                         else:
                             acc -= entry * sub
-                layer[(I, J)] = acc
-        yield s, layer
+                row_set[(I, J)] = acc
+            yield s, row_set
 
 
 def within_guard(A: Mat, max_size: int) -> bool:
@@ -441,7 +445,8 @@ def first_minor(
     """The exhaustive minor sweep, guarded by `size_guard`: the first nonempty
     minor, size ascending then lexicographic, up to ``max_order``, for which
     ``fails(rows, cols, value)`` holds on index tuples and `iter_minor_layers`'
-    int, as (rows, cols, minor) with IndexSets and a Fraction; None if none."""
+    int, as (rows, cols, minor) with IndexSets and a Fraction; None if none.
+    It stops at its witness: no later minor, even of its size, is computed."""
     size_guard(A, max_size)
     for _, layer in islice(iter_minor_layers(A, max_order), 1, None):
         for (rows, cols), value in layer.items():

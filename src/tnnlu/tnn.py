@@ -5,8 +5,8 @@ size is >= 0.  `is_tnn` decides TNN in polynomial time by two runs of
 Neville elimination, on A and then on its factor Uᵀ (`neville._tnn_gate`,
 whose docstring has the argument), exact for m x n matrices of any rank.
 The exhaustive minor sweep runs only when that gate rejects, to name the
-first negative minor in scan order.  It refuses matrices beyond the size
-guard.
+first negative minor in scan order, and stops there.  It refuses matrices
+beyond the size guard.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -38,7 +39,8 @@ from tnnlu import (
     reconstruct_lu,
     replay,
 )
-from tnnlu.core import _bareiss
+import tnnlu.core
+from tnnlu.core import _bareiss, first_minor
 from tnnlu.mclass import certify
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
@@ -342,6 +344,25 @@ class TestAllMinors:
     def test_max_order_truncates(self):
         table = all_minors(A4, max_order=1)
         assert max(len(rows) for rows, _ in table) == 1
+
+    def test_first_minor_stops_at_its_witness(self, monkeypatch):
+        original = tnnlu.core.iter_minor_layers
+        swept = []
+
+        def counting(*args, **kwargs):
+            for size, minors in original(*args, **kwargs):
+                if size:
+                    swept.append(len(minors))
+                yield size, minors
+
+        monkeypatch.setattr(tnnlu.core, "iter_minor_layers", counting)
+        pascal = [[comb(i + j, i) for j in range(8)] for i in range(8)]
+        pascal[0][1] = 100
+        # [1,2|1,2] = 1·2 − 100·1, in the first row set of size 2
+        witness = first_minor(Mat.from_rows(pascal), lambda rows, cols, value: value < 0)
+        assert witness == ((1, 2), (1, 2), -98)
+        # all 64 entries, then at most the row set {1, 2} of size 2, not all 784
+        assert sum(swept) <= 64 + comb(8, 2)
 
 
 class TestScalarsAndText:

@@ -267,6 +267,38 @@ def test_minor_from_the_lift_matches_the_submatrix_determinant(A):
                 assert value == det(submatrix(A, I, J)) == minor_cofactor(A, I, J)
 
 
+def minors_by_brute_force(A, max_order):
+    """Every square minor up to ``max_order``, each by `minor` alone, size
+    ascending, then lexicographic in (rows, cols)."""
+    top = min(A.nrows, A.ncols) if max_order is None else min(max_order, A.nrows, A.ncols)
+    return {
+        (I, J): minor(A, I, J)
+        for s in range(top + 1)
+        for I in combinations(range(1, A.nrows + 1), s)
+        for J in combinations(range(1, A.ncols + 1), s)
+    }
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        small_integer_matrices(),
+        small_rational_matrices(),
+        small_rational_matrices(m=0),
+        small_rational_matrices(n=0),
+    ),
+    st.sampled_from((lambda v: v < 0, lambda v: v == 0, lambda v: v > 0)),
+    st.sampled_from((None, 1, 2)),
+)
+def test_minor_sweep_matches_the_brute_force_scan(A, fails, max_order):
+    table = minors_by_brute_force(A, max_order)
+    assert list(all_minors(A, max_order).items()) == list(table.items())
+    first = next(
+        ((I, J, value) for (I, J), value in table.items() if I and fails(value)), None
+    )
+    assert first_minor(A, lambda rows, cols, value: fails(value), max_order=max_order) == first
+
+
 @st.composite
 def planted_rank_matrices(draw):
     """Rational m x n, up to 5x6, zero three times as likely as any other
