@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from typing import Optional, Sequence
@@ -248,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def emit_structured(payload: dict) -> str:
-    """Deterministic JSON rendering of a result payload."""
+    """Deterministic JSON rendering of a result payload.  `json` is imported
+    here, on first use, so that text output starts without it."""
+    import json
+
     visible = {k: v for k, v in payload.items() if not k.startswith("_")}
     return json.dumps(visible, indent=2) + "\n"
 

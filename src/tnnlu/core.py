@@ -234,8 +234,12 @@ class Mat:
         return [list(row) for row in self.iter_rows()]
 
     def transpose(self) -> "Mat":
+        """Each column over the lcm D of the row denominators, reduced by one gcd."""
+        D = math.lcm(*self._dens)
+        scales = [D // d for d in self._dens]
         cols = zip(*self._rows) if self.nrows else [()] * self.ncols
-        return Mat._of(self.ncols, self.nrows, [_over_lcm(list(zip(c, self._dens))) for c in cols])
+        pairs = [_reduce(list(map(operator.mul, col, scales)), D) for col in cols]
+        return Mat._of(self.ncols, self.nrows, pairs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Mat):  # nrows is len(_rows)

@@ -9,14 +9,12 @@ of each column (resp. row) to a prescribed index list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import IndexSet, IndexSetLike, Mat
 
 
-@dataclass(frozen=True)
-class EchelonReport:
+class EchelonReport(NamedTuple):
     """Echelon verdict plus pivot positions.
 
     For upper form, `pivots` lists the column of each nonzero row's

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import (
     IndexSet, IndexSetLike, Mat, _in_range, _minor_num, _over_lcm, inversion_count, matmul, minor,
@@ -33,22 +33,21 @@ def _sign(count: int) -> int:
     return -1 if count % 2 else 1
 
 
-@dataclass(frozen=True)
-class MinorTerm:
+class MinorTerm(
+    NamedTuple("_MinorTerm", [("coefficient", Fraction), ("first", IndexPair), ("second", IndexPair)])
+):
     """coefficient * [first] * [second], each factor a (rows, cols) minor."""
 
-    coefficient: Fraction
-    first: IndexPair
-    second: IndexPair
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for rows, cols in (self.first, self.second):
+    def __new__(cls, coefficient: Fraction, first: IndexPair, second: IndexPair) -> "MinorTerm":
+        for rows, cols in (first, second):
             if len(rows) != len(cols):
                 raise ValueError(f"minor needs equal-cardinality index sets: {rows!r}, {cols!r}")
+        return super().__new__(cls, coefficient, first, second)
 
 
-@dataclass(frozen=True)
-class TermIdentity:
+class TermIdentity(NamedTuple):
     """A sum of two-factor minor terms expected to vanish identically."""
 
     terms: tuple[MinorTerm, ...]

@@ -8,27 +8,24 @@ A matrix belongs to at most one such class, and may belong to none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, _bareiss, first_minor, rank
+from .core import MAX_BRUTEFORCE, IndexSet, IndexSetLike, Mat, _bareiss, first_minor, rank
 from .core import _over_lcm, _reduce
 from .core import iter_minor_layers  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .errors import NotInClassError
 
 
-@dataclass(frozen=True)
-class ClassDesc:
+class ClassDesc(NamedTuple("_ClassDesc", [("r", IndexSet), ("c", IndexSet)])):
     """Equal-cardinality row-leader and column-leader index sets."""
 
-    r: IndexSet
-    c: IndexSet
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", IndexSet.coerce(self.r))
-        object.__setattr__(self, "c", IndexSet.coerce(self.c))
-        if len(self.r) != len(self.c):
-            raise ValueError(f"leader sets must have equal cardinality: {self.r!r}, {self.c!r}")
+    def __new__(cls, r: IndexSetLike, c: IndexSetLike) -> "ClassDesc":
+        r, c = IndexSet.coerce(r), IndexSet.coerce(c)
+        if len(r) != len(c):
+            raise ValueError(f"leader sets must have equal cardinality: {r!r}, {c!r}")
+        return super().__new__(cls, r, c)
 
 
 def _validate_desc(A: Mat, desc: ClassDesc) -> None:
@@ -57,8 +54,7 @@ def in_class_M(A: Mat, desc: ClassDesc, max_size: int = MAX_BRUTEFORCE) -> bool:
     return first_minor(A, fails, max_size, max_order=len(r)) is None and rank(A) == len(r)
 
 
-@dataclass(frozen=True)
-class LUPair:
+class LUPair(NamedTuple):
     """A factorization A = L U together with the class it belongs to."""
 
     L: Mat

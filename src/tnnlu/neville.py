@@ -36,9 +36,8 @@ pair is `mclass.certify`'s by construction, with no table built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     MAX_BRUTEFORCE, Mat, _combine, _over_lcm, first_minor, format_scalar, parse_int,
@@ -48,15 +47,13 @@ from .errors import MovePreconditionError, NotTotallyNonnegativeError, ParseErro
 from .mclass import ClassDesc, LUPair
 
 
-@dataclass(frozen=True)
-class DeleteRow:
+class DeleteRow(NamedTuple):
     """Remove zero row i of U and column i of L."""
 
     i: int
 
 
-@dataclass(frozen=True)
-class Eliminate:
+class Eliminate(NamedTuple):
     """Subtract ``multiplier`` times row s of U from row s+1.
 
     t is the column whose lowest nonzero entry the move clears;
@@ -71,8 +68,7 @@ class Eliminate:
 Move = Union[DeleteRow, Eliminate]
 
 
-@dataclass(frozen=True)
-class NevilleTrace:
+class NevilleTrace(NamedTuple):
     """The moves of one elimination run, optionally with a snapshot of
     (L, U) after each move."""
 

@@ -12,9 +12,8 @@ beyond the size guard.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor, matmul, size_guard
 from .neville import _tnn_gate
@@ -22,8 +21,7 @@ from .neville import _tnn_gate
 Witness = tuple[IndexSet, IndexSet, Fraction]
 
 
-@dataclass(frozen=True)
-class TnnReport:
+class TnnReport(NamedTuple):
     """Outcome of a minor-sign sweep.
 
     `witness` is present exactly when the test failed: the first offending

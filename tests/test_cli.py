@@ -580,3 +580,28 @@ def test_one_parser_per_process_gives_fresh_process_bytes():
     assert json.loads(done.stdout) == fresh
     assert [code for code, _, _ in fresh] == [2, 3, 0, 2]
     assert "invalid choice: 'bogus'" in fresh[0][2] and "parse-error" in fresh[1][2]
+
+
+# In a fresh isolated interpreter: which of three costly modules importing the
+# package and its CLI and building the parser load, beyond those the
+# interpreter had loaded before, then the exit code of one CLI call.
+IMPORTS = """import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import tnnlu, tnnlu.cli
+tnnlu.cli.build_parser()
+print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
+sys.exit(tnnlu.cli.main(sys.argv[2:]))
+"""
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_json():
+    src = str(Path(tnnlu.__file__).resolve().parent.parent)
+    argv = ["decompose", "--inline", A4_INLINE, "--format", "structured"]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORTS, src, *argv], capture_output=True, text=True
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    loaded, structured = done.stdout.split("\n", 1)
+    assert loaded == "[]"
+    assert json.loads(structured)["class"] == {"r": [1, 3], "c": [2, 4]}

@@ -37,7 +37,10 @@ tabs and padding; malformed tokens keep their exact messages.
 Every way of making a Mat (parsing signed, unreduced p/q tokens, `Mat`,
 `from_rows`, a double transpose, a product with the identity, and
 `eliminate`'s factors) gives rows in lowest terms, equal with equal
-hashes, whose cells read back as the `Fraction` reference.
+hashes, whose cells read back as the `Fraction` reference.  `Mat.transpose`,
+which lifts each column to the lcm of the row denominators and reduces it
+by one gcd, is held to the transpose of its `Fraction` cells, m x 0 and
+0 x n included.
 """
 
 import io
@@ -786,6 +789,17 @@ def assert_canonical(M, m, n):
     rows, dens = M._rows, M._dens
     assert (M.nrows, M.ncols, len(rows), len(dens)) == (m, n, m, m)
     assert all(len(row) == n and den > 0 and gcd(den, *row) == 1 for row, den in zip(rows, dens))
+
+
+@SETTINGS
+@given(st.one_of(small_rational_matrices(), small_rational_matrices(m=0), small_rational_matrices(n=0)))
+def test_transpose_matches_the_fraction_transpose(A):
+    rows = A.to_rows()
+    reference = Mat.from_rows([[row[j] for row in rows] for j in range(A.ncols)], ncols=A.nrows)
+    T = A.transpose()
+    assert_canonical(T, A.ncols, A.nrows)
+    assert (T._rows, T._dens) == (reference._rows, reference._dens)
+    assert T == reference and hash(T) == hash(reference) and T.transpose() == A
 
 
 @SETTINGS
