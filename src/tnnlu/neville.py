@@ -16,11 +16,11 @@ integer rows.  Clearing u[s+1, t], with a and b the numerators of u[s+1, t]
 and u[s, t], sets row s+1 to b·row s+1 - a·row s over b times its
 denominator, divided through by the gcd.  Each row's lead (leftmost
 nonzero column) is kept in a list, and a move rescans only the lead of
-the row it changed.  The preconditions read the leads, and so does
-the scan for the next move, run only where a column sweep starts or ends;
-inside one, the next move follows from the last (see `_find_move`).  The
-finish runs on the same integers (see `_run`) and hands them over as they
-are: a Fraction is built once per move, as its multiplier.
+the row it changed.  The scan for the next move reads the leads where a
+column sweep starts or ends; inside one, the next move follows from the
+last.  The finish runs on the same integers and hands them over as they
+are (see `_run`).  A multiplier stays an integer pair, made a Fraction
+only for a trace that a caller keeps.
 
 On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
@@ -37,10 +37,10 @@ pair is `mclass.certify`'s by construction, with no table built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .core import (
-    MAX_BRUTEFORCE, Mat, _combine, _over_lcm, first_minor, format_scalar, parse_int,
+    MAX_BRUTEFORCE, Mat, _combine, first_minor, format_scalar, parse_int,
     parse_scalar, within_guard,
 )
 from .errors import MovePreconditionError, NotTotallyNonnegativeError, ParseError, ReplayError
@@ -83,7 +83,10 @@ def _not_tnn(reason: str, step: Optional[int] = None) -> NotTotallyNonnegativeEr
 def _lead(row: list[int], after: int) -> int:
     """The first nonzero column of ``row`` right of column ``after``, or
     ``len(row) + 1`` when there is none."""
-    return next((j for j, x in enumerate(row[after:], after + 1) if x), len(row) + 1)
+    j = after
+    while j < len(row) and not row[j]:
+        j += 1
+    return j + 1
 
 
 class _Factors:
@@ -96,10 +99,6 @@ class _Factors:
         self.ncols = A.ncols
         self.u, self.du = [list(row) for row in A._rows], list(A._dens)
         self.leads = [_lead(row, 0) for row in self.u]
-
-    def multiplier(self, s: int, t: int) -> Fraction:
-        """u[s+1, t] / u[s, t]."""
-        return Fraction(self.u[s][t - 1] * self.du[s - 1], self.u[s - 1][t - 1] * self.du[s])
 
     def mat(self) -> Mat:
         return Mat._of(len(self.u), self.ncols, list(zip(self.u, self.du)))
@@ -132,41 +131,19 @@ def neville_move(U: Mat, s: int, t: int) -> Mat:
     t is nonzero.  Violations raise naming the failed condition.
     """
     state = _Factors(U)
-    failure = _move_precondition_failure(state, s, t)
-    if failure is not None:
+    if (failure := _move_precondition_failure(state, s, t)) is not None:
         raise MovePreconditionError(failure)
-    _step(state, Eliminate(s, t, state.multiplier(s, t)))
+    _step(state, Eliminate(s, t, U.entry(s + 1, t) / U.entry(s, t)))
     return state.mat()
 
 
-def _find_move(state: _Factors, moves: Sequence[Move] = ()) -> Optional[Move]:
-    """The next move read off the rows' leads, or None once U is strictly
-    upper echelon: delete the bottom-most zero row, else clear column t,
-    the leftmost one whose column prefix breaks the staircase (the
-    smallest lead at or left of the running maximum of the leads above
-    it).  Any structural state a TNN matrix cannot reach raises
-    NotTotallyNonnegativeError.
-
-    Given the moves it chose so far, a column sweep's next move is read off
-    the last: after ``Eliminate(s, t)`` the scan gives ``DeleteRow(s + 1)``
-    if that emptied row s+1, then ``Eliminate(s - 1, t)`` whenever row s-1
-    leads at t.  No other row is zero, as the scan saw none before the
-    move; t still breaks first and ``leads[0]`` is still least, as the move
-    raised only row s+1's lead and `_step` found every lead from row s down
-    at or right of t; and (s-1, s) is column t's lowest adjacent nonzero
-    pair, as `_step` found every row below s+1 zero there.  Every other
-    state, a sweep's first move and its end included, goes through the scan.
-    """
+def _find_move(state: _Factors) -> Optional[tuple[int, int]]:
+    """The scan: (s, t) of the next Eliminate, read off the leads of a U with
+    no zero row, or None once U is strictly upper echelon.  t is the leftmost
+    column whose prefix breaks the staircase (the smallest lead at or left of
+    the running maximum of the leads above it), and rows s, s+1 the lowest
+    nonzero pair there.  A state no TNN matrix reaches raises."""
     rows, leads, n = state.u, state.leads, state.ncols
-    last = next((move for move in moves[:-3:-1] if isinstance(move, Eliminate)), None)
-    if last is not None:
-        s, t = last.s, last.t
-        if s < len(leads) and leads[s] > n:
-            return DeleteRow(s + 1)
-        if s > 1 and leads[s - 2] == t:
-            return Eliminate(s - 1, t, state.multiplier(s - 1, t))
-    if max(leads, default=0) > n:
-        return DeleteRow(len(leads) - leads[::-1].index(n + 1))
     t, top = n + 1, 0
     for b in leads:
         if b > top:
@@ -181,7 +158,7 @@ def _find_move(state: _Factors, moves: Sequence[Move] = ()) -> Optional[Move]:
     s = next((s for s in range(len(rows) - 1, 0, -1) if rows[s - 1][t - 1] and rows[s][t - 1]), None)
     if s is None:
         raise _not_tnn(f"column {t} breaks the staircase but has no adjacent nonzero pair")
-    return Eliminate(s, t, state.multiplier(s, t))
+    return s, t
 
 
 def _step(state: _Factors, move: Move) -> Optional[str]:
@@ -198,8 +175,7 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
             return f"row {i} out of range"
         if state.leads[i - 1] <= state.ncols:
             return f"row {i} is not a zero row"
-        for part in (u, du, state.leads):
-            del part[i - 1]
+        del u[i - 1], du[i - 1], state.leads[i - 1]
         return None
     s, t = move.s, move.t
     failure = _move_precondition_failure(state, s, t)
@@ -219,17 +195,34 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
     return None
 
 
+def _negative(k: int, s: int, t: int, multiplier: Fraction) -> str:
+    return f"move {k} (s={s}, t={t}) has negative multiplier {format_scalar(multiplier)}"
+
+
 def _run(
     A: Mat,
-    next_move: Callable[[_Factors, list[Move]], Optional[Move]],
+    next_move: Optional[Callable[[_Factors, list[Move]], Optional[Move]]],
     refuse: Callable[..., Exception],
-) -> tuple[_Factors, list[Move]]:
+) -> tuple[_Factors, list]:
     """From U = A in `_Factors`, apply ``next_move(state, moves)``, given
-    the moves so far, through `_step` until it gives None.  Then accept
-    only if no multiplier is negative, the leads make U strictly echelon
-    and no numerator of U is negative; each error is ``refuse(reason,
-    step=None)``.  With L rebuilt from the moves (`_pair`), the pair is
-    then `certify(A)`'s, in the class of L's column leads r and U's leads c:
+    the moves so far, through `_step` until it gives None; with ``next_move``
+    None, apply the scan's moves by the trusted kernel, which keeps an
+    Eliminate(s, t, p/q) as the integers ``(s, t, p, q)``.  Then accept only
+    if no multiplier is negative, the leads make U strictly echelon and no
+    numerator of U is negative; each error is ``refuse(reason, step=None)``.
+
+    The kernel deletes A's zero rows in one pass, bottom-up, and runs each
+    column sweep as one loop that checks only its first move, `_find_move`'s,
+    as `_step` would.  After ``Eliminate(s, t)`` the scan would give
+    ``DeleteRow(s + 1)`` if that emptied row s+1, then ``Eliminate(s - 1,
+    t)`` if row s-1 leads at t: no other row is zero; t still breaks first
+    and ``leads[0]`` is least, as only row s+1's lead rose and the
+    preconditions held every lead from row s down at or right of t; and rows
+    s-1, s are column t's lowest nonzero pair, its preconditions met, as
+    every row below s is now zero at t.
+
+    With L rebuilt from the moves (`_pair`), the pair is then `certify(A)`'s,
+    in the class of L's column leads r and U's leads c:
 
     * each move keeps A = L·U: an Eliminate applies an elementary E to U and
       E⁻¹ to L, a DeleteRow drops a zero row of U and L's matching column;
@@ -241,23 +234,39 @@ def _run(
     * those are `certify`'s clauses, and a class member's factors are unique
       (Pinkus, Thm 2.10 and Prop. 2.11)."""
     state = _Factors(A)
-    moves: list[Move] = []
-    for move in iter(lambda: next_move(state, moves), None):
-        failure = _step(state, move)
-        if failure is not None:
-            raise refuse(failure, len(moves) + 1)
-        moves.append(move)
-        # after the step, so that a failed precondition is the one reported
-        if isinstance(move, Eliminate) and move.multiplier.numerator < 0:
-            raise refuse(
-                f"move {len(moves)} (s={move.s}, t={move.t}) has negative "
-                f"multiplier {format_scalar(move.multiplier)}"
-            )
-    leads = state.leads
-    if any(a >= b for a, b in zip(leads, leads[1:] + [state.ncols + 1])):
+    u, du, leads, n = state.u, state.du, state.leads, state.ncols
+    moves: list = []
+    if next_move is None:
+        moves = [DeleteRow(i) for i in range(len(u), 0, -1) if leads[i - 1] > n]
+        kept = [k for k, b in enumerate(leads) if b <= n]
+        u[:], du[:], leads[:] = [u[k] for k in kept], [du[k] for k in kept], [leads[k] for k in kept]
+        while (found := _find_move(state)) is not None:
+            s, t = found
+            if (failure := _move_precondition_failure(state, s, t)) is not None:
+                raise refuse(failure, len(moves) + 1)
+            while s:
+                a, b = u[s][t - 1], u[s - 1][t - 1]
+                moves.append((s, t, a * du[s - 1], b * du[s]))
+                if (a < 0) != (b < 0):
+                    raise refuse(_negative(len(moves), s, t, Fraction(*moves[-1][2:])))
+                u[s][t - 1 :], du[s] = _combine(b, u[s][t - 1 :], -a, u[s - 1][t - 1 :], b * du[s])
+                leads[s] = _lead(u[s], t)
+                if leads[s] > n:
+                    moves.append(DeleteRow(s + 1))
+                    del u[s], du[s], leads[s]
+                s = s - 1 if s > 1 and leads[s - 2] == t else 0
+    else:
+        for move in iter(lambda: next_move(state, moves), None):
+            if (failure := _step(state, move)) is not None:
+                raise refuse(failure, len(moves) + 1)
+            moves.append(move)
+            # after the step, so that a failed precondition is the one reported
+            if isinstance(move, Eliminate) and move.multiplier.numerator < 0:
+                raise refuse(_negative(len(moves), move.s, move.t, move.multiplier))
+    if any(a >= b for a, b in zip(leads, leads[1:] + [n + 1])):
         raise refuse("trace does not finish the elimination")
     # every denominator is positive, so a numerator carries its entry's sign
-    for i, (row, d) in enumerate(zip(state.u, state.du)):
+    for i, (row, d) in enumerate(zip(u, du)):
         if min(row, default=0) < 0:
             j = next(j for j, x in enumerate(row) if x < 0)
             raise refuse(f"U[{i + 1},{j + 1}] = {format_scalar(Fraction(row[j], d))}")
@@ -265,25 +274,24 @@ def _run(
 
 
 def _pair(
-    A: Mat, state: _Factors, moves: list[Move], record_stages: bool = False
+    A: Mat, state: _Factors, moves: Sequence[Move], record_stages: bool = False
 ) -> tuple[LUPair, NevilleTrace]:
     """A finished run's pair, L rebuilt from its moves as `_run` describes,
     column k as ``l[k] / dl[k]`` in lowest terms, and its trace, which with
     ``record_stages`` keeps (L, U) after each move, U stepped again from A."""
     m, U, stages = A.nrows, _Factors(A) if record_stages else None, []
-    l, dl, origin = [[int(i == k) for i in range(m)] for k in range(m)], [1] * m, list(range(m))
+    l, dl, origin = [[0] * k + [1] + [0] * (m - 1 - k) for k in range(m)], [1] * m, list(range(m))
 
     def lower() -> Mat:
-        return Mat._of(m, len(l), [_over_lcm([(c[h], d) for c, d in zip(l, dl)]) for h in range(m)])
+        return Mat._of(len(l), m, list(zip(l, dl))).transpose()
 
     for move in moves:
-        if isinstance(move, DeleteRow):
-            for part in (l, dl, origin):
-                del part[move.i - 1]
+        if type(move) is DeleteRow:
+            del l[move.i - 1], dl[move.i - 1], origin[move.i - 1]
         else:
-            s, p, q = move.s, move.multiplier.numerator, move.multiplier.denominator
-            o, d0, d1 = origin[s - 1], dl[s - 1], dl[s]
-            l[s - 1][o:], dl[s - 1] = _combine(q * d1, l[s - 1][o:], p * d0, l[s][o:], q * d0 * d1)
+            k, lam = move.s - 1, move.multiplier
+            o, d0, d1, q = origin[k], dl[k], dl[k + 1], lam.denominator
+            l[k][o:], dl[k] = _combine(q * d1, l[k][o:], lam.numerator * d0, l[k + 1][o:], q * d0 * d1)
         if U is not None:
             _step(U, move)
             stages.append((lower(), U.mat()))
@@ -291,22 +299,24 @@ def _pair(
     return LUPair(lower(), state.mat(), ClassDesc([o + 1 for o in origin], state.leads)), trace
 
 
-def _passes(A: Mat, second: bool = True) -> tuple[_Factors, list[Move]]:
+def _passes(A: Mat, second: bool = True) -> tuple[_Factors, Iterator[Move]]:
     """`_tnn_gate`'s pass 1, `_run` on A, and with ``second`` its pass 2, on
     pass 1's U transposed; a reject raises NotTotallyNonnegativeError.  With
-    ``second``, a negative entry of A rejects before pass 1 starts."""
+    ``second``, a negative entry of A rejects before pass 1 starts.  Pass 1's
+    moves are an iterator that makes each multiplier a Fraction as it is read."""
     if second and any(min(row, default=0) < 0 for row in A._rows):
         raise _not_tnn("negative entry")
-    state, moves = _run(A, _find_move, _not_tnn)
+    state, moves = _run(A, None, _not_tnn)
     if second:
-        _run(state.mat().transpose(), _find_move, _not_tnn)
-    return state, moves
+        _run(state.mat().transpose(), None, _not_tnn)
+    return state, (m if type(m) is DeleteRow else Eliminate(*m[:2], Fraction(*m[2:])) for m in moves)
 
 
 def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
     """Decide total nonnegativity exactly, at any size, by two runs: pass
     1 on A gives A = L·U, pass 2 on Uᵀ gives Uᵀ = L₂·V.  Accept, returning
-    pass 1's moves, only if both finish.  V is then D, the diagonal of U's
+    pass 1's moves, only if both finish; they are an iterator, so `is_tnn`,
+    which reads none, builds no Fraction.  V is then D, the diagonal of U's
     leading entries, positive by pass 1's finish, whatever A is: U is row
     echelon at its leads with no zero row, so Uᵀ = (Uᵀ·D⁻¹)·D is Uᵀ's class
     pair, and a finished run gives the class pair (see `_run`).
@@ -320,7 +330,7 @@ def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
     so Uᵀ is TNN and pass 2 finishes too.  So a reject is exact (Gasca &
     Peña, LAA 165, 1992)."""
     try:
-        return NevilleTrace(tuple(_passes(A)[1]))
+        return NevilleTrace(_passes(A)[1])
     except NotTotallyNonnegativeError:
         return None
 
@@ -344,7 +354,7 @@ def neville_decompose(
             raise
         rows, cols, value = witness
         raise _not_tnn(f"minor [{list(rows)}|{list(cols)}] = {format_scalar(value)}") from None
-    return _pair(A, state, moves, record_stages)
+    return _pair(A, state, tuple(moves), record_stages)
 
 
 def replay(A: Mat, trace: NevilleTrace) -> LUPair:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -236,7 +237,7 @@ def test_detect_and_certify_build_one_table_per_call(monkeypatch):
 
 def test_factor_and_detect_build_no_fraction(capsys, monkeypatch):
     # a Mat is integer rows over one denominator: parsing, the table, both
-    # factors and the printout never need a Fraction
+    # factors, the TNN gate's accept and the printout never need a Fraction
     inputs = (
         "1/2 1/3 1 -2/4; 1/5 1 2/7 0; 3 1/4 1 7/3; 6/4 -0 +5 1/1",  # signed, unreduced tokens
         "0 0 0; 1/2 0 1/3; 2/4 0 2/6",  # rank 1, with a zero row and column
@@ -250,7 +251,9 @@ def test_factor_and_detect_build_no_fraction(capsys, monkeypatch):
             calls += [("decompose", "--method", "reconstruct", *common)]
             calls += [("decompose", "--method", "explicit", *common)]
             calls += [("decompose", *common), ("detect", *common)]
+    calls += [("check-tnn", "--inline", inline) for inline in inputs[1:3]]
     expected = [run_cli(capsys, *argv) for argv in calls]
+    assert expected[-2:] == [(0, "is_tnn: true\nwitness: none\n", "")] * 2
     assert {code for code, _, _ in expected} == {0, 4}
     assert any("/" in out for _, out, _ in expected)
 
@@ -261,6 +264,18 @@ def test_factor_and_detect_build_no_fraction(capsys, monkeypatch):
         if name.startswith("tnnlu") and hasattr(module, "Fraction"):
             monkeypatch.setattr(module, "Fraction", refuse)
     assert [run_cli(capsys, *argv) for argv in calls] == expected
+
+
+def test_check_tnn_deletes_a_run_of_zero_rows_in_one_pass(tmp_path, capsys):
+    # a zero row costs O(1) to delete, not a rescan of every row's lead
+    tall = ["20000 2", *["0 0"] * 7777, "3 5", *["0 0"] * 12222]
+    for name, lines in (("rows", ["20000 0"]), ("cols", ["0 20000"]), ("tall", tall)):
+        path = tmp_path / f"{name}.mat"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "check-tnn", str(path))
+        assert time.perf_counter() - began < 1.0, name
+        assert (code, out, err) == (0, "is_tnn: true\nwitness: none\n", ""), name
 
 
 def test_empty_factor_has_one_empty_row_per_row(capsys):

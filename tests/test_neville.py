@@ -288,6 +288,20 @@ class TestReplayAndTraceText:
             replay(A4, parse_trace("D 2"))
         assert str(excinfo.value) == "step 1: row 2 is not a zero row"
 
+    def test_replay_checks_every_move_inside_a_sweep(self):
+        # decomposition trusts a sweep's later moves; replay still checks each
+        pascal = Mat.from_rows([[comb(i + j, i) for j in range(5)] for i in range(5)])
+        lines = format_trace(neville_decompose(pascal)[1]).splitlines()
+        assert lines[:6] == ["E 4 1 1", "E 3 1 1", "E 2 1 1", "E 1 1 1", "E 4 2 1", "E 3 2 1"]
+        for doctored, message in (
+            (lines[:1] + ["E 3 1 2"] + lines[2:], "step 2: multiplier 2 does not match state value 1"),
+            (lines[:1] + ["D 5"] + lines[1:], "step 2: row 5 is not a zero row"),
+            (lines[:5] + ["E 3 2 1/2"] + lines[6:], "step 6: multiplier 1/2 does not match state value 1"),
+        ):
+            with pytest.raises(ReplayError) as excinfo:
+                replay(pascal, parse_trace("\n".join(doctored)))
+            assert str(excinfo.value) == message
+
     def test_replay_rejects_a_trace_that_stops_short(self):
         _, trace = neville_decompose(A4)
         with pytest.raises(ReplayError) as excinfo:

@@ -1,0 +1,64 @@
+"""Pinned bytes of the command line, each from `python -m tnnlu.cli` in a
+fresh interpreter: a changed digest is changed output.  The inputs are 40x40
+Pascal and a seeded 30x40 product of random TNN factors."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
+import pytest
+
+import tnnlu
+from tnnlu import format_trace, neville_decompose, parse_matrix, parse_trace, reconstruct_lu, replay
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(tnnlu.__file__).resolve().parent.parent))
+
+
+def cli(*argv):
+    """The stdout bytes of one `tnnlu` call, which must exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-m", "tnnlu.cli", *argv], capture_output=True, env=ENV, check=True
+    )
+    return done.stdout
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("pinned")
+    rows = [" ".join(str(comb(i + j, i)) for j in range(40)) for i in range(40)]
+    pascal = folder / "pascal40.mat"
+    pascal.write_text("40 40\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    product = folder / "product.mat"
+    product.write_bytes(cli("generate", "--size", "30", "40", "--seed", "5", "--factors", "400"))
+    return {"pascal40": pascal, "product": product}
+
+
+def test_the_seeded_product_is_pinned(inputs):
+    digest = sha256(inputs["product"].read_bytes())
+    assert digest == "bf6166747f523da49016e19edf8c7adb011c4b714880987c4c385922140308f9"
+
+
+@pytest.mark.parametrize(
+    "name, pin",
+    [
+        ("pascal40", "3f8f2810e0899b0ca6c103ec58b8a3e262f36e37a86d49c258984f2dafaff568"),
+        ("product", "bd7f21f998f86f20ffd33bed3bf3c918513a17e33257576a2a4276fdf72e9510"),
+    ],
+    ids=["pascal40", "product"],
+)
+def test_the_neville_trace_is_pinned(inputs, name, pin):
+    assert sha256(cli("decompose", "--method", "neville", "--trace", str(inputs[name]))) == pin
+
+
+@pytest.mark.parametrize("name", ["pascal40", "product"])
+def test_the_trace_text_replays_to_the_certified_pair(inputs, name):
+    A = parse_matrix(inputs[name].read_text(encoding="utf-8"))
+    pair, trace = neville_decompose(A)
+    assert replay(A, parse_trace(format_trace(trace))) == pair == reconstruct_lu(A)

@@ -52,7 +52,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -491,23 +491,63 @@ def sweep_inputs(draw):
     return Mat.from_rows(rows)
 
 
-@settings(SETTINGS, max_examples=400)
-@given(sweep_inputs())
-def test_column_sweep_takes_the_moves_of_the_full_scan(A):
-    # the reference finds every move by the scan, with no hint from the last
-    def refuse(reason, step=None):
-        return NotTotallyNonnegativeError(f"input not totally nonnegative: {reason}")
+def multiplier(state, s, t):
+    """u[s+1, t] / u[s, t] of a run's state."""
+    return Fraction(state.u[s][t - 1] * state.du[s - 1], state.u[s - 1][t - 1] * state.du[s])
 
+
+def find_move(state):
+    """The scan one move at a time, with no hint from the last: the
+    bottom-most zero row's DeleteRow, else `_find_move`'s Eliminate."""
+    leads, n = state.leads, state.ncols
+    if max(leads, default=0) > n:
+        return DeleteRow(len(leads) - leads[::-1].index(n + 1))
+    found = _find_move(state)
+    return found and Eliminate(*found, multiplier(state, *found))
+
+
+def validated_run(A):
+    """The reference run: every move found by the scan and applied through
+    `_step`'s checks."""
+    return _run(A, lambda state, moves: find_move(state), _not_tnn)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(
+    st.one_of(
+        sweep_inputs(),
+        small_integer_matrices(),
+        small_rational_matrices(),
+        st.builds(Mat.zeros, st.integers(1, 4), st.just(0)),
+        st.builds(Mat.zeros, st.just(0), st.integers(0, 5)),
+    )
+)
+@example(Mat.from_rows([[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 1], [0, 0, 1, 1]]))
+@example(Mat.zeros(3, 0))
+@example(Mat.zeros(0, 4))
+def test_column_sweep_takes_the_moves_of_the_full_scan(A):
+    # the kernel's sweeps against a run that checks every move: the same
+    # moves, pair and refusal text, and the same gate verdict
     try:
-        pair, trace = _pair(A, *_run(A, lambda state, moves: _find_move(state), refuse))
+        state, moves = validated_run(A)
     except NotTotallyNonnegativeError as error:
         with pytest.raises(NotTotallyNonnegativeError) as raised:
             neville_decompose(A, max_size=0)
         assert str(raised.value) == str(error)
+        assert _tnn_gate(A) is None
         return
+    pair, trace = _pair(A, state, moves)
     swept, swept_trace = neville_decompose(A, max_size=0)
     assert swept_trace.moves == trace.moves
     assert swept == pair
+    try:
+        validated_run(state.mat().transpose())
+        accepted = all(x >= 0 for row in A.iter_rows() for x in row)
+    except NotTotallyNonnegativeError:
+        accepted = False
+    gate = _tnn_gate(A)
+    assert (gate is not None) == accepted
+    assert gate is None or tuple(gate.moves) == trace.moves
 
 
 def random_legal_walk(A, rng):
@@ -518,7 +558,7 @@ def random_legal_walk(A, rng):
         rows = range(1, len(state.u) + 1)
         legal = [DeleteRow(i) for i in rows if state.leads[i - 1] > state.ncols]
         legal += [
-            Eliminate(s, t, state.multiplier(s, t))
+            Eliminate(s, t, multiplier(state, s, t))
             for s in rows[:-1]
             for t in range(1, state.ncols + 1)
             if _move_precondition_failure(state, s, t) is None
@@ -568,8 +608,8 @@ def check_tnn_gate_against_the_sweep(A):
 def test_a_finished_second_pass_ends_in_the_diagonal_of_U(A):
     # so the gate needs no check that V is a positive monomial
     try:
-        U = _run(A, _find_move, _not_tnn)[0].mat()
-        V = _run(U.transpose(), _find_move, _not_tnn)[0].mat()
+        U = _run(A, None, _not_tnn)[0].mat()
+        V = _run(U.transpose(), None, _not_tnn)[0].mat()
     except NotTotallyNonnegativeError:
         return
     heads = [next(x for x in row if x) for row in U.iter_rows()]
