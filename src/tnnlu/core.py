@@ -115,6 +115,11 @@ class IndexSet(tuple):
         return super().__new__(cls, idx)
 
     @classmethod
+    def _of(cls, idx: tuple) -> "IndexSet":
+        """An IndexSet on a package-made tuple, as is: ascending positive ints."""
+        return tuple.__new__(cls, idx)
+
+    @classmethod
     def coerce(cls, value: "IndexSetLike") -> "IndexSet":
         return value if isinstance(value, IndexSet) else cls(value)
 
@@ -123,7 +128,7 @@ class IndexSet(tuple):
 
     def prefix(self, count: int) -> "IndexSet":
         """The first ``count`` indices."""
-        return IndexSet(self[:count])
+        return IndexSet._of(self[:count])
 
     def issubset(self, other: "IndexSetLike") -> bool:
         pool = set(IndexSet.coerce(other))
@@ -137,11 +142,11 @@ class IndexSet(tuple):
         other = IndexSet.coerce(other)
         if not self.isdisjoint(other):
             raise ValueError(f"index sets overlap: {self!r}, {other!r}")
-        return IndexSet(sorted(self + other))
+        return IndexSet._of(tuple(sorted(self + other)))
 
     def difference(self, other: "IndexSetLike") -> "IndexSet":
         pool = set(IndexSet.coerce(other))
-        return IndexSet(i for i in self if i not in pool)
+        return IndexSet._of(tuple([i for i in self if i not in pool]))
 
 
 IndexSetLike = Union[IndexSet, Iterable[int]]
@@ -356,13 +361,21 @@ def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
 
 
 def _minor_num(A: Mat, I: Sequence[int], J: Sequence[int]) -> int:
-    """The minor on ascending 1-based rows I and columns J of equal length,
-    times the product of those rows' denominators: read off A's integer
-    rows, the last `_bareiss` pivot signed by the order of the pivot rows;
-    0 if a column runs out.  An index past A raises `minor`'s IndexError."""
+    """The minor on ascending 1-based rows I and columns J of equal length, times
+    those rows' denominators, off A's integer rows: by cofactors to order 3, then
+    as the last `_bareiss` pivot signed by the order of the pivot rows, 0 if a
+    column runs out.  An index past A raises `minor`'s IndexError."""
     _in_range(A, I, J)
     if len(I) < 2:
         return A._rows[I[0] - 1][J[0] - 1] if I else 1
+    if len(I) == 2:
+        (r, s), (a, b) = (A._rows[I[0] - 1], A._rows[I[1] - 1]), (J[0] - 1, J[1] - 1)
+        return r[a] * s[b] - r[b] * s[a]
+    if len(I) == 3:
+        (h, i, k), (a, b, c) = I, [j - 1 for j in J]
+        r, s, t = A._rows[h - 1], A._rows[i - 1], A._rows[k - 1]
+        return (r[a] * (s[b] * t[c] - s[c] * t[b]) - r[b] * (s[a] * t[c] - s[c] * t[a])
+                + r[c] * (s[a] * t[b] - s[b] * t[a]))
     entries = [[A._rows[i - 1][j - 1] for j in J] for i in I]
     pivots = _bareiss(entries, _next_column)
     if len(pivots) < len(I):

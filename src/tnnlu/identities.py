@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .core import (
-    IndexSet, IndexSetLike, Mat, _in_range, _minor_num, _over_lcm, inversion_count, matmul, minor,
+    IndexSet, IndexSetLike, Mat, _in_range, _minor_num, _reduce, inversion_count, minor,
 )
 
 IndexPair = tuple[IndexSet, IndexSet]
@@ -112,21 +112,19 @@ def muir_extend(identity: TermIdentity, P: IndexSetLike, Q: IndexSetLike) -> Ter
     Q = IndexSet.coerce(Q)
     if len(P) != len(Q):
         raise ValueError(f"|P| must equal |Q|: {P!r}, {Q!r}")
+    p_free, q_free = set(P).isdisjoint, set(Q).isdisjoint
     extended = []
     for term in identity.terms:
         for rows, _ in (term.first, term.second):
-            if not P.isdisjoint(rows):
+            if not p_free(IndexSet.coerce(rows)):
                 raise ValueError(f"P = {P!r} overlaps row set {rows!r}")
         for _, cols in (term.first, term.second):
-            if not Q.isdisjoint(cols):
+            if not q_free(IndexSet.coerce(cols)):
                 raise ValueError(f"Q = {Q!r} overlaps column set {cols!r}")
-        extended.append(
-            MinorTerm(
-                term.coefficient,
-                (term.first[0].disjoint_union(P), term.first[1].disjoint_union(Q)),
-                (term.second[0].disjoint_union(P), term.second[1].disjoint_union(Q)),
-            )
-        )
+        extended.append(MinorTerm(term.coefficient, *[
+            (IndexSet._of(tuple(sorted(rows + P))), IndexSet._of(tuple(sorted(cols + Q))))
+            for rows, cols in (term.first, term.second)
+        ]))
     return TermIdentity(tuple(extended))
 
 
@@ -143,7 +141,7 @@ def laplace_sum_rows(A: Mat, I: IndexSetLike, J1: IndexSetLike, J2: IndexSetLike
         raise ValueError(f"|J1| + |J2| must equal |I|: {J1!r}, {J2!r}, {I!r}")
     total = 0
     for chosen in combinations(I, len(J1)):
-        I1 = IndexSet(chosen)
+        I1 = IndexSet._of(chosen)
         I2 = I.difference(I1)
         total += _sign(inversion_count(I1, I2)) * _minor_num(A, I1, J1) * _minor_num(A, I2, J2)
     return Fraction(total, math.prod(A._dens[i - 1] for i in I))
@@ -190,9 +188,11 @@ def cauchy_binet_check(A: Mat, B: Mat, I: IndexSetLike, J: IndexSetLike) -> bool
         raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
     if len(I) > A.ncols:
         raise ValueError(f"minor order {len(I)} exceeds inner dimension {A.ncols}")
-    # on D·A and F·B both sides scale by (D·F)^|I|
-    A, B = _lift(A)[0], _lift(B)[0]
-    return _minor_num(matmul(A, B), I, J) == sum(
+    # on A's integer rows and F·B, both sides scale by F^|I| and A's row denominators on I
+    B = _lift(B)[0]
+    cols = list(zip(*B._rows)) or [()] * B.ncols
+    AB = Mat._of(A.nrows, B.ncols, [([sum([x * y for x, y in zip(r, c)]) for c in cols], 1) for r in A._rows])
+    return _minor_num(AB, I, J) == sum(
         _minor_num(A, I, K) * _minor_num(B, K, J) for K in combinations(range(1, A.ncols + 1), len(I))
     )
 
@@ -217,14 +217,24 @@ def sylvester_check(A: Mat, m: int) -> bool:
 
 
 def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> Mat:
-    """Cells p/q drawn as `randint(-4, 4)` and `choice((1, 1, 2, 3))` draw
-    them, one `_randbelow` each: a seed runs the instances it always has."""
-    cells = [(rng.randrange(9) - 4, (1, 1, 2, 3)[rng.randrange(4)]) for _ in range(nrows * ncols)]
-    return Mat._of(nrows, ncols, [_over_lcm(cells[i * ncols : (i + 1) * ncols]) for i in range(nrows)])
+    """Rows of cells p/q over 6, drawn as `randint(-4, 4)` and `choice((1, 1, 2, 3))` draw them:
+    `_randbelow(n)` redraws `getrandbits(n.bit_length())` while >= n, so seeds keep their instances."""
+    bits, pairs = rng.getrandbits, []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            while (p := bits(4)) > 8:
+                pass
+            while (q := bits(3)) > 3:
+                pass
+            row.append((p - 4) * (6, 6, 3, 2)[q])
+        pairs.append(_reduce(row, 6))
+    return Mat._of(nrows, ncols, pairs)
 
 
-def _random_subset(rng: random.Random, limit: int, size: int) -> IndexSet:
-    return IndexSet(sorted(rng.sample(range(1, limit + 1), size)))
+def _random_subset(rng: random.Random, pool: range | list[int], size: int) -> IndexSet:
+    """``size`` indices sampled from ``pool``, distinct positive ints."""
+    return IndexSet._of(tuple(sorted(rng.sample(pool, size))))
 
 
 # Largest instance dimension; muir_extended uses exactly this, and needs >= 4.
@@ -252,24 +262,21 @@ def selftest(seed: int = 0, instances: int = 100) -> dict[str, dict[str, int]]:
         n = rng.randint(2, _SIZE)
         A = _random_matrix(rng, n, n)
         si = rng.randint(1, n)
-        I = _random_subset(rng, n, si)
+        I = _random_subset(rng, range(1, n + 1), si)
         s1 = rng.randint(0, si)
-        J1 = _random_subset(rng, n, s1)
+        J1 = _random_subset(rng, range(1, n + 1), s1)
         if rng.random() < 0.5 and s1 and si - s1:
-            J2 = _random_subset(rng, n, si - s1)  # overlap allowed
+            J2 = _random_subset(rng, range(1, n + 1), si - s1)  # overlap allowed
         else:
             rest = [j for j in range(1, n + 1) if j not in J1]
             if len(rest) < si - s1:
                 return True
-            J2 = IndexSet(sorted(rng.sample(rest, si - s1)))
-        if dual:  # I is then a column set, J1 and J2 row sets
-            value, B = laplace_sum_cols(A, I, J1, J2), A.transpose()
-        else:
-            value, B = laplace_sum_rows(A, I, J1, J2), A
+            J2 = _random_subset(rng, rest, si - s1)
+        value = (laplace_sum_cols if dual else laplace_sum_rows)(A, I, J1, J2)  # dual: I holds columns
         if not J1.isdisjoint(J2):
             return value == 0
         union = J1.disjoint_union(J2)
-        return value == _sign(inversion_count(J1, J2)) * minor(B, I, union)
+        return value == _sign(inversion_count(J1, J2)) * (minor(A, union, I) if dual else minor(A, I, union))
 
     def cauchy_binet_instance() -> bool:
         m = rng.randint(1, _SIZE)
@@ -278,8 +285,8 @@ def selftest(seed: int = 0, instances: int = 100) -> dict[str, dict[str, int]]:
         A = _random_matrix(rng, m, t)
         B = _random_matrix(rng, t, n)
         k = rng.randint(0, min(m, t, n))
-        I = _random_subset(rng, m, k)
-        J = _random_subset(rng, n, k)
+        I = _random_subset(rng, range(1, m + 1), k)
+        J = _random_subset(rng, range(1, n + 1), k)
         return cauchy_binet_check(A, B, I, J)
 
     def sylvester_instance() -> bool:
@@ -298,8 +305,8 @@ def selftest(seed: int = 0, instances: int = 100) -> dict[str, dict[str, int]]:
         free_rows = [x for x in range(1, n + 1) if x not in used_rows]
         free_cols = [x for x in range(1, n + 1) if x not in used_cols]
         ext = rng.randint(0, min(len(free_rows), len(free_cols)))
-        P = IndexSet(sorted(rng.sample(free_rows, ext)))
-        Q = IndexSet(sorted(rng.sample(free_cols, ext)))
+        P = _random_subset(rng, free_rows, ext)
+        Q = _random_subset(rng, free_cols, ext)
         return evaluate_identity(muir_extend(base, P, Q), A) == 0
 
     run("laplace_rows", lambda: laplace_instance(dual=False))

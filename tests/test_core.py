@@ -2,9 +2,11 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     delete_col,
@@ -14,6 +16,8 @@ from conftest import (
     minor_cofactor,
     random_rational_matrix,
     seeded,
+    small_integer_matrices,
+    small_rational_matrices,
     submatrix,
 )
 from tnnlu import (
@@ -40,11 +44,29 @@ from tnnlu import (
     replay,
 )
 import tnnlu.core
-from tnnlu.core import _bareiss, first_minor
+from tnnlu.core import _bareiss, _minor_num, first_minor, iter_minor_layers
 from tnnlu.mclass import certify
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def index_sets(top, size):
+    """Ascending tuples of ``size`` distinct indices from 1..max(top, size)."""
+    drawn = st.lists(st.integers(1, max(top, size)), min_size=size, max_size=size, unique=True)
+    return drawn.map(lambda indices: tuple(sorted(indices)))
+
+
+SMALL_SETS = st.integers(0, 5).flatmap(lambda size: index_sets(7, size))
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestIndexSet:
@@ -115,6 +137,38 @@ class TestIndexSet:
         assert IndexSet((1, 4)).difference([4]) == IndexSet((1,))
         assert IndexSet((1, 2)).issubset([1, 2, 3])
         assert not IndexSet((1, 5)).issubset([1, 2, 3])
+
+    @SETTINGS
+    @given(SMALL_SETS, SMALL_SETS, st.integers(-6, 6))
+    def test_derived_sets_are_valid_index_sets(self, a, b, count):
+        # difference, disjoint_union and prefix build their results unchecked, from validated sets
+        a, b = IndexSet(a), IndexSet(b)
+        made = [a.difference(b), a.difference(list(b)), a.prefix(count)]
+        if not set(a) & set(b):
+            made += [a.disjoint_union(b), a.disjoint_union(tuple(b))]
+        for result in made:
+            assert type(result) is IndexSet and result == IndexSet(tuple(result))
+        assert made[0] == tuple(i for i in a if i not in b) and made[2] == tuple(a)[:count]
+        if len(made) > 3:
+            assert made[3] == tuple(sorted(a + b))
+
+    def test_derived_sets_refuse_what_they_always_refused(self):
+        a = IndexSet((1, 4))
+        refused = [
+            (a.disjoint_union, (4, 5), "index sets overlap: IndexSet((1, 4)), IndexSet((4, 5))"),
+            (a.disjoint_union, IndexSet((1,)), "index sets overlap: IndexSet((1, 4)), IndexSet((1,))"),
+            (a.disjoint_union, (3, 2), "indices must be strictly ascending, got (3, 2)"),
+            (a.disjoint_union, [0], "indices must be positive integers, got 0"),
+            (a.difference, (2, 2), "indices must be strictly ascending, got (2, 2)"),
+            (a.difference, [True], "indices must be positive integers, got True"),
+            (a.difference, (-1,), "indices must be positive integers, got -1"),
+        ]
+        for method, argument, message in refused:
+            with pytest.raises(ValueError) as caught:
+                method(argument)
+            assert str(caught.value) == message
+        with pytest.raises(TypeError):
+            a.prefix("1")
 
 
 class TestSubmatrixAndMinor:
@@ -332,14 +386,38 @@ class TestDeletion:
 
 
 class TestAllMinors:
-    def test_matches_single_minor_calls(self):
-        rng = seeded(42)
-        for shape in ((3, 5), (4, 4)):
-            A = random_rational_matrix(rng, *shape)
-            table = all_minors(A)
-            assert table[((), ())] == 1
-            for (rows, cols), value in table.items():
-                assert value == minor(A, rows, cols)
+    @SETTINGS
+    @given(st.one_of(small_integer_matrices(), small_rational_matrices()), st.data())
+    def test_matches_single_minor_calls(self, A, data):
+        # `iter_minor_layers` expands along each row set's last row, a path apart
+        # from `_minor_num`'s closed forms (orders 2 and 3) and `_bareiss` (4 on)
+        table = all_minors(A)
+        assert table[((), ())] == 1
+        for _, layer in iter_minor_layers(A):
+            for (rows, cols), value in layer.items():
+                assert _minor_num(A, rows, cols) == value
+                scaled = Fraction(value, prod(A._dens[i - 1] for i in rows))
+                assert minor(A, rows, cols) == table[rows, cols] == scaled
+        if A.nrows == A.ncols:
+            full = tuple(range(1, A.nrows + 1))
+            assert det(A) == det_cofactor(A.to_rows()) == table[full, full]
+        else:
+            assert outcome(det, A) == (ValueError, f"determinant of non-square {A.nrows}x{A.ncols} matrix")
+        # an index past A, at each order up to 4, and unequal sizes raise as they always have
+        size = data.draw(st.integers(1, 4))
+        rows = data.draw(index_sets(A.nrows + 1, size))
+        cols = data.draw(index_sets(A.ncols + 1, size + data.draw(st.sampled_from((0, 0, 0, 1)))))
+        if len(rows) != len(cols):
+            want = ValueError, f"minor needs equal-cardinality index sets: {IndexSet(rows)!r}, {IndexSet(cols)!r}"
+        elif rows[-1] > A.nrows:
+            want = IndexError, f"row index {rows[-1]} out of range for {A.nrows}x{A.ncols}"
+        elif cols[-1] > A.ncols:
+            want = IndexError, f"column index {cols[-1]} out of range for {A.nrows}x{A.ncols}"
+        else:
+            want = table[rows, cols]
+        assert outcome(minor, A, rows, cols) == want
+        if isinstance(want, tuple) and want[0] is IndexError:
+            assert outcome(_minor_num, A, rows, cols) == want
 
     def test_max_order_truncates(self):
         table = all_minors(A4, max_order=1)

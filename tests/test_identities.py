@@ -21,7 +21,7 @@ from tnnlu import (
     vanishing_check,
     vanishing_check_dual,
 )
-from tnnlu.identities import selftest
+from tnnlu.identities import MinorTerm, TermIdentity, selftest
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
@@ -204,6 +204,13 @@ class TestMuir:
         assert second.coefficient == -1
         assert second.first == (IndexSet((2, 4)), IndexSet((1, 3)))
         assert second.second == (IndexSet((1, 3, 4)), IndexSet((1, 2, 3)))
+        # P = [2] and Q = [3] fall inside the base's sets, which still come out ascending
+        ext = muir_extend(laplace_three_term(1, 3, 2, 4), [2], [3])
+        assert ext.terms[0].first == (IndexSet((1, 2)), IndexSet((2, 3)))
+        assert ext.terms[0].second == (IndexSet((2, 3, 4)), IndexSet((2, 3, 4)))
+        for term in ext.terms:
+            for index_set in (*term.first, *term.second):
+                assert type(index_set) is IndexSet and index_set == IndexSet(tuple(index_set))
 
     def test_extended_relation_vanishes_on_random_matrices(self):
         rng = seeded(13)
@@ -215,12 +222,18 @@ class TestMuir:
 
     def test_disjointness_violation(self):
         base = laplace_three_term(1, 2, 1, 2)
-        with pytest.raises(ValueError):
-            muir_extend(base, [1], [3])
-        with pytest.raises(ValueError):
-            muir_extend(base, [4], [2])
-        with pytest.raises(ValueError):
-            muir_extend(base, [4, 5], [3])
+        unchecked = TermIdentity((MinorTerm(Fraction(1), ((2, 1), (1, 2)), ((), ())),))
+        for identity, P, Q, message in [
+            (base, [1], [3], "P = IndexSet((1,)) overlaps row set IndexSet((1,))"),
+            (base, [4], [2], "Q = IndexSet((2,)) overlaps column set IndexSet((1, 2))"),
+            (base, [4, 5], [3], "|P| must equal |Q|: IndexSet((4, 5)), IndexSet((3,))"),
+            (base, [5, 4], [3, 4], "indices must be strictly ascending, got (5, 4)"),
+            (base, [4], [0], "indices must be positive integers, got 0"),
+            (unchecked, [3], [3], "indices must be strictly ascending, got (2, 1)"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                muir_extend(identity, P, Q)
+            assert str(caught.value) == message
 
 
 def test_selftest_is_clean():

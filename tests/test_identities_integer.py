@@ -10,7 +10,8 @@ raise what it raises, with the same message, on hypothesis matrices with
 index sets that run past A, mismatched sizes, empty sets and m x 0 or
 0 x n factors.  `_random_matrix` draws its cells as the Fraction formula
 here does, so `selftest` runs the very instances it always ran.  A kernel
-made wrong on every 3x3 minor makes `selftest` report failures.
+made wrong on every 2x2, or every 3x3, minor makes every family of
+`selftest` report failures.
 """
 
 import random
@@ -298,19 +299,22 @@ def test_muir_extensions_match_the_fraction_formula(A, s, k, ext):
     assert type(evaluate_identity(identity, A)) is Fraction
 
 
-def test_a_wrong_kernel_fails_the_selftest(monkeypatch):
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_wrong_kernel_fails_the_selftest(monkeypatch, order):
     kernel = core._minor_num
 
-    def off_on_three_by_three(A, I, J):
+    def off_at_one_order(A, I, J):
         value = kernel(A, I, J)
-        return value + 1 if len(I) == 3 else value
+        return value + 1 if len(I) == order else value
 
-    monkeypatch.setattr(core, "_minor_num", off_on_three_by_three)
-    monkeypatch.setattr(identities, "_minor_num", off_on_three_by_three)
+    monkeypatch.setattr(core, "_minor_num", off_at_one_order)
+    monkeypatch.setattr(identities, "_minor_num", off_at_one_order)
     results = selftest(seed=20260808, instances=40)
     caught = {name for name, entry in results.items() if entry["failures"]}
     # A kernel that returns 0 for every minor, the empty one too, passes
     # every family, and so does `minor` returning 0 under the Fraction
     # formulas above: each family then compares two sides that are both 0.
-    # Only a kernel wrong on some minors and right on others shows.
+    # Only a kernel wrong on some minors and right on others shows.  Orders
+    # 2 and 3 are the ones `_minor_num` reads by cofactor expansion; every
+    # family must catch each.
     assert caught == {"laplace_rows", "laplace_cols", "cauchy_binet", "sylvester", "muir_extended"}

@@ -1,9 +1,12 @@
 """Pinned bytes of the command line, each from `python -m tnnlu.cli` in a
 fresh interpreter: a changed digest is changed output.  The inputs are 40x40
-Pascal and a seeded 30x40 product of random TNN factors."""
+Pascal and a seeded 30x40 product of random TNN factors.  The selftest's
+instance stream is pinned too: a changed digest means a seed no longer runs
+the instances it always ran."""
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -12,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import tnnlu
-from tnnlu import format_trace, neville_decompose, parse_matrix, parse_trace, reconstruct_lu, replay
+from tnnlu import format_matrix, format_trace, neville_decompose, parse_matrix, parse_trace, reconstruct_lu, replay
+from tnnlu.identities import _random_matrix
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(tnnlu.__file__).resolve().parent.parent))
 
@@ -62,3 +66,15 @@ def test_the_trace_text_replays_to_the_certified_pair(inputs, name):
     A = parse_matrix(inputs[name].read_text(encoding="utf-8"))
     pair, trace = neville_decompose(A)
     assert replay(A, parse_trace(format_trace(trace))) == pair == reconstruct_lu(A)
+
+
+def test_the_identity_selftest_reports_ok():
+    assert cli("identities-selftest", "--seed", "5", "--instances", "50").splitlines()[-1] == b"ok"
+
+
+def test_the_selftest_instance_stream_is_pinned():
+    # every shape of `_random_matrix` from 1x1 to 5x5, then the generator's next draw
+    rng = random.Random(20260808)
+    text = "".join(format_matrix(_random_matrix(rng, m, n)) for m in range(1, 6) for n in range(1, 6))
+    digest = sha256((text + repr(rng.random())).encode())
+    assert digest == "ae56e6f06e8e4fffdee395ae4507d5cddc736ffde737122de4a00c2bd2ea01a5"
