@@ -26,7 +26,7 @@ from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matri
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, certify, detect_class
-from .neville import _tnn_gate, format_trace, neville_decompose
+from .neville import _neville, _tnn_gate, format_trace, neville_decompose
 from .tnn import is_tnn, random_tnn
 
 _EXIT_CODES = (
@@ -48,17 +48,15 @@ def _render(A: Mat) -> tuple[list[str], list[list[str]]]:
 
 
 def _class_payload(desc: Optional[ClassDesc]):
-    if desc is None:
-        return None
-    return {"r": list(desc.r), "c": list(desc.c)}
+    return None if desc is None else {"r": list(desc.r), "c": list(desc.c)}
+
+
+def _braced(indices) -> str:
+    return "{" + ",".join(map(str, indices)) + "}"
 
 
 def _class_text(desc: Optional[ClassDesc]) -> str:
-    if desc is None:
-        return "none"
-    r = ",".join(str(i) for i in desc.r)
-    c = ",".join(str(j) for j in desc.c)
-    return f"r = {{{r}}}, c = {{{c}}}"
+    return "none" if desc is None else f"r = {_braced(desc.r)}, c = {_braced(desc.c)}"
 
 
 def _read_matrix(args: argparse.Namespace) -> Mat:
@@ -80,8 +78,10 @@ def _read_matrix(args: argparse.Namespace) -> Mat:
 
 def _cmd_decompose(args: argparse.Namespace) -> dict:
     A = _read_matrix(args)
-    if args.method == "neville":
+    if args.method == "neville" and args.trace:
         pair, trace = neville_decompose(A, max_size=args.max_bruteforce)
+    elif args.method == "neville":
+        pair, trace = _neville(A, args.max_bruteforce)[0], None  # no trace, so no Fraction
     else:
         pair, trace = certify(A), None
         if args.method == "auto" and args.trace:
@@ -116,19 +116,11 @@ def _cmd_detect(args: argparse.Namespace) -> dict:
 def _cmd_check_tnn(args: argparse.Namespace) -> dict:
     A = _read_matrix(args)
     report = is_tnn(A, max_size=args.max_bruteforce)
-    if report.witness is None:
-        witness = None
-        witness_text = "witness: none"
-    else:
+    witness, witness_text = None, "witness: none"
+    if report.witness is not None:
         rows, cols, value = report.witness
-        witness = {
-            "rows": list(rows),
-            "cols": list(cols),
-            "minor": format_scalar(value),
-        }
-        rtxt = ",".join(str(i) for i in rows)
-        ctxt = ",".join(str(j) for j in cols)
-        witness_text = f"witness: [{{{rtxt}}}|{{{ctxt}}}] = {format_scalar(value)}"
+        witness = {"rows": list(rows), "cols": list(cols), "minor": format_scalar(value)}
+        witness_text = f"witness: [{_braced(rows)}|{_braced(cols)}] = {format_scalar(value)}"
     return {
         "command": "check-tnn",
         "is_tnn": report.is_tnn,

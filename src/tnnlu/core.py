@@ -22,7 +22,6 @@ from .errors import ParseError, SizeGuardError
 
 Scalar = Fraction
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: no "1_000", no "١٢"
-_INTEGERS = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*")  # a row of integer tokens
 _RATIONALS = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?(?:\s+[+-]?[0-9]+(?:/[0-9]+)?)*\s*")  # a p/q row
 ScalarLike = Union[int, str, Fraction]
 
@@ -295,9 +294,18 @@ def _over_lcm(cells: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [x * (den // d) for x, d in cells], den
 
 
-def _combine(cx: int, x: list[int], cy: int, y: list[int], den: int) -> tuple[list[int], int]:
-    """(cx·x + cy·y) / den in lowest terms (see `_reduce`)."""
-    return _reduce([cx * a + cy * b for a, b in zip(x, y)], den)
+def _combine_into(row: list[int], b: int, a: int, other: list[int], lo: int, den: int) -> int:
+    """Set ``row`` to (b·row - a·other) / den in lowest terms (see `_reduce`), in place, and return
+    its denominator; both rows are zero left of column ``lo``.  Loops, not a comprehension,
+    which before Python 3.12 runs in a frame of its own, the larger cost on a short row."""
+    for k in range(lo, len(row)):
+        row[k] = b * row[k] - a * other[k]
+    g = math.gcd(den, *row)
+    g = -g if den < 0 else g
+    if g != 1:
+        for k in range(lo, len(row)):
+            row[k] //= g
+    return den // g
 
 
 def _bareiss(rows: list[list[int]], pick: Callable) -> list[tuple[int, int]]:
@@ -511,9 +519,12 @@ def parse_matrix(text: str) -> Mat:
         tokens = line.split()
         if len(tokens) != ncols:
             raise ParseError(f"expected {ncols} entries per row, got {len(tokens)}: {line!r}")
-        if _INTEGERS.fullmatch(line):
-            pairs.append((list(map(int, tokens)), 1))
-            continue
+        if line.isascii() and "/" not in line and "_" not in line:
+            try:  # on such a line `int` takes exactly the tokens `_RATIONALS` does
+                pairs.append((list(map(int, tokens)), 1))
+                continue
+            except ValueError:
+                pass
         if _RATIONALS.fullmatch(line):
             cells = [token.partition("/") for token in tokens]
             dens = [int(q or 1) for _, _, q in cells]

@@ -19,8 +19,8 @@ nonzero column) is kept in a list, and a move rescans only the lead of
 the row it changed.  The scan for the next move reads the leads where a
 column sweep starts or ends; inside one, the next move follows from the
 last.  The finish runs on the same integers and hands them over as they
-are (see `_run`).  A multiplier stays an integer pair, made a Fraction
-only for a trace that a caller keeps.
+are (see `_run`).  A multiplier stays the integer pair of the run through
+L's rebuild (`_pair`), made a Fraction only for a trace that a caller keeps.
 
 On totally nonnegative input every multiplier is nonnegative and both
 factors stay totally nonnegative throughout.  A negative multiplier, a
@@ -37,10 +37,10 @@ pair is `mclass.certify`'s by construction, with no table built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .core import (
-    MAX_BRUTEFORCE, Mat, _combine, first_minor, format_scalar, parse_int,
+    MAX_BRUTEFORCE, Mat, _combine_into, first_minor, format_scalar, parse_int,
     parse_scalar, within_guard,
 )
 from .errors import MovePreconditionError, NotTotallyNonnegativeError, ParseError, ReplayError
@@ -186,11 +186,10 @@ def _step(state: _Factors, move: Move) -> Optional[str]:
     p, q = a * du[s - 1], b * du[s]
     lam = move.multiplier
     if lam.numerator * q != lam.denominator * p:
-        state_value = format_scalar(Fraction(p, q))
-        return f"multiplier {format_scalar(lam)} does not match state value {state_value}"
+        return f"multiplier {format_scalar(lam)} does not match state value {format_scalar(Fraction(p, q))}"
     # row s+1 becomes b·row s+1 - a·row s over b·du; the precondition
     # leaves both rows zero left of column t
-    u[s][t - 1 :], du[s] = _combine(b, u[s][t - 1 :], -a, u[s - 1][t - 1 :], b * du[s])
+    du[s] = _combine_into(u[s], b, a, u[s - 1], t - 1, b * du[s])
     state.leads[s] = _lead(u[s], t)
     return None
 
@@ -206,10 +205,10 @@ def _run(
 ) -> tuple[_Factors, list]:
     """From U = A in `_Factors`, apply ``next_move(state, moves)``, given
     the moves so far, through `_step` until it gives None; with ``next_move``
-    None, apply the scan's moves by the trusted kernel, which keeps an
-    Eliminate(s, t, p/q) as the integers ``(s, t, p, q)``.  Then accept only
-    if no multiplier is negative, the leads make U strictly echelon and no
-    numerator of U is negative; each error is ``refuse(reason, step=None)``.
+    None, apply the scan's moves by the trusted kernel; either way an
+    Eliminate(s, t, p/q) is kept as the integers ``(s, t, p, q)``.  Then accept
+    only if no multiplier is negative, the leads make U strictly echelon and
+    no numerator of U is negative; each error is ``refuse(reason, step=None)``.
 
     The kernel deletes A's zero rows in one pass, bottom-up, and runs each
     column sweep as one loop that checks only its first move, `_find_move`'s,
@@ -249,7 +248,7 @@ def _run(
                 moves.append((s, t, a * du[s - 1], b * du[s]))
                 if (a < 0) != (b < 0):
                     raise refuse(_negative(len(moves), s, t, Fraction(*moves[-1][2:])))
-                u[s][t - 1 :], du[s] = _combine(b, u[s][t - 1 :], -a, u[s - 1][t - 1 :], b * du[s])
+                du[s] = _combine_into(u[s], b, a, u[s - 1], t - 1, b * du[s])
                 leads[s] = _lead(u[s], t)
                 if leads[s] > n:
                     moves.append(DeleteRow(s + 1))
@@ -259,10 +258,11 @@ def _run(
         for move in iter(lambda: next_move(state, moves), None):
             if (failure := _step(state, move)) is not None:
                 raise refuse(failure, len(moves) + 1)
-            moves.append(move)
+            lam = None if isinstance(move, DeleteRow) else move.multiplier
+            moves.append(move if lam is None else (move.s, move.t, lam.numerator, lam.denominator))
             # after the step, so that a failed precondition is the one reported
-            if isinstance(move, Eliminate) and move.multiplier.numerator < 0:
-                raise refuse(_negative(len(moves), move.s, move.t, move.multiplier))
+            if lam is not None and lam.numerator < 0:
+                raise refuse(_negative(len(moves), move.s, move.t, lam))
     if any(a >= b for a, b in zip(leads, leads[1:] + [n + 1])):
         raise refuse("trace does not finish the elimination")
     # every denominator is positive, so a numerator carries its entry's sign
@@ -273,49 +273,57 @@ def _run(
     return state, moves
 
 
-def _pair(
-    A: Mat, state: _Factors, moves: Sequence[Move], record_stages: bool = False
-) -> tuple[LUPair, NevilleTrace]:
-    """A finished run's pair, L rebuilt from its moves as `_run` describes,
-    column k as ``l[k] / dl[k]`` in lowest terms, and its trace, which with
-    ``record_stages`` keeps (L, U) after each move, U stepped again from A."""
-    m, U, stages = A.nrows, _Factors(A) if record_stages else None, []
-    l, dl, origin = [[0] * k + [1] + [0] * (m - 1 - k) for k in range(m)], [1] * m, list(range(m))
+def _traced(move) -> Move:
+    """A move as `_run` keeps it, as a trace keeps it: (s, t, p, q) as Eliminate(s, t, p/q)."""
+    return move if type(move) is DeleteRow else Eliminate(move[0], move[1], Fraction(move[2], move[3]))
+
+
+def _pair(A: Mat, state: _Factors, moves: Sequence, stages: Optional[list] = None) -> LUPair:
+    """A finished run's pair, L rebuilt from its moves as `_run` keeps them,
+    column k as ``l[k] / dl[k]`` in lowest terms, each built, the unit vector
+    at its origin row, only once read, so a zero row of A costs O(1); given
+    ``stages``, (L, U) after each move is appended to it, U stepped from A."""
+    m, U = A.nrows, _Factors(A) if stages is not None else None
+    l, dl, origin = [None] * m, [1] * m, list(range(m))
+
+    def column(k: int) -> list[int]:
+        if l[k] is None:
+            l[k] = [0] * origin[k] + [1] + [0] * (m - 1 - origin[k])
+        return l[k]
 
     def lower() -> Mat:
-        return Mat._of(len(l), m, list(zip(l, dl))).transpose()
+        return Mat._of(len(l), m, list(zip(map(column, range(len(l))), dl))).transpose()
 
     for move in moves:
         if type(move) is DeleteRow:
             del l[move.i - 1], dl[move.i - 1], origin[move.i - 1]
-        else:
-            k, lam = move.s - 1, move.multiplier
-            o, d0, d1, q = origin[k], dl[k], dl[k + 1], lam.denominator
-            l[k][o:], dl[k] = _combine(q * d1, l[k][o:], lam.numerator * d0, l[k + 1][o:], q * d0 * d1)
+        else:  # column k gains p/q times column k+1, both zero above k's origin
+            k, p, q, d0, d1 = move[0] - 1, move[2], move[3], dl[move[0] - 1], dl[move[0]]
+            col, nxt = l[k] or column(k), l[k + 1] or column(k + 1)  # a built column is never empty
+            dl[k] = _combine_into(col, q * d1, -p * d0, nxt, origin[k], q * d0 * d1)
         if U is not None:
-            _step(U, move)
+            _step(U, _traced(move))
             stages.append((lower(), U.mat()))
-    trace = NevilleTrace(tuple(moves), tuple(stages) if record_stages else None)
-    return LUPair(lower(), state.mat(), ClassDesc([o + 1 for o in origin], state.leads)), trace
+    return LUPair(lower(), state.mat(), ClassDesc([o + 1 for o in origin], state.leads))
 
 
-def _passes(A: Mat, second: bool = True) -> tuple[_Factors, Iterator[Move]]:
+def _passes(A: Mat, second: bool = True) -> tuple[_Factors, list]:
     """`_tnn_gate`'s pass 1, `_run` on A, and with ``second`` its pass 2, on
     pass 1's U transposed; a reject raises NotTotallyNonnegativeError.  With
     ``second``, a negative entry of A rejects before pass 1 starts.  Pass 1's
-    moves are an iterator that makes each multiplier a Fraction as it is read."""
+    moves are as `_run` keeps them."""
     if second and any(min(row, default=0) < 0 for row in A._rows):
         raise _not_tnn("negative entry")
     state, moves = _run(A, None, _not_tnn)
     if second:
         _run(state.mat().transpose(), None, _not_tnn)
-    return state, (m if type(m) is DeleteRow else Eliminate(*m[:2], Fraction(*m[2:])) for m in moves)
+    return state, moves
 
 
 def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
     """Decide total nonnegativity exactly, at any size, by two runs: pass
     1 on A gives A = L·U, pass 2 on Uᵀ gives Uᵀ = L₂·V.  Accept, returning
-    pass 1's moves, only if both finish; they are an iterator, so `is_tnn`,
+    pass 1's moves, only if both finish; they are a lazy `map`, so `is_tnn`,
     which reads none, builds no Fraction.  V is then D, the diagonal of U's
     leading entries, positive by pass 1's finish, whatever A is: U is row
     echelon at its leads with no zero row, so Uᵀ = (Uᵀ·D⁻¹)·D is Uᵀ's class
@@ -330,9 +338,23 @@ def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
     so Uᵀ is TNN and pass 2 finishes too.  So a reject is exact (Gasca &
     Peña, LAA 165, 1992)."""
     try:
-        return NevilleTrace(_passes(A)[1])
+        return NevilleTrace(map(_traced, _passes(A)[1]))
     except NotTotallyNonnegativeError:
         return None
+
+
+def _neville(A: Mat, max_size: int, stages: Optional[list] = None) -> tuple[LUPair, list]:
+    """`neville_decompose`'s pair and its moves as `_run` keeps them, with no trace built."""
+    gated = within_guard(A, max_size)
+    try:
+        state, moves = _passes(A, gated)
+    except NotTotallyNonnegativeError:
+        witness = first_minor(A, lambda rows, cols, v: v < 0, max_size) if gated else None
+        if witness is None:
+            raise
+        rows, cols, value = witness
+        raise _not_tnn(f"minor [{list(rows)}|{list(cols)}] = {format_scalar(value)}") from None
+    return _pair(A, state, moves, stages), moves
 
 
 def neville_decompose(
@@ -345,16 +367,9 @@ def neville_decompose(
     and a refusal names the first negative minor in scan order if the sweep
     finds one; past it, TNN is policed only move by move and by U's signs,
     and ``max_size=0`` asks for pass 1 alone."""
-    gated = within_guard(A, max_size)
-    try:
-        state, moves = _passes(A, gated)
-    except NotTotallyNonnegativeError:
-        witness = first_minor(A, lambda rows, cols, v: v < 0, max_size) if gated else None
-        if witness is None:
-            raise
-        rows, cols, value = witness
-        raise _not_tnn(f"minor [{list(rows)}|{list(cols)}] = {format_scalar(value)}") from None
-    return _pair(A, state, tuple(moves), record_stages)
+    stages = [] if record_stages else None
+    pair, moves = _neville(A, max_size, stages)
+    return pair, NevilleTrace(tuple(map(_traced, moves)), None if stages is None else tuple(stages))
 
 
 def replay(A: Mat, trace: NevilleTrace) -> LUPair:
@@ -370,18 +385,15 @@ def replay(A: Mat, trace: NevilleTrace) -> LUPair:
         A,
         lambda state, done: next(moves, None),
         lambda reason, step=None: ReplayError(reason if step is None else f"step {step}: {reason}"),
-    ))[0]
+    ))
 
 
 def format_trace(trace: NevilleTrace) -> str:
     """One move per line: "D i" or "E s t p/q", with exact rationals."""
-    lines = []
-    for move in trace.moves:
-        if isinstance(move, DeleteRow):
-            lines.append(f"D {move.i}")
-        else:
-            lines.append(f"E {move.s} {move.t} {format_scalar(move.multiplier)}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        f"D {mv.i}\n" if isinstance(mv, DeleteRow) else f"E {mv.s} {mv.t} {format_scalar(mv.multiplier)}\n"
+        for mv in trace.moves
+    )
 
 
 def parse_trace(text: str) -> NevilleTrace:
@@ -396,8 +408,7 @@ def parse_trace(text: str) -> NevilleTrace:
                 moves.append(DeleteRow(parse_int(tokens[1])))
                 continue
             if tokens[0] == "E" and len(tokens) == 4:
-                s, t = parse_int(tokens[1]), parse_int(tokens[2])
-                moves.append(Eliminate(s, t, parse_scalar(tokens[3])))
+                moves.append(Eliminate(parse_int(tokens[1]), parse_int(tokens[2]), parse_scalar(tokens[3])))
                 continue
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad trace line {line!r}") from exc

@@ -14,7 +14,12 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from tnnlu import ClassDesc, IndexSet, Mat
-from tnnlu.core import _combine, _in_range
+from tnnlu.core import _in_range, _reduce
+
+
+def _combine(cx, x, cy, y, den):
+    """(cx·x + cy·y) / den in lowest terms (see `_reduce`)."""
+    return _reduce([cx * a + cy * b for a, b in zip(x, y)], den)
 
 
 def indexset_leq(first, second):

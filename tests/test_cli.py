@@ -237,7 +237,8 @@ def test_detect_and_certify_build_one_table_per_call(monkeypatch):
 
 def test_factor_and_detect_build_no_fraction(capsys, monkeypatch):
     # a Mat is integer rows over one denominator: parsing, the table, both
-    # factors, the TNN gate's accept and the printout never need a Fraction
+    # factors, the TNN gate's accept, Neville's run with no trace asked for,
+    # and the printout never need a Fraction
     inputs = (
         "1/2 1/3 1 -2/4; 1/5 1 2/7 0; 3 1/4 1 7/3; 6/4 -0 +5 1/1",  # signed, unreduced tokens
         "0 0 0; 1/2 0 1/3; 2/4 0 2/6",  # rank 1, with a zero row and column
@@ -251,6 +252,9 @@ def test_factor_and_detect_build_no_fraction(capsys, monkeypatch):
             calls += [("decompose", "--method", "reconstruct", *common)]
             calls += [("decompose", "--method", "explicit", *common)]
             calls += [("decompose", *common), ("detect", *common)]
+    for inline in inputs[1:3]:  # the TNN inputs
+        for fmt in ("text", "structured"):
+            calls += [("decompose", "--method", "neville", "--inline", inline, "--format", fmt)]
     calls += [("check-tnn", "--inline", inline) for inline in inputs[1:3]]
     expected = [run_cli(capsys, *argv) for argv in calls]
     assert expected[-2:] == [(0, "is_tnn: true\nwitness: none\n", "")] * 2
@@ -276,6 +280,23 @@ def test_check_tnn_deletes_a_run_of_zero_rows_in_one_pass(tmp_path, capsys):
         code, out, err = run_cli(capsys, "check-tnn", str(path))
         assert time.perf_counter() - began < 1.0, name
         assert (code, out, err) == (0, "is_tnn: true\nwitness: none\n", ""), name
+
+
+def test_neville_deletes_a_run_of_zero_rows_in_linear_time(tmp_path, capsys):
+    # L's column of a zero row deleted before any move reads it is never built
+    tall = ["20000 2", *["0 0"] * 7777, "3 5", *["0 0"] * 12222]
+    deleted = {"rows": range(20000, 0, -1), "cols": (), "tall": [*range(20000, 7778, -1), *range(7777, 0, -1)]}
+    for name, lines in (("rows", ["20000 0"]), ("cols", ["0 20000"]), ("tall", tall)):
+        path = tmp_path / f"{name}.mat"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outs = []
+        for extra in ((), ("--trace",)):
+            began = time.perf_counter()
+            code, out, err = run_cli(capsys, "decompose", "--method", "neville", *extra, str(path))
+            assert time.perf_counter() - began < 1.0, (name, extra)
+            assert (code, err) == (0, ""), (name, extra)
+            outs.append(out)
+        assert outs[1] == outs[0] + "trace:\n" + "".join(f"D {i}\n" for i in deleted[name]), name
 
 
 def test_empty_factor_has_one_empty_row_per_row(capsys):

@@ -1,8 +1,9 @@
 """Pinned bytes of the command line, each from `python -m tnnlu.cli` in a
 fresh interpreter: a changed digest is changed output.  The inputs are 40x40
-Pascal and a seeded 30x40 product of random TNN factors.  The selftest's
-instance stream is pinned too: a changed digest means a seed no longer runs
-the instances it always ran."""
+Pascal and a seeded 30x40 product of random TNN factors, on which every
+factoring method prints the same pair, and 8x8 Pascal with one entry raised,
+whose refusal names a minor.  The selftest's instance stream is pinned too: a
+changed digest means a seed no longer runs the instances it always ran."""
 
 import hashlib
 import os
@@ -21,12 +22,17 @@ from tnnlu.identities import _random_matrix
 ENV = dict(os.environ, PYTHONPATH=str(Path(tnnlu.__file__).resolve().parent.parent))
 
 
+def run(*argv):
+    """The exit code, stdout and stderr bytes of one `tnnlu` call."""
+    done = subprocess.run([sys.executable, "-m", "tnnlu.cli", *argv], capture_output=True, env=ENV, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
 def cli(*argv):
     """The stdout bytes of one `tnnlu` call, which must exit 0."""
-    done = subprocess.run(
-        [sys.executable, "-m", "tnnlu.cli", *argv], capture_output=True, env=ENV, check=True
-    )
-    return done.stdout
+    code, out, err = run(*argv)
+    assert code == 0, err
+    return out
 
 
 def sha256(data):
@@ -66,6 +72,27 @@ def test_the_trace_text_replays_to_the_certified_pair(inputs, name):
     A = parse_matrix(inputs[name].read_text(encoding="utf-8"))
     pair, trace = neville_decompose(A)
     assert replay(A, parse_trace(format_trace(trace))) == pair == reconstruct_lu(A)
+
+
+@pytest.mark.parametrize("name", ["pascal40", "product"])
+def test_every_factoring_method_prints_one_pair(inputs, name):
+    def printed(method):  # the output bar its "method:" line
+        out = cli("decompose", "--method", method, "--unchecked", str(inputs[name]))
+        return [line for line in out.splitlines(True) if not line.startswith(b"method:")]
+
+    assert printed("explicit") == printed("reconstruct") == printed("neville")
+
+
+def test_neville_names_the_first_negative_minor(tmp_path):
+    # 8x8 Pascal with a[6,8] raised by 1: Neville finishes on it, and the run on Uᵀ rejects
+    rows = [[comb(i + j, i) for j in range(8)] for i in range(8)]
+    rows[5][7] += 1
+    raised = tmp_path / "raised8.mat"
+    raised.write_text("8 8\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+    code, _, err = run("decompose", "--method", "neville", str(raised))
+    assert code == 5
+    line = b"error: not-tnn: input not totally nonnegative: minor [[1, 4, 5, 6, 7]|[2, 5, 6, 7, 8]] = -98"
+    assert line in err.splitlines()
 
 
 def test_the_identity_selftest_reports_ok():
