@@ -26,7 +26,7 @@ from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matri
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, certify, detect_class
-from .neville import _neville, _tnn_gate, format_trace, neville_decompose
+from .neville import NevilleTrace, _neville, _tnn_gate, _traced, format_trace
 from .tnn import is_tnn, random_tnn
 
 _EXIT_CODES = (
@@ -78,14 +78,12 @@ def _read_matrix(args: argparse.Namespace) -> Mat:
 
 def _cmd_decompose(args: argparse.Namespace) -> dict:
     A = _read_matrix(args)
-    if args.method == "neville" and args.trace:
-        pair, trace = neville_decompose(A, max_size=args.max_bruteforce)
-    elif args.method == "neville":
-        pair, trace = _neville(A, args.max_bruteforce)[0], None  # no trace, so no Fraction
+    if args.method == "neville":
+        pair, moves = _neville(A, args.max_bruteforce)
     else:
-        pair, trace = certify(A), None
-        if args.method == "auto" and args.trace:
-            trace = _tnn_gate(A)  # pass 1's moves, whose pair is this one
+        pair, moves = certify(A), None
+        if args.method == "auto" and args.trace and (run := _tnn_gate(A)) is not None:
+            moves = run[1]  # pass 1's moves, whose pair is this one
     (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)
     payload = {
         "command": "decompose",
@@ -96,7 +94,8 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
     }
     lines = [f"method: {args.method}", f"class: {_class_text(pair.desc)}"]
     lines += ["L:", *l_lines, "U:", *u_lines]
-    if args.trace:
+    if args.trace:  # the moves become Fractions only here
+        trace = None if moves is None else NevilleTrace(tuple(map(_traced, moves)))
         payload["trace"] = None if trace is None else format_trace(trace).splitlines()
         lines += ["trace:"] + (["unavailable"] if trace is None else payload["trace"])
     payload["_text"] = "\n".join(lines) + "\n"

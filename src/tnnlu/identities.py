@@ -90,13 +90,13 @@ def laplace_three_term(i: int, s: int, j: int, k: int) -> TermIdentity:
         raise ValueError(f"need i < s, got i={i}, s={s}")
     if not j < k:
         raise ValueError(f"need j < k, got j={j}, k={k}")
-    one = Fraction(1)
-    jk = IndexSet((j, k))
+    one, of = Fraction(1), IndexSet._of
+    jk, i_s = IndexSet((j, k)), IndexSet((i, s))  # every index validated here, so the rest are made as is
     return TermIdentity(
         (
-            MinorTerm(one, (IndexSet((i,)), IndexSet((j,))), (IndexSet((s, s + 1)), jk)),
-            MinorTerm(-one, (IndexSet((s,)), IndexSet((j,))), (IndexSet((i, s + 1)), jk)),
-            MinorTerm(one, (IndexSet((s + 1,)), IndexSet((j,))), (IndexSet((i, s)), jk)),
+            MinorTerm(one, (of((i,)), of((j,))), (of((s, s + 1)), jk)),
+            MinorTerm(-one, (of((s,)), of((j,))), (of((i, s + 1)), jk)),
+            MinorTerm(one, (of((s + 1,)), of((j,))), (i_s, jk)),
         )
     )
 

@@ -307,27 +307,15 @@ def _pair(A: Mat, state: _Factors, moves: Sequence, stages: Optional[list] = Non
     return LUPair(lower(), state.mat(), ClassDesc([o + 1 for o in origin], state.leads))
 
 
-def _passes(A: Mat, second: bool = True) -> tuple[_Factors, list]:
-    """`_tnn_gate`'s pass 1, `_run` on A, and with ``second`` its pass 2, on
-    pass 1's U transposed; a reject raises NotTotallyNonnegativeError.  With
-    ``second``, a negative entry of A rejects before pass 1 starts.  Pass 1's
-    moves are as `_run` keeps them."""
-    if second and any(min(row, default=0) < 0 for row in A._rows):
-        raise _not_tnn("negative entry")
-    state, moves = _run(A, None, _not_tnn)
-    if second:
-        _run(state.mat().transpose(), None, _not_tnn)
-    return state, moves
-
-
-def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
+def _tnn_gate(A: Mat) -> Optional[tuple[_Factors, list]]:
     """Decide total nonnegativity exactly, at any size, by two runs: pass
     1 on A gives A = L·U, pass 2 on Uᵀ gives Uᵀ = L₂·V.  Accept, returning
-    pass 1's moves, only if both finish; they are a lazy `map`, so `is_tnn`,
-    which reads none, builds no Fraction.  V is then D, the diagonal of U's
-    leading entries, positive by pass 1's finish, whatever A is: U is row
-    echelon at its leads with no zero row, so Uᵀ = (Uᵀ·D⁻¹)·D is Uᵀ's class
-    pair, and a finished run gives the class pair (see `_run`).
+    pass 1's run ``(state, moves)`` as `_run` keeps it, only if both finish,
+    else None; a negative entry of A rejects before pass 1 starts.  V is
+    then D, the diagonal of U's leading entries, positive by pass 1's
+    finish, whatever A is: U is row echelon at its leads with no zero row,
+    so Uᵀ = (Uᵀ·D⁻¹)·D is Uᵀ's class pair, and a finished run gives the
+    class pair (see `_run`).
 
     Sound: a finished run has no negative multiplier, so each Eliminate
     puts into L (or L₂) a bidiagonal factor I + λ·e_{s+1}·e_sᵀ with λ >= 0,
@@ -337,24 +325,28 @@ def _tnn_gate(A: Mat) -> Optional[NevilleTrace]:
     Complete: for TNN A, pass 1 finishes with U TNN (the paper's theorem),
     so Uᵀ is TNN and pass 2 finishes too.  So a reject is exact (Gasca &
     Peña, LAA 165, 1992)."""
+    if any(min(row, default=0) < 0 for row in A._rows):
+        return None
     try:
-        return NevilleTrace(map(_traced, _passes(A)[1]))
+        state, moves = _run(A, None, _not_tnn)
+        _run(state.mat().transpose(), None, _not_tnn)
     except NotTotallyNonnegativeError:
         return None
+    return state, moves
 
 
 def _neville(A: Mat, max_size: int, stages: Optional[list] = None) -> tuple[LUPair, list]:
-    """`neville_decompose`'s pair and its moves as `_run` keeps them, with no trace built."""
-    gated = within_guard(A, max_size)
-    try:
-        state, moves = _passes(A, gated)
-    except NotTotallyNonnegativeError:
-        witness = first_minor(A, lambda rows, cols, v: v < 0, max_size) if gated else None
+    """`neville_decompose`'s pair and its moves as `_run` keeps them, no trace
+    built: `_tnn_gate`'s run within the guard, pass 1 alone past it."""
+    if not within_guard(A, max_size):
+        run = _run(A, None, _not_tnn)
+    elif (run := _tnn_gate(A)) is None:
+        witness = first_minor(A, lambda rows, cols, v: v < 0, max_size)
         if witness is None:
-            raise
+            raise _not_tnn("the two-pass test rejects it, but no minor is negative")
         rows, cols, value = witness
-        raise _not_tnn(f"minor [{list(rows)}|{list(cols)}] = {format_scalar(value)}") from None
-    return _pair(A, state, moves, stages), moves
+        raise _not_tnn(f"minor [{list(rows)}|{list(cols)}] = {format_scalar(value)}")
+    return _pair(A, *run, stages), run[1]
 
 
 def neville_decompose(

@@ -174,7 +174,7 @@ def test_auto_without_trace_runs_no_tnn_test_or_neville(capsys, monkeypatch):
 
     monkeypatch.setattr("tnnlu.cli.is_tnn", refuse)
     monkeypatch.setattr("tnnlu.cli._tnn_gate", refuse)
-    monkeypatch.setattr("tnnlu.cli.neville_decompose", refuse)
+    monkeypatch.setattr("tnnlu.cli._neville", refuse)
     for argv, lines in expected.items():
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
@@ -297,6 +297,29 @@ def test_neville_deletes_a_run_of_zero_rows_in_linear_time(tmp_path, capsys):
             assert (code, err) == (0, ""), (name, extra)
             outs.append(out)
         assert outs[1] == outs[0] + "trace:\n" + "".join(f"D {i}\n" for i in deleted[name]), name
+
+
+def test_every_other_route_answers_a_run_of_zero_rows_in_linear_time(tmp_path, capsys):
+    # auto, explicit, reconstruct and detect on the shapes above print
+    # neville's pair and class; a tall input of low rank with no zero row
+    # (every row "1 1") is not covered: neville's rebuild of L is O(m^2) on it
+    tall = ["20000 2", *["0 0"] * 7777, "3 5", *["0 0"] * 12222]
+    routes = [["decompose"], ["decompose", "--method", "explicit"], ["decompose", "--method", "reconstruct"]]
+    for name, lines in (("rows", ["20000 0"]), ("cols", ["0 20000"]), ("tall", tall)):
+        path = tmp_path / f"{name}.mat"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "decompose", "--method", "neville", str(path))
+        assert (code, err) == (0, ""), name
+        _, class_line, *pair = out.splitlines(True)
+        for argv in (*routes, ["detect"]):
+            began = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv, str(path))
+            assert time.perf_counter() - began < 1.0, (name, argv)
+            assert (code, err) == (0, ""), (name, argv)
+            if argv == ["detect"]:
+                assert out == class_line, name
+            else:  # the same bytes bar the "method:" line
+                assert out.splitlines(True)[1:] == [class_line, *pair], (name, argv)
 
 
 def test_empty_factor_has_one_empty_row_per_row(capsys):

@@ -190,6 +190,26 @@ class TestMuir:
             A = random_rational_matrix(rng, 3, 3)
             assert evaluate_identity(base, A) == 0
 
+    def test_three_term_relation_refuses_bad_indices(self):
+        # each index is validated once; the error names the first bad one
+        for args, message in [
+            ((0, 2, 1, 2), "indices must be positive integers, got 0"),
+            ((1, 2, 0, 2), "indices must be positive integers, got 0"),
+            ((True, 2, 1, 2), "indices must be positive integers, got True"),
+            ((1, 2, True, 2), "indices must be positive integers, got True"),
+            ((False, True, 1, 2), "indices must be positive integers, got False"),
+            ((1, 2.5, 1, 2), "indices must be positive integers, got 2.5"),
+            ((1, 2, 1, 2.5), "indices must be positive integers, got 2.5"),
+            ((2, 2, 1, 2), "need i < s, got i=2, s=2"),
+            ((1, 2, 2, 1), "need j < k, got j=2, k=1"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                laplace_three_term(*args)
+            assert str(caught.value) == message
+        for term in laplace_three_term(2, 4, 3, 5).terms:
+            for index_set in (*term.first, *term.second):
+                assert type(index_set) is IndexSet and index_set == IndexSet(tuple(index_set))
+
     def test_empty_extension_is_identity(self):
         base = laplace_three_term(1, 2, 1, 2)
         assert muir_extend(base, [], []) == base

@@ -365,7 +365,7 @@ def test_neville_and_replay_build_no_table(monkeypatch):
 
 def test_each_route_runs_one_elimination_on_A(monkeypatch, capsys):
     # inside the guard the gate's pass 1 is the factorization: one run on A,
-    # then one on Uᵀ
+    # then one on Uᵀ; past it, pass 1 alone, with no minor swept
     from tnnlu import neville
     from tnnlu.cli import main
 
@@ -376,15 +376,39 @@ def test_each_route_runs_one_elimination_on_A(monkeypatch, capsys):
             built.append((A.nrows, A.ncols))
             super().__init__(A)
 
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept minors on an accepted input")
+
     monkeypatch.setattr(neville, "_Factors", Counted)
+    monkeypatch.setattr(neville, "first_minor", no_sweep)
     A = random_tnn(6, 8, seed=5, factors=40)
+    pascal = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
     neville_decompose(A)
     assert built == [(6, 8), (8, rank(A))]
-    built.clear()
-    inline = ";".join(" ".join(str(x) for x in row) for row in A.iter_rows())
-    assert main(["decompose", "--trace", "--inline", inline]) == 0
-    assert not capsys.readouterr().out.endswith("trace:\nunavailable\n")
-    assert built == [(6, 8), (8, rank(A))]
+    both, pass1 = [(6, 8), (8, rank(A))], [(12, 12)]
+    for M, route, runs in [
+        (A, ["--trace"], both),
+        (A, ["--method", "neville"], both),
+        (A, ["--method", "neville", "--trace"], both),
+        (pascal, ["--trace"], pass1 * 2),  # auto's trace is the gate's at every size
+        (pascal, ["--method", "neville"], pass1),
+        (pascal, ["--method", "neville", "--trace"], pass1),
+    ]:
+        built.clear()
+        inline = ";".join(" ".join(str(x) for x in row) for row in M.iter_rows())
+        assert main(["decompose", *route, "--inline", inline]) == 0
+        assert not capsys.readouterr().out.endswith("trace:\nunavailable\n")
+        assert built == runs, route
+
+
+def test_a_gate_reject_with_no_witness_still_raises_not_tnn(monkeypatch):
+    # the sweep always names a minor after an exact reject; were it to find
+    # none, the refusal keeps its type
+    from tnnlu import neville
+
+    monkeypatch.setattr(neville, "first_minor", lambda *args, **kwargs: None)
+    with pytest.raises(NotTotallyNonnegativeError, match="no minor is negative"):
+        neville_decompose(Mat.from_rows([[1, 2], [3, 4]]))
 
 
 def test_the_gate_builds_no_L(monkeypatch):

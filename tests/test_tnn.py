@@ -129,6 +129,7 @@ def test_gate_pins_past_the_guard():
     assert _tnn_gate(Mat.from_rows([[1] * 9] * 9)) is not None
     pascal = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
     assert _tnn_gate(pascal) is not None
+    assert _tnn_gate(random_tnn(12, 12, seed=3)) is not None  # `tnnlu generate --size 12 12 --seed 3`
 
 
 def test_certified_factors_pass_the_gate_past_the_guard():
