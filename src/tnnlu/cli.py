@@ -7,10 +7,11 @@ either way all rationals are emitted exactly as "p" or "p/q" and identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage, 3 parse error, 4 class not found,
-5 not totally nonnegative, 6 size guard, 7 bad input.  Only check-tnn
-refuses past --max-bruteforce; decompose --method neville runs its exact
-TNN check and witness sweep only within it, and auto decompose, --trace
-included, answers at every size.  --unchecked changes nothing: every
+5 not totally nonnegative, 6 size guard, 7 bad input.  --max-bruteforce
+bounds only the exponential minor sweep: check-tnn refuses a reject past
+it, and decompose --method neville runs its exact TNN check and witness
+sweep only within it.  A check-tnn accept and auto decompose, --trace
+included, answer at every size.  --unchecked changes nothing: every
 method's checks always run.
 """
 
@@ -191,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=MAX_BRUTEFORCE,
                 metavar="N",
-                help="size guard (N >= 0): check-tnn refuses past it, and neville's exact "
-                "TNN check and witness sweep run only within it (default %(default)s)",
+                help="size guard (N >= 0) of the minor sweep: check-tnn refuses a reject past "
+                "it, and neville's exact TNN check and witness sweep run only within it "
+                "(default %(default)s)",
             )
 
     p = sub.add_parser("decompose", help="factor a matrix as L*U with its class")

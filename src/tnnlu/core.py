@@ -44,7 +44,6 @@ __all__ = [
     "iter_minor_layers",
     "MAX_BRUTEFORCE",
     "within_guard",
-    "size_guard",
     "first_minor",
     "parse_matrix",
     "format_matrix",
@@ -452,27 +451,23 @@ def within_guard(A: Mat, max_size: int) -> bool:
     return min(A.nrows, A.ncols) <= max_size
 
 
-def size_guard(A: Mat, max_size: int) -> None:
-    """Refuse an exhaustive minor sweep of A unless `within_guard`."""
-    if not within_guard(A, max_size):
-        raise SizeGuardError(
-            f"brute-force minor enumeration refused for {A.nrows}x{A.ncols} "
-            f"(min dimension > {max_size}); pass a larger max_size to override"
-        )
-
-
 def first_minor(
     A: Mat,
     fails: Callable[[tuple[int, ...], tuple[int, ...], int], bool],
     max_size: int = MAX_BRUTEFORCE,
     max_order: Optional[int] = None,
 ) -> Optional[tuple[IndexSet, IndexSet, Fraction]]:
-    """The exhaustive minor sweep, guarded by `size_guard`: the first nonempty
-    minor, size ascending then lexicographic, up to ``max_order``, for which
-    ``fails(rows, cols, value)`` holds on index tuples and `iter_minor_layers`'
-    int, as (rows, cols, minor) with IndexSets and a Fraction; None if none.
-    It stops at its witness: no later minor, even of its size, is computed."""
-    size_guard(A, max_size)
+    """The exhaustive minor sweep, refused past `within_guard`: the first
+    nonempty minor, size ascending then lexicographic, up to ``max_order``,
+    for which ``fails(rows, cols, value)`` holds on index tuples and
+    `iter_minor_layers`' int, as (rows, cols, minor) with IndexSets and a
+    Fraction; None if none.  It stops at its witness: no later minor, even of
+    its size, is computed.  The guard bounds only this exponential sweep."""
+    if not within_guard(A, max_size):
+        raise SizeGuardError(
+            f"brute-force minor enumeration refused for {A.nrows}x{A.ncols} "
+            f"(min dimension > {max_size}); pass a larger max_size to override"
+        )
     for _, layer in islice(iter_minor_layers(A, max_order), 1, None):
         for (rows, cols), value in layer.items():
             if fails(rows, cols, value):

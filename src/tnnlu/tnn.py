@@ -5,8 +5,8 @@ size is >= 0.  `is_tnn` decides TNN in polynomial time by two runs of
 Neville elimination, on A and then on its factor Uᵀ (`neville._tnn_gate`,
 whose docstring has the argument), exact for m x n matrices of any rank.
 The exhaustive minor sweep runs only when that gate rejects, to name the
-first negative minor in scan order, and stops there.  It refuses matrices
-beyond the size guard.
+first negative minor in scan order, and stops there.  The size guard bounds
+that sweep alone: a reject beyond it is refused, an accept never is.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor, matmul, size_guard
+from .core import MAX_BRUTEFORCE, IndexSet, Mat, first_minor, matmul, within_guard
 from .neville import _tnn_gate
 
 Witness = tuple[IndexSet, IndexSet, Fraction]
 
 
 class TnnReport(NamedTuple):
-    """Outcome of a minor-sign sweep.
+    """Outcome of a TNN test.
 
     `witness` is present exactly when the test failed: the first offending
     (rows, cols, value) triple in the fixed scan order (size ascending,
@@ -34,10 +34,10 @@ class TnnReport(NamedTuple):
 
 
 def is_tnn(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
-    """Decide total nonnegativity by Neville's two-pass gate; only when it
-    rejects, sweep all square minors for the first negative one, the
-    witness.  The size guard applies whichever path decides."""
-    size_guard(A, max_size)
+    """Decide total nonnegativity by Neville's two-pass gate, at every size;
+    only a reject runs the sweep of all square minors for the first negative
+    one, the witness, which `first_minor` refuses beyond the size guard."""
+    within_guard(A, max_size)  # a negative max_size raises, even on an accept
     if _tnn_gate(A) is not None:
         return TnnReport(True)
     witness = first_minor(A, lambda rows, cols, v: v < 0, max_size)

@@ -504,12 +504,25 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys):
 
 
 def test_size_guard_exit_code(capsys):
-    rows = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
-    code, _, err = run_cli(capsys, "check-tnn", "--inline", rows)
-    assert code == 6
-    assert "size-guard" in err
-    code, out, _ = run_cli(capsys, "check-tnn", "--inline", rows, "--max-bruteforce", "9")
-    assert code == 0
+    # the guard bounds only the witness sweep: a TNN input answers past it,
+    # and a reject past it exits 6 for want of a witness
+    ones = ";".join(" ".join("1" for _ in range(9)) for _ in range(9))
+    for guard in ((), ("--max-bruteforce", "0"), ("--max-bruteforce", "9")):
+        code, out, err = run_cli(capsys, "check-tnn", "--inline", ones, *guard)
+        assert (code, out, err) == (0, "is_tnn: true\nwitness: none\n", "")
+    # the identity with a[1,2] = a[2,3] = 1 and a[1,3] = 2: minor [1,2|2,3] = -1
+    rows = [["1" if i == j else "0" for j in range(9)] for i in range(9)]
+    rows[0][1] = rows[1][2] = "1"
+    rows[0][2] = "2"
+    found = ";".join(" ".join(row) for row in rows)
+    assert run_cli(capsys, "check-tnn", "--inline", found) == (
+        6,
+        "",
+        "error: size-guard: brute-force minor enumeration refused for 9x9 (min dimension > 8); "
+        "pass a larger max_size to override\n",
+    )
+    code, out, _ = run_cli(capsys, "check-tnn", "--inline", found, "--max-bruteforce", "9")
+    assert (code, out) == (0, "is_tnn: false\nwitness: [{1,2}|{2,3}] = -1\n")
 
 
 @pytest.mark.parametrize(

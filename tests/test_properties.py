@@ -45,6 +45,8 @@ by one gcd, is held to the transpose of its `Fraction` cells, m x 0 and
 
 import io
 import json
+import re
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -57,6 +59,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_candidate_descs,
+    deleting_derivations_accept,
     minor_cofactor,
     minor_ratio_pair,
     random_ascending_subset,
@@ -86,6 +89,7 @@ from tnnlu import (
     detect_class,
     eliminate,
     explicit_decompose,
+    format_matrix,
     format_scalar,
     format_trace,
     greedy_leaders,
@@ -106,7 +110,7 @@ from tnnlu import (
     replay,
 )
 from tnnlu.cli import main as cli_main
-from tnnlu.core import _over_lcm, _ratio, first_minor
+from tnnlu.core import MAX_BRUTEFORCE, _over_lcm, _ratio, first_minor
 from tnnlu.mclass import certify
 from tnnlu.neville import (
     _Factors, _find_move, _move_precondition_failure, _not_tnn, _pair, _run, _step, _tnn_gate, _traced,
@@ -638,12 +642,60 @@ def test_tnn_gate_matches_the_minor_sweep_on_rationals(A):
     check_tnn_gate_against_the_sweep(A)
 
 
-def run_cli(*argv):
-    """(exit code, stdout, stderr) of one in-process `tnnlu` call."""
+def run_cli(*argv, stdin=""):
+    """(exit code, stdout, stderr) of one in-process `tnnlu` call, fed ``stdin``."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli_main(list(argv))
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(list(argv))
+    finally:
+        sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def nudged_tnn_products(draw):
+    """A `random_tnn` product up to 5x5 with one entry moved by a small amount."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = random_tnn(m, n, seed=draw(st.integers(0, 10**6)), factors=draw(st.integers(0, 40))).to_rows()
+    rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] += draw(st.sampled_from((-1, Fraction(-1, 3), 1)))
+    return Mat.from_rows(rows)
+
+
+CHECK_TNN_INPUTS = st.one_of(
+    st.builds(random_tnn, st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6), st.integers(0, 40)),
+    nudged_tnn_products(),
+    small_integer_matrices(),
+    st.integers(1, 5).flatmap(lambda m: small_rational_matrices(m=m)),
+    st.builds(Mat.zeros, st.integers(0, 5), st.just(0)),
+    st.builds(Mat.zeros, st.just(0), st.integers(0, 5)),
+)
+WITNESS_LINE = re.compile(r"is_tnn: false\nwitness: \[\{([0-9,]+)\}\|\{([0-9,]+)\}\] = (-[0-9/]+)\n")
+
+
+@SETTINGS
+@given(CHECK_TNN_INPUTS, st.sampled_from((0, 1, 2, None)))
+@example(Mat.from_rows([[1, 1, 1], [1, 2, 3], [1, 3, 6]]), 2)  # TNN 3x3 past a guard of 2
+@example(Mat.from_rows([[1, 1, 2], [0, 1, 1], [0, 0, 1]]), 2)  # [1,2|2,3] = -1, past it
+def test_check_tnn_means_what_it_says(A, guard):
+    # exit 0 answers with the oracle's verdict, a false one with a negative
+    # minor; exit 6 only for a reject past the guard, and no other exit code
+    argv = ("check-tnn",) if guard is None else ("check-tnn", "--max-bruteforce", str(guard))
+    code, out, err = run_cli(*argv, stdin=format_matrix(A))
+    accept = deleting_derivations_accept(A)
+    within = min(A.nrows, A.ncols) <= (MAX_BRUTEFORCE if guard is None else guard)
+    if code == 6:
+        assert not accept and not within and out == ""
+        assert err.startswith("error: size-guard: brute-force minor enumeration refused for ")
+        return
+    assert (code, err) == (0, "")
+    if out == "is_tnn: true\nwitness: none\n":
+        assert accept
+        return
+    assert within and not accept
+    rows, cols, value = WITNESS_LINE.fullmatch(out).groups()
+    assert minor(A, map(int, rows.split(",")), map(int, cols.split(","))) == Fraction(value) < 0
 
 
 def check_auto_is_the_certified_pair_with_moves_only_for_trace(A):

@@ -70,14 +70,31 @@ def test_witness_recomputes_negative():
     assert is_tnn(A).witness == (IndexSet((1, 2)), IndexSet((1, 3)), Fraction(-2, 15))
 
 
+def found_past_the_guard():
+    """The identity with a[1,2] = a[2,3] = 1 and a[1,3] = 2: minor [1,2|2,3] = -1."""
+    found = [[int(i == j) for j in range(9)] for i in range(9)]
+    found[0][1] = found[1][2] = 1
+    found[0][2] = 2
+    return Mat.from_rows(found)
+
+
 def test_size_guard_and_override():
-    big = Mat.identity(9)
-    with pytest.raises(SizeGuardError):
-        is_tnn(big)
-    assert is_tnn(big, max_size=9).is_tnn
+    # the guard bounds only the witness sweep: an accept answers at every size
+    assert is_tnn(Mat.identity(9)) == TnnReport(True)
+    assert is_tnn(Mat.identity(9), max_size=0) == TnnReport(True)
+    found = found_past_the_guard()
+    with pytest.raises(SizeGuardError) as raised:
+        is_tnn(found)
+    assert str(raised.value) == (
+        "brute-force minor enumeration refused for 9x9 (min dimension > 8); "
+        "pass a larger max_size to override"
+    )
+    assert is_tnn(found, max_size=9) == TnnReport(False, (IndexSet((1, 2)), IndexSet((2, 3)), Fraction(-1)))
     # rectangular matrices are guarded on the smaller dimension only
     wide = Mat.zeros(2, 12)
+    wide_found = Mat.from_rows([[1, 1, 2] + [0] * 9, [0, 1, 1] + [0] * 9])
     assert is_tnn(wide).is_tnn
+    assert is_tnn(wide_found, max_size=2).witness == (IndexSet((1, 2)), IndexSet((2, 3)), Fraction(-1))
 
 
 def negative(rows, cols, value):
@@ -116,16 +133,11 @@ def test_accept_path_enumerates_no_minor(monkeypatch):
     singular = random_tnn(7, 9, seed=1, factors=40)
     assert rank(singular) == 5
     assert is_tnn(singular) == TnnReport(True)
-    with pytest.raises(SizeGuardError):
-        is_tnn(Mat.identity(9))
+    assert is_tnn(Mat.identity(9)) == TnnReport(True)
 
 
 def test_gate_pins_past_the_guard():
-    # the identity with a[1,2] = a[2,3] = 1 and a[1,3] = 2: minor [1,2|2,3] = -1
-    found = [[int(i == j) for j in range(9)] for i in range(9)]
-    found[0][1] = found[1][2] = 1
-    found[0][2] = 2
-    assert _tnn_gate(Mat.from_rows(found)) is None
+    assert _tnn_gate(found_past_the_guard()) is None
     assert _tnn_gate(Mat.from_rows([[1] * 9] * 9)) is not None
     pascal = Mat.from_rows([[comb(i + j, i) for j in range(12)] for i in range(12)])
     assert _tnn_gate(pascal) is not None
@@ -161,6 +173,9 @@ def test_gate_agrees_with_deleting_derivations_past_the_guard():
 def test_negative_max_size_is_rejected():
     with pytest.raises(ValueError, match="max_size must be nonnegative"):
         is_tnn(Mat.from_rows([[0, 1], [1, 1]]), max_size=-1)
+    # the accept path checks it too, before the gate
+    with pytest.raises(ValueError, match="max_size must be nonnegative"):
+        is_tnn(Mat.from_rows([[1, 1], [1, 1]]), max_size=-1)
 
 
 def test_cauchon_examples():
