@@ -15,7 +15,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ParseError, SizeGuardError
@@ -418,30 +418,39 @@ def iter_minor_layers(
     independent determinants, and a consumer that stops early skips the rest
     of a size.  Keys are ascending 1-based index tuples, yielded in
     lexicographic (rows, cols) order.
+
+    Each size s >= 2 first builds its expansion table: for each column set J
+    the terms (column, index of J minus that column among the size s-1 sets,
+    sign).  A row set's minors are a list aligned with the column sets, each
+    s list reads and products off its last row and the previous size's list.
+    Size 1 reads A's rows; only the previous size's lists are kept.
     """
     m, n = A.nrows, A.ncols
     top = min(m, n) if max_order is None else min(max_order, m, n)
-    layer: dict[tuple[int, ...], dict[MinorKey, int]] = {(): {((), ()): 1}}
-    yield 0, layer[()]
+    yield 0, {((), ()): 1}
     for s in range(1, top + 1):
-        prev_layer, layer = layer, {}
+        cols = list(combinations(range(1, n + 1), s))
+        if s > 1:
+            index = {J: k for k, J in enumerate(prev_cols)}
+            table = [[(J[pos] - 1, index[J[:pos] + J[pos + 1 :]], 1 if (s + pos) % 2 else -1)
+                      for pos in range(s)] for J in cols]
+        layer = {}
         for I in combinations(range(1, m + 1), s):
-            base = I[:-1]
-            prev = prev_layer[base]
-            last_row = A._rows[I[-1] - 1]
-            layer[I] = row_set = {}
-            for J in combinations(range(1, n + 1), s):
-                acc = 0
-                for pos, col in enumerate(J):
-                    entry = last_row[col - 1]
-                    if entry:
-                        sub = prev[(base, J[:pos] + J[pos + 1 :])]
-                        if (s + pos) % 2:
-                            acc += entry * sub
-                        else:
-                            acc -= entry * sub
-                row_set[(I, J)] = acc
-            yield s, row_set
+            row = A._rows[I[-1] - 1]
+            if s == 1:
+                values: Sequence[int] = row
+            else:
+                below, values = prev[I[:-1]], []
+                for terms in table:
+                    acc = 0
+                    for col, k, sign in terms:
+                        if entry := row[col]:
+                            acc += sign * entry * below[k]
+                    values.append(acc)
+            if s < top:
+                layer[I] = values
+            yield s, dict(zip(zip(repeat(I), cols), values))
+        prev, prev_cols = layer, cols
 
 
 def within_guard(A: Mat, max_size: int) -> bool:
@@ -461,8 +470,9 @@ def first_minor(
     nonempty minor, size ascending then lexicographic, up to ``max_order``,
     for which ``fails(rows, cols, value)`` holds on index tuples and
     `iter_minor_layers`' int, as (rows, cols, minor) with IndexSets and a
-    Fraction; None if none.  It stops at its witness: no later minor, even of
-    its size, is computed.  The guard bounds only this exponential sweep."""
+    Fraction; None if none.  It stops after the row set that holds its
+    witness: no later row set is computed.  The guard bounds only this
+    exponential sweep."""
     if not within_guard(A, max_size):
         raise SizeGuardError(
             f"brute-force minor enumeration refused for {A.nrows}x{A.ncols} "

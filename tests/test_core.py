@@ -423,24 +423,40 @@ class TestAllMinors:
         table = all_minors(A4, max_order=1)
         assert max(len(rows) for rows, _ in table) == 1
 
-    def test_first_minor_stops_at_its_witness(self, monkeypatch):
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """(size, minors computed) for each row set that the sweep yields."""
         original = tnnlu.core.iter_minor_layers
         swept = []
 
         def counting(*args, **kwargs):
             for size, minors in original(*args, **kwargs):
                 if size:
-                    swept.append(len(minors))
+                    swept.append((size, len(minors)))
                 yield size, minors
 
         monkeypatch.setattr(tnnlu.core, "iter_minor_layers", counting)
+        return swept
+
+    def test_first_minor_stops_at_its_witness(self, swept):
         pascal = [[comb(i + j, i) for j in range(8)] for i in range(8)]
         pascal[0][1] = 100
         # [1,2|1,2] = 1·2 − 100·1, in the first row set of size 2
         witness = first_minor(Mat.from_rows(pascal), lambda rows, cols, value: value < 0)
         assert witness == ((1, 2), (1, 2), -98)
         # all 64 entries, then at most the row set {1, 2} of size 2, not all 784
-        assert sum(swept) <= 64 + comb(8, 2)
+        assert sum(count for _, count in swept) <= 64 + comb(8, 2)
+
+    @pytest.mark.parametrize("extra", [[], [[0, 0, 1]]])
+    def test_first_minor_stops_at_its_witness_of_order_3(self, swept, extra):
+        # every minor of orders 1 and 2 is nonnegative, and [1,2,3|1,2,3] = -1;
+        # a fourth row adds three row sets of order 3 after the witness's
+        A = Mat.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]] + extra)
+        witness = first_minor(A, lambda rows, cols, value: value < 0)
+        assert witness == ((1, 2, 3), (1, 2, 3), -1)
+        # every minor of orders 1 and 2, then only the row set {1, 2, 3}
+        m = A.nrows
+        assert swept == [(1, 3)] * m + [(2, 3)] * comb(m, 2) + [(3, 1)]
 
 
 class TestScalarsAndText:

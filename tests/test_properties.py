@@ -24,7 +24,13 @@ alone, as `is_tnn`'s sweep would hide a false reject, and through
 second pass that finishes ends in the diagonal of U's leading entries.
 Auto `decompose`, run in process, prints `--method reconstruct`'s bytes
 but for its `method:` line; with `--trace` it lists moves exactly when the
-input is TNN, and they replay to the printed pair.  `explicit_decompose` reads its minor ratios
+input is TNN, and they replay to the printed pair.  `detect` and `decompose`
+(auto, explicit and reconstruct, with and without `--trace`), run in
+process, print the class that `in_class_M` finds over every candidate and a
+pair in it whose product is A, or exit 4 when there is none.  The minor
+sweep is held to one `minor` call per minor, uncapped and capped at orders
+0 to 3 and one past min(m, n), and `first_minor` to the first failing
+minor.  `explicit_decompose` reads its minor ratios
 off the same elimination table; on signed class members they are held to
 the ratios as written, each minor by cofactor expansion.  `rank`, the
 kernel pivoting on any live nonzero cell, is held to the largest nonzero
@@ -51,7 +57,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -293,11 +299,14 @@ def minors_by_brute_force(A, max_order):
         small_rational_matrices(),
         small_rational_matrices(m=0),
         small_rational_matrices(n=0),
+    ).flatmap(
+        # every order up to 3, and one past the last
+        lambda A: st.tuples(st.just(A), st.sampled_from((None, 0, 1, 2, 3, min(A.nrows, A.ncols) + 1)))
     ),
     st.sampled_from((lambda v: v < 0, lambda v: v == 0, lambda v: v > 0)),
-    st.sampled_from((None, 1, 2)),
 )
-def test_minor_sweep_matches_the_brute_force_scan(A, fails, max_order):
+def test_minor_sweep_matches_the_brute_force_scan(sample, fails):
+    A, max_order = sample
     table = minors_by_brute_force(A, max_order)
     assert list(all_minors(A, max_order).items()) == list(table.items())
     first = next(
@@ -696,6 +705,43 @@ def test_check_tnn_means_what_it_says(A, guard):
     assert within and not accept
     rows, cols, value = WITNESS_LINE.fullmatch(out).groups()
     assert minor(A, map(int, rows.split(",")), map(int, cols.split(","))) == Fraction(value) < 0
+
+
+def class_line(desc):
+    """The `class:` line that `detect` and `decompose` print for ``desc``."""
+    if desc is None:
+        return "class: none"
+    return f"class: r = {{{','.join(map(str, desc.r))}}}, c = {{{','.join(map(str, desc.c))}}}"
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(CHECK_TNN_INPUTS, starred_class_products().map(lambda sample: sample[0])))
+@example(Mat.from_rows([[comb(i + j, i) for j in range(5)] for i in range(5)]))  # TNN, full rank
+@example(Mat.from_rows([[1, 1, 2], [0, 1, 1], [0, 0, 1]]))  # in a class, not TNN
+@example(Mat.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))  # in no class
+def test_detect_and_decompose_mean_what_they_say(A):
+    # the oracle is `in_class_M` over every candidate class; `--method
+    # neville` joins once it checks TNN past the guard (ROADMAP item 2)
+    passing = [d for d in all_candidate_descs(A.nrows, A.ncols) if in_class_M(A, d)]
+    assert len(passing) <= 1
+    oracle = passing[0] if passing else None
+    stdin = format_matrix(A)
+    assert run_cli("detect", stdin=stdin) == (0, class_line(oracle) + "\n", "")
+    for method in ("auto", "explicit", "reconstruct"):
+        for trace in ((), ("--trace",)):
+            code, out, err = run_cli("decompose", "--method", method, *trace, stdin=stdin)
+            if oracle is None:
+                assert code == 4 and out == "" and err.startswith("error: class-not-found: ")
+                continue
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[:3] == [f"method: {method}", class_line(oracle), "L:"]
+            u_at = lines.index("U:")
+            end = lines.index("trace:") if trace else len(lines)
+            L = parse_matrix("\n".join(lines[3:u_at]))
+            U = parse_matrix("\n".join(lines[u_at + 1 : end]))
+            assert matmul(L, U) == A
+            assert in_class_L(L, oracle.r, starred=True) and in_class_U(U, oracle.c)
 
 
 def check_auto_is_the_certified_pair_with_moves_only_for_trace(A):
