@@ -23,7 +23,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .core import MAX_BRUTEFORCE, Mat, format_matrix, format_scalar, parse_matrix
+from .core import MAX_BRUTEFORCE, Mat, _cells, format_matrix, format_scalar, parse_matrix
 from .errors import NotInClassError, NotTotallyNonnegativeError, ParseError, SizeGuardError
 from .identities import selftest
 from .mclass import ClassDesc, certify, detect_class
@@ -38,14 +38,6 @@ _EXIT_CODES = (
     (IndexError, "bad-input", 7),
     (ValueError, "bad-input", 7),
 )
-
-
-def _render(A: Mat) -> tuple[list[str], list[list[str]]]:
-    """`format_matrix`'s lines, and the rows of cells read back off them;
-    an m x 0 matrix has m empty rows."""
-    lines = format_matrix(A).splitlines()
-    rows = [line.split(" ") for line in lines[1:]] if A.ncols else [[] for _ in range(A.nrows)]
-    return lines, rows
 
 
 def _class_payload(desc: Optional[ClassDesc]):
@@ -85,21 +77,20 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         pair, moves = certify(A), None
         if args.method == "auto" and args.trace and (run := _tnn_gate(A)) is not None:
             moves = run[1]  # pass 1's moves, whose pair is this one
-    (l_lines, l_rows), (u_lines, u_rows) = _render(pair.L), _render(pair.U)
     payload = {
         "command": "decompose",
         "method": args.method,
         "class": _class_payload(pair.desc),
-        "L": l_rows,
-        "U": u_rows,
+        "L": pair.L,
+        "U": pair.U,
     }
-    lines = [f"method: {args.method}", f"class: {_class_text(pair.desc)}"]
-    lines += ["L:", *l_lines, "U:", *u_lines]
+    text = f"method: {args.method}\nclass: {_class_text(pair.desc)}\n"
+    text += f"L:\n{format_matrix(pair.L)}U:\n{format_matrix(pair.U)}"
     if args.trace:  # the moves become Fractions only here
-        trace = None if moves is None else NevilleTrace(tuple(map(_traced, moves)))
-        payload["trace"] = None if trace is None else format_trace(trace).splitlines()
-        lines += ["trace:"] + (["unavailable"] if trace is None else payload["trace"])
-    payload["_text"] = "\n".join(lines) + "\n"
+        trace = None if moves is None else format_trace(NevilleTrace(tuple(map(_traced, moves))))
+        payload["trace"] = None if trace is None else trace.splitlines()
+        text += "trace:\n" + ("unavailable\n" if trace is None else trace)
+    payload["_text"] = text
     return payload
 
 
@@ -134,15 +125,14 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
     if m < 0 or n < 0 or args.factors < 0:
         raise ValueError("size and factors must be nonnegative")
     A = random_tnn(m, n, seed=args.seed, factors=args.factors)
-    lines, rows = _render(A)
     return {
         "command": "generate",
         "rows": m,
         "cols": n,
         "seed": args.seed,
         "factors": args.factors,
-        "matrix": rows,
-        "_text": "\n".join(lines) + "\n",
+        "matrix": A,
+        "_text": format_matrix(A),
     }
 
 
@@ -240,12 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def emit_structured(payload: dict) -> str:
-    """Deterministic JSON rendering of a result payload.  `json` is imported
-    here, on first use, so that text output starts without it."""
+    """Deterministic JSON rendering of a result payload, each `Mat` in it as
+    `_cells`' rows.  `json` is imported here, on first use, so that text
+    output starts without it."""
     import json
 
     visible = {k: v for k, v in payload.items() if not k.startswith("_")}
-    return json.dumps(visible, indent=2) + "\n"
+    return json.dumps(visible, indent=2, default=_cells) + "\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

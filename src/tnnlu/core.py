@@ -207,7 +207,9 @@ class Mat:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Mat":
-        return cls(nrows, ncols, [0] * (nrows * ncols))
+        if nrows < 0 or ncols < 0:
+            raise ValueError(f"negative dimensions: {nrows}x{ncols}")
+        return cls._of(nrows, ncols, [([0] * ncols, 1)] * nrows if nrows else [])
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -253,7 +255,7 @@ class Mat:
         return hash((self.ncols, self._rows, self._dens))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(_texts(row, den)) for row, den in zip(self._rows, self._dens))
+        body = "; ".join(map(" ".join, _cells(self)))
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
@@ -541,17 +543,20 @@ def parse_matrix(text: str) -> Mat:
     return Mat._of(nrows, ncols, pairs)
 
 
-def _texts(row: tuple[int, ...], den: int) -> Iterable[str]:
-    """Each cell of row / den rendered as `format_scalar` renders it."""
-    if den == 1:
-        return map(str, row)
-    cells = ((x // g, den // g) for x in row for g in (math.gcd(x, den),))
-    return (str(x) if d == 1 else f"{x}/{d}" for x, d in cells)
+def _texts(row: tuple[int, ...], den: int) -> list[str]:
+    """Each cell of row / den as `format_scalar` writes it: the one cell
+    writer, which every matrix rendering reads through `_cells`."""
+    return [str(x // g) if g == den else f"{x // g}/{den // g}" for x in row for g in (math.gcd(x, den),)]
+
+
+def _cells(A: Mat) -> list[list[str]]:
+    """A's rows as lists of cells, the structured form of `format_matrix`'s
+    rows: one `_texts` list per row, so an m x 0 matrix has m empty rows."""
+    return [_texts(row, den) for row, den in zip(A._rows, A._dens)]
 
 
 def format_matrix(A: Mat) -> str:
-    """Render in the text format accepted by `parse_matrix`; exact round trip."""
-    lines = [f"{A.nrows} {A.ncols}"]
-    if A.ncols:
-        lines.extend(" ".join(_texts(row, den)) for row, den in zip(A._rows, A._dens))
-    return "\n".join(lines) + "\n"
+    """Render in the text format accepted by `parse_matrix`, exact round trip:
+    an "m n" header, then `_cells`' rows joined by spaces, none if n = 0."""
+    rows = map(" ".join, _cells(A)) if A.ncols else ()
+    return "\n".join([f"{A.nrows} {A.ncols}", *rows]) + "\n"

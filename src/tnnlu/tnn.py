@@ -24,9 +24,9 @@ Witness = tuple[IndexSet, IndexSet, Fraction]
 class TnnReport(NamedTuple):
     """Outcome of a TNN test.
 
-    `witness` is present exactly when the test failed: the first offending
-    (rows, cols, value) triple in the fixed scan order (size ascending,
-    then lexicographic), so reports are reproducible.
+    A reject's `witness` is the first offending (rows, cols, value) triple
+    in the fixed scan order (size ascending, then lexicographic), so reports
+    are reproducible, or None if the sweep finds none; an accept has none.
     """
 
     is_tnn: bool
@@ -41,7 +41,7 @@ def is_tnn(A: Mat, max_size: int = MAX_BRUTEFORCE) -> TnnReport:
     if _tnn_gate(A) is not None:
         return TnnReport(True)
     witness = first_minor(A, lambda rows, cols, v: v < 0, max_size)
-    return TnnReport(witness is None, witness)
+    return TnnReport(False, witness)
 
 
 def _small_positive(rng: random.Random) -> Fraction:

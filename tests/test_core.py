@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -519,6 +520,22 @@ class TestScalarsAndText:
     def test_zero_dimension_round_trip(self):
         for A in (Mat.zeros(0, 3), Mat.zeros(3, 0), Mat.zeros(0, 0)):
             assert parse_matrix(format_matrix(A)) == A
+
+    def test_zeros_builds_integer_rows(self):
+        # no Fraction per cell: a million empty rows parse in well under a second
+        began = time.perf_counter()
+        A = parse_matrix("1000000 0\n")
+        assert time.perf_counter() - began < 1.0
+        assert (A.nrows, A.ncols) == (1000000, 0)
+        for m, n in ((2, 3), (3, 0), (0, 2)):
+            Z = Mat.zeros(m, n)
+            assert Z == Mat(m, n, [0] * (m * n)) and hash(Z) == hash(Mat(m, n, [0] * (m * n)))
+        for m, n in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError) as made:
+                Mat(m, n, [])
+            with pytest.raises(ValueError) as zeros:
+                Mat.zeros(m, n)
+            assert str(zeros.value) == str(made.value) == f"negative dimensions: {m}x{n}"
 
 
 class TestTrustedCells:

@@ -25,12 +25,14 @@ second pass that finishes ends in the diagonal of U's leading entries.
 Auto `decompose`, run in process, prints `--method reconstruct`'s bytes
 but for its `method:` line; with `--trace` it lists moves exactly when the
 input is TNN, and they replay to the printed pair.  `detect` and `decompose`
-(auto, explicit and reconstruct, with and without `--trace`), run in
-process, print the class that `in_class_M` finds over every candidate and a
-pair in it whose product is A, or exit 4 when there is none.  The minor
-sweep is held to one `minor` call per minor, uncapped and capped at orders
-0 to 3 and one past min(m, n), and `first_minor` to the first failing
-minor.  `explicit_decompose` reads its minor ratios
+(auto, explicit, reconstruct and neville, with and without `--trace`), run
+in process, print the class that `in_class_M` finds over every candidate and
+a pair in it whose product is A, or exit 4 when there is none; neville
+exits 0 exactly on deleting derivations' accept, its printed moves replay
+to its printed pair, and otherwise it exits 5 naming a negative minor.
+The minor sweep is held to one `minor` call per minor, uncapped and capped
+at orders 0 to 3 and one past min(m, n), and `first_minor` to the first
+failing minor.  `explicit_decompose` reads its minor ratios
 off the same elimination table; on signed class members they are held to
 the ratios as written, each minor by cofactor expansion.  `rank`, the
 kernel pivoting on any live nonzero cell, is held to the largest nonzero
@@ -707,6 +709,11 @@ def test_check_tnn_means_what_it_says(A, guard):
     assert minor(A, map(int, rows.split(",")), map(int, cols.split(","))) == Fraction(value) < 0
 
 
+NEVILLE_WITNESS = re.compile(
+    r"error: not-tnn: input not totally nonnegative: minor \[\[([0-9, ]+)\]\|\[([0-9, ]+)\]\] = (-[0-9/]+)\n"
+)
+
+
 def class_line(desc):
     """The `class:` line that `detect` and `decompose` print for ``desc``."""
     if desc is None:
@@ -720,16 +727,25 @@ def class_line(desc):
 @example(Mat.from_rows([[1, 1, 2], [0, 1, 1], [0, 0, 1]]))  # in a class, not TNN
 @example(Mat.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))  # in no class
 def test_detect_and_decompose_mean_what_they_say(A):
-    # the oracle is `in_class_M` over every candidate class; `--method
-    # neville` joins once it checks TNN past the guard (ROADMAP item 2)
+    # the oracle is `in_class_M` over every candidate class, and for `--method
+    # neville` also `deleting_derivations_accept`; neville runs at the default
+    # guard, which holds every input here (at most 5x5).  Guards 0 to 2 stay
+    # out until ROADMAP item 2: `1 1 2; 0 1 1; 0 0 1` still exits 0 under
+    # `--max-bruteforce 2`
     passing = [d for d in all_candidate_descs(A.nrows, A.ncols) if in_class_M(A, d)]
     assert len(passing) <= 1
     oracle = passing[0] if passing else None
+    accept = deleting_derivations_accept(A)
     stdin = format_matrix(A)
     assert run_cli("detect", stdin=stdin) == (0, class_line(oracle) + "\n", "")
-    for method in ("auto", "explicit", "reconstruct"):
+    for method in ("auto", "explicit", "reconstruct", "neville"):
         for trace in ((), ("--trace",)):
             code, out, err = run_cli("decompose", "--method", method, *trace, stdin=stdin)
+            if method == "neville" and not accept:
+                assert code == 5 and out == "", err
+                rows, cols, value = NEVILLE_WITNESS.fullmatch(err).groups()
+                assert minor(A, map(int, rows.split(", ")), map(int, cols.split(", "))) == Fraction(value) < 0
+                continue
             if oracle is None:
                 assert code == 4 and out == "" and err.startswith("error: class-not-found: ")
                 continue
@@ -742,6 +758,9 @@ def test_detect_and_decompose_mean_what_they_say(A):
             U = parse_matrix("\n".join(lines[u_at + 1 : end]))
             assert matmul(L, U) == A
             assert in_class_L(L, oracle.r, starred=True) and in_class_U(U, oracle.c)
+            if method == "neville" and trace:
+                pair = replay(A, parse_trace("\n".join(lines[end + 1 :])))
+                assert (pair.L, pair.U) == (L, U)
 
 
 def check_auto_is_the_certified_pair_with_moves_only_for_trace(A):

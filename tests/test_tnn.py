@@ -21,6 +21,7 @@ from tnnlu import (
     random_tnn,
     rank,
 )
+from tnnlu.cli import main
 from tnnlu.core import first_minor
 from tnnlu.mclass import certify
 from tnnlu.neville import _tnn_gate
@@ -134,6 +135,14 @@ def test_accept_path_enumerates_no_minor(monkeypatch):
     assert rank(singular) == 5
     assert is_tnn(singular) == TnnReport(True)
     assert is_tnn(Mat.identity(9)) == TnnReport(True)
+
+
+def test_a_gate_reject_never_reads_as_tnn(monkeypatch, capsys):
+    # the gate is exact: a sweep that finds no negative minor leaves its reject standing
+    monkeypatch.setattr("tnnlu.tnn.first_minor", lambda *args, **kwargs: None)
+    assert is_tnn(Mat.from_rows([[1, 2], [3, 4]])) == TnnReport(False)
+    assert main(["check-tnn", "--inline", "1 2; 3 4"]) == 0
+    assert capsys.readouterr().out == "is_tnn: false\nwitness: none\n"
 
 
 def test_gate_pins_past_the_guard():
