@@ -22,7 +22,6 @@ from .errors import ParseError, SizeGuardError
 
 Scalar = Fraction
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: no "1_000", no "١٢"
-_RATIONALS = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?(?:\s+[+-]?[0-9]+(?:/[0-9]+)?)*\s*")  # a p/q row
 ScalarLike = Union[int, str, Fraction]
 
 __all__ = [
@@ -288,8 +287,10 @@ def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _over_lcm(cells: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """Cells num/den (den nonzero, of either sign) as one row in lowest
-    terms: each cell reduced, then lifted to the lcm of their denominators."""
+    """Cells num/den (den nonzero, of either sign) as one row in lowest terms: each
+    cell reduced, then lifted to the lcm of their denominators; integer cells skip both."""
+    if all(d == 1 for _, d in cells):
+        return [x for x, _ in cells], 1
     cells = [(x // g, d // g) for x, d in cells for g in (math.gcd(x, d),)]
     den = math.lcm(*[d for _, d in cells])
     return [x * (den // d) for x, d in cells], den
@@ -297,10 +298,12 @@ def _over_lcm(cells: list[tuple[int, int]]) -> tuple[list[int], int]:
 
 def _combine_into(row: list[int], b: int, a: int, other: list[int], lo: int, den: int) -> int:
     """Set ``row`` to (b·row - a·other) / den in lowest terms (see `_reduce`), in place, and return
-    its denominator; both rows are zero left of column ``lo``.  Loops, not a comprehension,
-    which before Python 3.12 runs in a frame of its own, the larger cost on a short row."""
+    its denominator, with no gcd if den is 1; both rows are zero left of column ``lo``.  Loops, not a
+    comprehension, which before Python 3.12 runs in a frame of its own, the larger cost on a short row."""
     for k in range(lo, len(row)):
         row[k] = b * row[k] - a * other[k]
+    if den == 1:
+        return 1
     g = math.gcd(den, *row)
     g = -g if den < 0 else g
     if g != 1:
@@ -318,7 +321,8 @@ def _bareiss(rows: list[list[int]], pick: Callable) -> list[tuple[int, int]]:
     live cells only, so a cell keeps its value from the step that pivoted
     its row or column: cell (h, k) holds the bordered minor on the pivots
     taken while both were live, then h and k (Sylvester's identity), and
-    every division is exact."""
+    every division is exact.  A zero multiplier rh[j] only rescales row h by
+    p / prev, skipped if p == prev, and a unit prev divides by nothing."""
     live_rows = list(range(len(rows)))
     live_cols = list(range(len(rows[0]) if rows else 0))
     pivots: list[tuple[int, int]] = []
@@ -332,8 +336,15 @@ def _bareiss(rows: list[list[int]], pick: Callable) -> list[tuple[int, int]]:
         for h in live_rows:
             rh = rows[h]
             rhj = rh[j]
-            for k in live_cols:
-                rh[k] = (p * rh[k] - rhj * ri[k]) // prev
+            if rhj and prev != 1:
+                for k in live_cols:
+                    rh[k] = (p * rh[k] - rhj * ri[k]) // prev
+            elif rhj:
+                for k in live_cols:
+                    rh[k] = p * rh[k] - rhj * ri[k]
+            elif p != prev:
+                for k in live_cols:
+                    rh[k] = p * rh[k] // prev
         pivots.append(step)
         prev = p
     return pivots
@@ -526,19 +537,18 @@ def parse_matrix(text: str) -> Mat:
         tokens = line.split()
         if len(tokens) != ncols:
             raise ParseError(f"expected {ncols} entries per row, got {len(tokens)}: {line!r}")
-        if line.isascii() and "/" not in line and "_" not in line:
-            try:  # on such a line `int` takes exactly the tokens `_RATIONALS` does
-                pairs.append((list(map(int, tokens)), 1))
-                continue
+        if line.isascii() and "_" not in line and "/+" not in line and "/-" not in line:
+            try:  # the `int` path, an ASCII line with no "_", "/+" or "/-": `int` reads its p and q as `_ratio` does
+                if "/" not in line:
+                    pairs.append((list(map(int, tokens)), 1))
+                    continue
+                cells = [token.partition("/") for token in tokens]
+                dens = [int(q) if bar else 1 for _, bar, q in cells]
+                if den := math.lcm(*dens):  # else some q is 0, which `_ratio` names
+                    pairs.append(_reduce([int(p) * (den // q) for (p, _, _), q in zip(cells, dens)], den))
+                    continue
             except ValueError:
                 pass
-        if _RATIONALS.fullmatch(line):
-            cells = [token.partition("/") for token in tokens]
-            dens = [int(q or 1) for _, _, q in cells]
-            den = math.lcm(*dens)
-            if den:  # else a denominator is zero
-                pairs.append(_reduce([int(p) * (den // q) for (p, _, _), q in zip(cells, dens)], den))
-                continue
         pairs.append(_over_lcm([_ratio(token) for token in tokens]))  # or `_ratio` names the bad token
     return Mat._of(nrows, ncols, pairs)
 
@@ -546,6 +556,8 @@ def parse_matrix(text: str) -> Mat:
 def _texts(row: tuple[int, ...], den: int) -> list[str]:
     """Each cell of row / den as `format_scalar` writes it: the one cell
     writer, which every matrix rendering reads through `_cells`."""
+    if den == 1:
+        return list(map(str, row))
     return [str(x // g) if g == den else f"{x // g}/{den // g}" for x in row for g in (math.gcd(x, den),)]
 
 

@@ -324,12 +324,14 @@ def _tnn_gate(A: Mat) -> Optional[tuple[_Factors, list]]:
 
     Complete: for TNN A, pass 1 finishes with U TNN (the paper's theorem),
     so Uᵀ is TNN and pass 2 finishes too.  So a reject is exact (Gasca &
-    Peña, LAA 165, 1992)."""
+    Peña, LAA 165, 1992).  Pass 2 is skipped when pass 1 leaves no row: Uᵀ
+    is then n x 0, and a run on it could only delete its rows and accept."""
     if any(min(row, default=0) < 0 for row in A._rows):
         return None
     try:
         state, moves = _run(A, None, _not_tnn)
-        _run(state.mat().transpose(), None, _not_tnn)
+        if state.u:
+            _run(state.mat().transpose(), None, _not_tnn)
     except NotTotallyNonnegativeError:
         return None
     return state, moves

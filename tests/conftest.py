@@ -22,6 +22,30 @@ def _combine(cx, x, cy, y, den):
     return _reduce([cx * a + cy * b for a, b in zip(x, y)], den)
 
 
+def bareiss_reference(rows, pick):
+    """`core._bareiss` without its shortcuts, the reference it is held to:
+    every live row takes the one-line update, whatever its multiplier and
+    the previous pivot."""
+    live_rows = list(range(len(rows)))
+    live_cols = list(range(len(rows[0]) if rows else 0))
+    pivots = []
+    prev = 1
+    while live_rows and (step := pick(rows, live_rows, live_cols, pivots)) is not None:
+        i, j = step
+        live_rows.remove(i)
+        live_cols.remove(j)
+        ri = rows[i]
+        p = ri[j]
+        for h in live_rows:
+            rh = rows[h]
+            rhj = rh[j]
+            for k in live_cols:
+                rh[k] = (p * rh[k] - rhj * ri[k]) // prev
+        pivots.append(step)
+        prev = p
+    return pivots
+
+
 def indexset_leq(first, second):
     """Componentwise order on equal-cardinality ascending index sets."""
     a = IndexSet.coerce(first)

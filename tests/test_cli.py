@@ -299,6 +299,23 @@ def test_neville_deletes_a_run_of_zero_rows_in_linear_time(tmp_path, capsys):
         assert outs[1] == outs[0] + "trace:\n" + "".join(f"D {i}\n" for i in deleted[name]), name
 
 
+def test_gate_skips_pass_two_when_pass_one_leaves_no_row(tmp_path, capsys):
+    # pass 2 on the n x 0 transpose could only delete its rows: a million
+    # columns answer at once, not by building and deleting a million rows
+    path = tmp_path / "wide.mat"
+    path.write_text("0 1000000\n", encoding="utf-8")
+    pair = "class: r = {}, c = {}\nL:\n0 0\nU:\n0 1000000\n"
+    for argv, expected in (
+        (["check-tnn"], "is_tnn: true\nwitness: none\n"),
+        (["decompose", "--method", "neville"], "method: neville\n" + pair),
+        (["decompose", "--method", "neville", "--trace"], "method: neville\n" + pair + "trace:\n"),
+    ):
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert time.perf_counter() - began < 1.0, argv
+        assert (code, out, err) == (0, expected, ""), argv
+
+
 def test_every_other_route_answers_a_run_of_zero_rows_in_linear_time(tmp_path, capsys):
     # auto, explicit, reconstruct and detect on the shapes above print
     # neville's pair and class; a tall input of low rank with no zero row

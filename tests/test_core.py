@@ -4,12 +4,14 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bareiss_reference,
     delete_col,
     delete_row,
     det_cofactor,
@@ -22,8 +24,10 @@ from conftest import (
     submatrix,
 )
 from tnnlu import (
+    ClassDesc,
     IndexSet,
     Mat,
+    NotInClassError,
     ParseError,
     all_minors,
     as_scalar,
@@ -45,8 +49,8 @@ from tnnlu import (
     replay,
 )
 import tnnlu.core
-from tnnlu.core import _bareiss, _minor_num, first_minor, iter_minor_layers
-from tnnlu.mclass import certify
+from tnnlu.core import _any_live, _bareiss, _minor_num, _next_column, first_minor, iter_minor_layers
+from tnnlu.mclass import _table, certify
 
 CRYER = Mat.from_rows([[0, 0, 0], [1, 0, 1], [1, 0, 1]])
 A4 = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 11]])
@@ -57,6 +61,20 @@ def index_sets(top, size):
     """Ascending tuples of ``size`` distinct indices from 1..max(top, size)."""
     drawn = st.lists(st.integers(1, max(top, size)), min_size=size, max_size=size, unique=True)
     return drawn.map(lambda indices: tuple(sorted(indices)))
+
+
+@st.composite
+def zero_rich_matrices(draw):
+    """Up to 7 x 7, rich in zero multipliers and unit pivots for `_bareiss`:
+    sparse {0, 1, 2} matrices, Pascal, and `random_tnn` products."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("sparse", "pascal", "product")))
+    if kind == "sparse":
+        cells = st.sampled_from((0, 0, 0, 1, 2))
+        return Mat.from_rows(draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=m, max_size=m)))
+    if kind == "pascal":
+        return Mat.from_rows([[comb(i + j, i) for j in range(n)] for i in range(m)])
+    return random_tnn(m, n, seed=draw(st.integers(0, 999)), factors=draw(st.integers(0, 30)))
 
 
 SMALL_SETS = st.integers(0, 5).flatmap(lambda size: index_sets(7, size))
@@ -320,6 +338,29 @@ class TestBareissTable:
         assert minor(A, [1, 3], [1, 2]) == -3
         assert minor(A, [1, 2, 4], [1, 2, 3]) == 0
         assert minor(A, [2, 3, 4], [1, 2, 3]) == minor_cofactor(A, [2, 3, 4], [1, 2, 3]) == 3
+
+    @SETTINGS
+    @given(zero_rich_matrices(), st.data())
+    def test_shortcuts_leave_the_reference_table(self, A, data):
+        # det's pick on A's leading square, rank's on all of A
+        k = min(A.nrows, A.ncols)
+        square, whole = [list(row[:k]) for row in A._rows[:k]], [list(row) for row in A._rows]
+        for pick, rows in ((_next_column, square), (_any_live, whole)):
+            reference = [list(row) for row in rows]
+            assert _bareiss(rows, pick) == bareiss_reference(reference, pick)
+            assert rows == reference
+        # `_table`'s: the scan, its own leaders, and drawn leaders, which may hit a zero pivot
+        t = data.draw(st.integers(0, k))
+        drawn = ClassDesc(data.draw(index_sets(A.nrows, t)), data.draw(index_sets(A.ncols, t)))
+        for desc in (None, _table(A)[5], drawn):
+            outcomes = []
+            for kernel in (_bareiss, bareiss_reference):
+                with mock.patch.object(tnnlu.mclass, "_bareiss", kernel):
+                    try:
+                        outcomes.append(_table(A, desc))
+                    except NotInClassError as error:
+                        outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestRankAndMatmul:

@@ -40,7 +40,10 @@ minor on inputs with planted dependent rows and columns.  `parse_matrix`,
 which reads each row's integer lift as it parses, is held to a per-token
 reference parser and lift, on its Mat, its lift and its error message,
 and its one-pass rational rows to its own per-token path, on rows with
-tabs and padding; malformed tokens keep their exact messages.
+tabs and padding; malformed tokens keep their exact messages.  It is also
+held to `parse_scalar` per token, on tokens at the edge of its `int` path
+("3/+2", "3/", "1_0", "0/0", long numerators), and `format_matrix` to
+`format_scalar` cell by cell, on integer and rational rows, m x 0 and 0 x n.
 `IndexSet`'s set helpers are held to Python's `set` on subsets of 1..8.
 Every way of making a Mat (parsing signed, unreduced p/q tokens, `Mat`,
 `from_rows`, a double transpose, a product with the identity, and
@@ -111,6 +114,7 @@ from tnnlu import (
     neville_decompose,
     neville_move,
     parse_matrix,
+    parse_scalar,
     parse_trace,
     random_tnn,
     rank,
@@ -118,7 +122,7 @@ from tnnlu import (
     replay,
 )
 from tnnlu.cli import main as cli_main
-from tnnlu.core import MAX_BRUTEFORCE, _over_lcm, _ratio, first_minor
+from tnnlu.core import MAX_BRUTEFORCE, _cells, _over_lcm, _ratio, first_minor
 from tnnlu.mclass import certify
 from tnnlu.neville import (
     _Factors, _find_move, _move_precondition_failure, _not_tnn, _pair, _run, _step, _tnn_gate, _traced,
@@ -876,7 +880,7 @@ def rational_rows(draw):
         tokens = draw(st.lists(_ROW_TOKENS, min_size=n, max_size=n))
         if draw(st.integers(0, 3)) == 0:
             tokens[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_MALFORMED))
-        # "\x1f" separates tokens for `str.split` and the regex's "\s", not for `splitlines`
+        # "\x1f" separates tokens for `str.split`, not lines for `splitlines`
         gaps = draw(st.lists(st.sampled_from((" ", "  ", "\t", " \t ", "\x1f")), min_size=n + 1, max_size=n + 1))
         gaps[0] = draw(st.sampled_from(("", " ", "\t")))
         rows.append((tokens, "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[n]))
@@ -901,6 +905,46 @@ def test_row_parser_matches_the_per_token_path(sample):
     A = parse_matrix(text)
     assert A._rows == tuple(tuple(nums) for nums, _ in expected)
     assert A._dens == tuple(den for _, den in expected)
+
+
+# tokens next to the `int` path's gate, and numerators over 20 digits
+_EDGE = ("3/+2", "3/-2", "3/", "/3", "3//2", "1_0", "٣", "0/0", "007/08", "+3/4")
+_LONG = st.builds("{}{}".format, st.sampled_from(("", "+", "-")), st.integers(10**20, 10**40))
+_EDGE_TOKENS = st.one_of(
+    _SIGNED, _RATIO, st.sampled_from(_EDGE), _LONG, st.builds("{}/{}".format, _LONG, _DIGITS)
+)
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_EDGE_TOKENS, min_size=n, max_size=n), min_size=1, max_size=3)
+))
+@example([["1/2", "3/+2"]])
+@example([["7", "3/-2"], ["3/", "1"]])
+@example([["007/08", "+3/4", "-0/5"]])
+def test_parse_matrix_matches_parse_scalar_per_token(grid):
+    text = f"{len(grid)} {len(grid[0])}\n" + "".join(" ".join(row) + "\n" for row in grid)
+    try:
+        expected = Mat.from_rows([[parse_scalar(token) for token in row] for row in grid])
+    except ParseError as error:
+        with pytest.raises(ParseError) as raised:
+            parse_matrix(text)
+        assert str(raised.value) == str(error)
+        return
+    assert parse_matrix(text) == expected
+
+
+@SETTINGS
+@given(st.one_of(
+    small_integer_matrices(), small_rational_matrices(),
+    small_rational_matrices(m=0), small_rational_matrices(n=0),
+))
+def test_format_matrix_writes_each_cell_as_format_scalar(A):
+    cells = [[format_scalar(A.entry(i, j)) for j in range(1, A.ncols + 1)] for i in range(1, A.nrows + 1)]
+    lines = [f"{A.nrows} {A.ncols}", *(map(" ".join, cells) if A.ncols else ())]
+    assert format_matrix(A) == "".join(line + "\n" for line in lines)
+    assert _cells(A) == cells
+    assert parse_matrix(format_matrix(A)) == A
 
 
 @pytest.mark.parametrize("token", _MALFORMED)
