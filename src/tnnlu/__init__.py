@@ -27,7 +27,6 @@ from .core import (
     parse_scalar,
     rank,
 )
-from .echelon import EchelonReport, in_class_L, in_class_U, is_lower_echelon, is_upper_echelon
 from .errors import (
     MovePreconditionError,
     NotInClassError,
@@ -50,7 +49,7 @@ from .identities import (
     vanishing_check,
     vanishing_check_dual,
 )
-from .mclass import ClassDesc, LUPair, detect_class, eliminate, greedy_leaders, in_class_M
+from .mclass import ClassDesc, LUPair, detect_class
 from .neville import (
     DeleteRow,
     Eliminate,
@@ -80,16 +79,8 @@ __all__ = [
     "all_minors",
     "parse_matrix",
     "format_matrix",
-    "EchelonReport",
-    "is_upper_echelon",
-    "is_lower_echelon",
-    "in_class_L",
-    "in_class_U",
     "ClassDesc",
-    "in_class_M",
-    "eliminate",
     "detect_class",
-    "greedy_leaders",
     "LUPair",
     "explicit_decompose",
     "reconstruct_lu",

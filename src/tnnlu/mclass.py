@@ -63,14 +63,16 @@ class LUPair(NamedTuple):
 
 
 def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
-    """`eliminate`'s table (R, pivots, row_step, col_step, residue, found,
-    failure): the step at which each row and column was pivoted is t if
-    never, ``found`` is the class the 0-based pivots name, ``residue`` the
-    first (i, j), row-major, where A - L·U is nonzero, or None, and
-    ``failure`` the first failed clause of the class certificate (L in
-    L*(r), U in U(c), L·U == A), or None.  By Cauchy-Binet and the
-    uniqueness of a member's factors, which elimination recovers, None
-    equals `in_class_M`.
+    """The lexicographic Schur-complement table of A: one `_bareiss` run on
+    A's integer rows, each pivot the first nonzero cell, row-major, below
+    and right of the last, or ``desc``'s leaders, a zero one raising.  It is
+    (R, pivots, row_step, col_step, residue, found, failure): the step at
+    which each row and column was pivoted is t if never, ``found`` is the
+    class the 0-based pivots name, ``residue`` the first (i, j), row-major,
+    where A - L·U is nonzero, or None, and ``failure`` the first failed
+    clause of the class certificate (L in L*(r), U in U(c), L·U == A), or
+    None.  By Cauchy-Binet and the uniqueness of a member's factors, which
+    elimination recovers, None equals `in_class_M`.
 
     The pivots are the leads: L's column s is 1 at row i_s, and U's row s
     is nonzero at column j_s.  So L fails iff a row h < i_s pivoted after
@@ -114,7 +116,11 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
 
 
 def _factors(A: Mat, table: tuple) -> LUPair:
-    """L and U read off `_table`'s ``table`` of A, with its class; see `eliminate`."""
+    """L and U read off `_table`'s ``table`` of A, uncertified, with its class.
+    On rows lifted by their denominators s_h, pivot s, (i, j), of value p_s
+    leaves R[i, k] = [r_<s, i | c_<s, k] and R[h, j] = [r_<s, h | c_<s, j], so
+    U's row s is R[i, k] / (s_i·p_<s) and L's column s is R[h, j]·s_i / (s_h·p_s)
+    where k (or h) was live at step s, else 0.  L·U == A where `certify` passes."""
     R, pivots, row_step, col_step, _, found, _ = table
     m, n, t, dens = A.nrows, A.ncols, len(pivots), A._dens
     p = [1] + [R[i][j] for i, j in pivots]
@@ -132,26 +138,9 @@ def _factors(A: Mat, table: tuple) -> LUPair:
     return LUPair(Mat._of(m, t, L), Mat._of(t, n, U), found)
 
 
-def eliminate(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:
-    """The uncertified pair of lexicographic Schur-complement elimination:
-    one `_bareiss` table R on A's integer rows, row h of A times its
-    denominator s_h.
-
-    Without ``desc`` each pivot is the first nonzero cell, row-major, below
-    and right of the last; with ``desc`` they are its leaders and a zero one
-    raises.  Pivot s, (i, j) of value p_s, leaves R[i, k] = [r_<s, i | c_<s, k]
-    and R[h, j] = [r_<s, h | c_<s, j], lifted, so U's row s is R[i, k] /
-    (s_i·p_<s) and L's column s is R[h, j]·s_i / (s_h·p_s), wherever k (or h)
-    was live at step s, else 0.  Both factors are handed over as integer
-    rows: U's row s reduced by one gcd, L's row h over the lcm of its reduced
-    cells.  L·U equals A only where `certify` passes.
-    """
-    return _factors(A, _table(A, desc))
-
-
 def certify(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:
-    """`eliminate`'s pair, gated by its certificate, the one test every
-    factorization route passes: a failed clause raises NotInClassError
+    """`_factors`' pair, gated by its table's certificate, the one test
+    every factorization route passes: a failed clause raises NotInClassError
     naming it before any factor is built."""
     table = _table(A, desc)
     failure = table[-1]

@@ -108,7 +108,7 @@ def _move_precondition_failure(state: _Factors, s: int, t: int) -> Optional[str]
     """The first violated elimination-move precondition, or None; a
     nonzero left of column t is named by the first row's lead."""
     rows, leads, m = state.u, state.leads, len(state.u)
-    n = len(rows[0]) if rows else 0
+    n = state.ncols
     if not (1 <= s and s + 1 <= m and 1 <= t <= n):
         return f"move position (s={s}, t={t}) out of range for {m}x{n}"
     if rows[s - 1][t - 1] == 0:

@@ -1,6 +1,8 @@
 """Shared helpers: independent oracles, random exact matrix generators, and
 the index-set and matrix helpers that only tests use, and the hypothesis
-strategies for small integer and rational matrices.
+strategies for small integer and rational matrices.  Tests reach the
+package's own oracles (the echelon predicates, `in_class_M`,
+`greedy_leaders` and the uncertified `eliminate`) here, not from `tnnlu`.
 
 The cofactor-expansion determinant here is deliberately naive and separate
 from the production path; it is the oracle the fast determinant is judged
@@ -10,11 +12,22 @@ against (n <= 5 keeps it affordable).
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb, prod
 
 from hypothesis import strategies as st
 
 from tnnlu import ClassDesc, IndexSet, Mat
 from tnnlu.core import _in_range, _reduce
+from tnnlu.echelon import (  # noqa: F401  (oracles the tests import from here)
+    EchelonReport, in_class_L, in_class_U, is_lower_echelon, is_upper_echelon, row_leads,
+)
+from tnnlu.mclass import _factors, _table, greedy_leaders, in_class_M  # noqa: F401
+
+
+def eliminate(A, desc=None):
+    """The pair that `certify` returns, without its certificate: L and U read
+    off the table of A, pivoted by the scan or at ``desc``'s leaders."""
+    return _factors(A, _table(A, desc))
 
 
 def _combine(cx, x, cy, y, den):
@@ -230,6 +243,33 @@ def small_rational_matrices(draw, count=1, m=None, n=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def pascal(n):
+    """The n x n symmetric Pascal matrix [C(i+j, i)], which is L·Lᵀ for the
+    lower Pascal matrix L = [C(i, j)]: its class pair, in class {1..n}."""
+    return Mat.from_rows([[comb(i + j, i) for j in range(n)] for i in range(n)])
+
+
+def cauchy(x, y):
+    """The Cauchy matrix [1/(x_i + y_j)], totally positive when x is increasing
+    and positive and y increasing and nonnegative; Hilbert's is x = 1..n,
+    y = 0..n-1."""
+    return Mat.from_rows([[Fraction(1, a + b) for b in y] for a in x])
+
+
+def cauchy_minor(x, y, rows, cols):
+    """The minor of `cauchy(x, y)` on 1-based ``rows`` and ``cols`` by the
+    closed form: every square submatrix of a Cauchy matrix is one, and
+
+        det [1/(x_i + y_j)] = Π_{a<b} (x_b - x_a)(y_b - y_a) / Π_{a,b} (x_a + y_b).
+    """
+    xs, ys = [x[i - 1] for i in rows], [y[j - 1] for j in cols]
+    k = len(xs)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    return Fraction(
+        prod((xs[b] - xs[a]) * (ys[b] - ys[a]) for a, b in pairs), prod(a + b for a in xs for b in ys)
+    )
 
 
 def deleting_derivations_accept(A):

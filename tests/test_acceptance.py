@@ -14,6 +14,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import in_class_M, is_upper_echelon
 from tnnlu import (
     ClassDesc,
     DeleteRow,
@@ -25,10 +26,8 @@ from tnnlu import (
     detect_class,
     explicit_decompose,
     format_matrix,
-    in_class_M,
     inversion_count,
     is_tnn,
-    is_upper_echelon,
     laplace_sum_rows,
     matmul,
     minor,

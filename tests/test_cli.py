@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tnnlu
-from conftest import seeded
+from conftest import eliminate, greedy_leaders, seeded
 from tnnlu import Mat, format_matrix, parse_matrix, random_tnn
 from tnnlu.cli import main
 
@@ -196,14 +196,14 @@ def test_detect_builds_no_factors(capsys, monkeypatch):
     texts = (CRYER_TEXT, "2 3\n0 1 1\n1 1 0\n", "2 2\n0 1\n1 1\n")
     before = [run_cli(capsys, "detect", "--inline", inline) for inline in inputs]
     assert [out for _, out, _ in before].count("class: none\n") == 2
-    greedy = [tnnlu.greedy_leaders(parse_matrix(text)) for text in texts]
+    greedy = [greedy_leaders(parse_matrix(text)) for text in texts]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the class was read off built factors")
 
     monkeypatch.setattr(tnnlu.mclass, "_factors", refuse)
     assert [run_cli(capsys, "detect", "--inline", inline) for inline in inputs] == before
-    assert [tnnlu.greedy_leaders(parse_matrix(text)) for text in texts] == greedy
+    assert [greedy_leaders(parse_matrix(text)) for text in texts] == greedy
 
 
 def test_detect_and_certify_build_one_table_per_call(monkeypatch):
@@ -232,7 +232,7 @@ def test_detect_and_certify_build_one_table_per_call(monkeypatch):
         except tnnlu.NotInClassError:
             certified = None
         assert one_table(tnnlu.detect_class, A) == certified
-        assert one_table(tnnlu.greedy_leaders, A) == one_table(tnnlu.eliminate, A).desc
+        assert one_table(greedy_leaders, A) == one_table(eliminate, A).desc
 
 
 def test_factor_and_detect_build_no_fraction(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from conftest import (
     delete_col,
     delete_row,
     det_cofactor,
+    eliminate,
     indexset_leq,
     minor_cofactor,
     random_rational_matrix,
@@ -32,7 +33,6 @@ from tnnlu import (
     all_minors,
     as_scalar,
     det,
-    eliminate,
     explicit_decompose,
     format_matrix,
     format_scalar,

@@ -2,17 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_class_L, random_class_U, random_ascending_subset, seeded
-from tnnlu import (
-    IndexSet,
-    Mat,
+from conftest import (
     in_class_L,
     in_class_U,
     is_lower_echelon,
     is_upper_echelon,
-    minor,
+    random_ascending_subset,
+    random_class_L,
+    random_class_U,
+    row_leads,
+    seeded,
 )
-from tnnlu.echelon import row_leads
+from tnnlu import IndexSet, Mat, minor
 
 
 def test_upper_echelon_examples():

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from conftest import minor_cofactor, minor_ratio_pair, seeded
+from conftest import in_class_L, in_class_U, minor_cofactor, minor_ratio_pair, seeded
 from tnnlu import (
     ClassDesc,
     IndexSet,
@@ -12,8 +12,6 @@ from tnnlu import (
     NotInClassError,
     detect_class,
     explicit_decompose,
-    in_class_L,
-    in_class_U,
     is_tnn,
     matmul,
     neville_decompose,

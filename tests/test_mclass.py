@@ -3,6 +3,8 @@ import pytest
 import tnnlu.mclass
 from conftest import (
     all_candidate_descs,
+    greedy_leaders,
+    in_class_M,
     random_ascending_subset,
     random_class_L,
     random_class_U,
@@ -15,8 +17,6 @@ from tnnlu import (
     NotInClassError,
     SizeGuardError,
     detect_class,
-    greedy_leaders,
-    in_class_M,
     matmul,
     rank,
 )

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from conftest import seeded
+from conftest import is_upper_echelon, seeded
 from tnnlu import (
     ClassDesc,
     DeleteRow,
@@ -18,7 +18,6 @@ from tnnlu import (
     all_minors,
     format_trace,
     is_tnn,
-    is_upper_echelon,
     matmul,
     neville_decompose,
     neville_move,
@@ -97,6 +96,15 @@ class TestMove:
         U = Mat.from_rows([[1], [1], [1]])
         with pytest.raises(MovePreconditionError, match="below"):
             neville_move(U, 1, 1)
+
+    def test_out_of_range_names_the_shape_of_a_matrix_with_no_row(self):
+        # a 0x3 U still has 3 columns, in a move's refusal and in replay's
+        with pytest.raises(MovePreconditionError) as excinfo:
+            neville_move(Mat.zeros(0, 3), 1, 1)
+        assert str(excinfo.value) == "move position (s=1, t=1) out of range for 0x3"
+        with pytest.raises(ReplayError) as excinfo:
+            replay(Mat.zeros(0, 3), parse_trace("E 1 1 1"))
+        assert str(excinfo.value) == "step 1: move position (s=1, t=1) out of range for 0x3"
 
     def test_elementary_matrix_identity(self):
         rng = seeded(91)

@@ -71,6 +71,12 @@ from hypothesis import strategies as st
 from conftest import (
     all_candidate_descs,
     deleting_derivations_accept,
+    eliminate,
+    greedy_leaders,
+    in_class_L,
+    in_class_M,
+    in_class_U,
+    is_upper_echelon,
     minor_cofactor,
     minor_ratio_pair,
     random_ascending_subset,
@@ -98,17 +104,11 @@ from tnnlu import (
     all_minors,
     det,
     detect_class,
-    eliminate,
     explicit_decompose,
     format_matrix,
     format_scalar,
     format_trace,
-    greedy_leaders,
-    in_class_L,
-    in_class_M,
-    in_class_U,
     is_tnn,
-    is_upper_echelon,
     matmul,
     minor,
     neville_decompose,

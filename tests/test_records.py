@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import EchelonReport
 from tnnlu import (
     ClassDesc,
     DeleteRow,
-    EchelonReport,
     Eliminate,
     IndexSet,
     LUPair,
