@@ -11,7 +11,7 @@ class SizeGuardError(ValueError):
 
 
 class NotInClassError(ArithmeticError):
-    """The matrix is not in the class that was declared for it."""
+    """The matrix is in no class, or not in the one declared for it."""
 
 
 class NotTotallyNonnegativeError(ArithmeticError):

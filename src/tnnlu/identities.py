@@ -269,8 +269,6 @@ def selftest(seed: int = 0, instances: int = 100) -> dict[str, dict[str, int]]:
             J2 = _random_subset(rng, range(1, n + 1), si - s1)  # overlap allowed
         else:
             rest = [j for j in range(1, n + 1) if j not in J1]
-            if len(rest) < si - s1:
-                return True
             J2 = _random_subset(rng, rest, si - s1)
         value = (laplace_sum_cols if dual else laplace_sum_rows)(A, I, J1, J2)  # dual: I holds columns
         if not J1.isdisjoint(J2):

@@ -62,37 +62,26 @@ class LUPair(NamedTuple):
     desc: ClassDesc
 
 
-def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
+def _table(A: Mat) -> tuple:
     """The lexicographic Schur-complement table of A: one `_bareiss` run on
     A's integer rows, each pivot the first nonzero cell, row-major, below
-    and right of the last, or ``desc``'s leaders, a zero one raising.  It is
-    (R, pivots, row_step, col_step, residue, found, failure): the step at
-    which each row and column was pivoted is t if never, ``found`` is the
-    class the 0-based pivots name, ``residue`` the first (i, j), row-major,
-    where A - L·U is nonzero, or None, and ``failure`` the first failed
-    clause of the class certificate (L in L*(r), U in U(c), L·U == A), or
-    None.  By Cauchy-Binet and the uniqueness of a member's factors, which
-    elimination recovers, None equals `in_class_M`.
+    and right of the last.  It is (R, pivots, row_step, col_step, residue,
+    found, failure): the step at which each row and column was pivoted is t
+    if never, ``found`` is the class the 0-based pivots name, ``residue``
+    the first (i, j), row-major, where A - L·U is nonzero, or None, and
+    ``failure`` the first failed clause of the class certificate (U in
+    U(c), L·U == A), or None.  By Cauchy-Binet and the uniqueness of a
+    member's factors, which elimination recovers, None equals `in_class_M`.
 
     The pivots are the leads: L's column s is 1 at row i_s, and U's row s
-    is nonzero at column j_s.  So L fails iff a row h < i_s pivoted after
-    step s, or never, has R[h, j_s] != 0, and U fails iff a column k < j_s
-    pivoted after step s, or never, has R[i_s, k] != 0.  Under the scan the
-    L clause cannot fire, since a skipped row is zero right of the last
-    pivot and later updates keep it zero; a declared ``desc`` can fail it."""
-    if desc is not None:
-        _validate_desc(A, desc)
+    is nonzero at column j_s.  So U fails iff a column k < j_s pivoted
+    after step s, or never, has R[i_s, k] != 0.  L in L*(r) needs no
+    clause: a row the scan skips is zero right of the last pivot, and
+    later updates keep it zero."""
     m, n = A.nrows, A.ncols
     R = [list(row) for row in A._rows]
-    leaders = None if desc is None else iter([(i - 1, j - 1) for i, j in zip(desc.r, desc.c)])
 
     def pick(R, live_rows, live_cols, pivots):
-        if leaders is not None:
-            step = next(leaders, None)
-            if step and not R[step[0]][step[1]]:
-                i, j = step[0] + 1, step[1] + 1
-                raise NotInClassError(f"not in declared class: zero pivot at ({i},{j})")
-            return step
         i0, j0 = pivots[-1] if pivots else (-1, -1)
         cells = ((i, j) for i in range(i0 + 1, m) for j in range(j0 + 1, n))
         return next(((i, j) for i, j in cells if R[i][j]), None)
@@ -106,9 +95,7 @@ def _table(A: Mat, desc: Optional[ClassDesc] = None) -> tuple:
     residue = next(((h + 1, k + 1) for h, k in live if R[h][k]), None)
     found = ClassDesc([i + 1 for i, _ in pivots], [j + 1 for _, j in pivots])
     failure = None
-    if any(R[h][j] for s, (i, j) in enumerate(pivots) for h in range(i) if row_step[h] > s):
-        failure = f"L does not lead with 1 at rows {list(found.r)}"
-    elif any(R[i][k] for s, (i, j) in enumerate(pivots) for k in range(j) if col_step[k] > s):
+    if any(R[i][k] for s, (i, j) in enumerate(pivots) for k in range(j) if col_step[k] > s):
         failure = f"U does not lead at columns {list(found.c)}"
     elif residue is not None:
         failure = "A - L*U is nonzero at ({},{})".format(*residue)
@@ -141,12 +128,17 @@ def _factors(A: Mat, table: tuple) -> LUPair:
 def certify(A: Mat, desc: Optional[ClassDesc] = None) -> LUPair:
     """`_factors`' pair, gated by its table's certificate, the one test
     every factorization route passes: a failed clause raises NotInClassError
-    naming it before any factor is built."""
-    table = _table(A, desc)
-    failure = table[-1]
+    naming it before any factor is built.  A matrix has at most one class,
+    so a ``desc`` is checked against the one the scan certifies, not
+    pivoted on."""
+    if desc is not None:
+        _validate_desc(A, desc)
+    table = _table(A)
+    *_, found, failure = table
     if failure is not None:
-        verdict = "matrix belongs to no class" if desc is None else "not in declared class"
-        raise NotInClassError(f"{verdict}: {failure}")
+        raise NotInClassError(f"matrix belongs to no class: {failure}")
+    if desc is not None and desc != found:
+        raise NotInClassError(f"not in declared class: its class is r = {list(found.r)}, c = {list(found.c)}")
     return _factors(A, table)
 
 

@@ -24,10 +24,10 @@ from tnnlu.echelon import (  # noqa: F401  (oracles the tests import from here)
 from tnnlu.mclass import _factors, _table, greedy_leaders, in_class_M  # noqa: F401
 
 
-def eliminate(A, desc=None):
+def eliminate(A):
     """The pair that `certify` returns, without its certificate: L and U read
-    off the table of A, pivoted by the scan or at ``desc``'s leaders."""
-    return _factors(A, _table(A, desc))
+    off the scan's table of A."""
+    return _factors(A, _table(A))
 
 
 def _combine(cx, x, cy, y, den):

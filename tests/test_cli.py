@@ -551,6 +551,18 @@ def test_negative_max_bruteforce_is_bad_input(capsys, argv):
     assert err == "error: bad-input: --max-bruteforce must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["check-tnn", "--inline", " ; "], 3, "error: parse-error: empty inline matrix\n"),
+        (["generate", "--size", "-1", "2"], 7, "error: bad-input: size and factors must be nonnegative\n"),
+    ],
+    ids=["empty-inline", "negative-size"],
+)
+def test_refusals_of_malformed_arguments_are_exact(capsys, argv, code, err):
+    assert run_cli(capsys, *argv) == (code, "", err)
+
+
 def test_generate_round_trips(capsys):
     shapes = [(3, 4, 11), (0, 3, 0), (3, 0, 0), (1, 1, 0), (1, 6, 0), (6, 1, 0)]
     for (m, n, seed), factors in zip(shapes, [12] + [20] * 5):

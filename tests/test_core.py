@@ -25,7 +25,6 @@ from conftest import (
     submatrix,
 )
 from tnnlu import (
-    ClassDesc,
     IndexSet,
     Mat,
     NotInClassError,
@@ -349,18 +348,23 @@ class TestBareissTable:
             reference = [list(row) for row in rows]
             assert _bareiss(rows, pick) == bareiss_reference(reference, pick)
             assert rows == reference
-        # `_table`'s: the scan, its own leaders, and drawn leaders, which may hit a zero pivot
+        # `_table`'s scan
+        outcomes = []
+        for kernel in (_bareiss, bareiss_reference):
+            with mock.patch.object(tnnlu.mclass, "_bareiss", kernel):
+                outcomes.append(_table(A))
+        assert outcomes[0] == outcomes[1]
+        # drawn leaders, in order, stopping at the first zero one
         t = data.draw(st.integers(0, k))
-        drawn = ClassDesc(data.draw(index_sets(A.nrows, t)), data.draw(index_sets(A.ncols, t)))
-        for desc in (None, _table(A)[5], drawn):
-            outcomes = []
-            for kernel in (_bareiss, bareiss_reference):
-                with mock.patch.object(tnnlu.mclass, "_bareiss", kernel):
-                    try:
-                        outcomes.append(_table(A, desc))
-                    except NotInClassError as error:
-                        outcomes.append(str(error))
-            assert outcomes[0] == outcomes[1]
+        r, c = data.draw(index_sets(A.nrows, t)), data.draw(index_sets(A.ncols, t))
+
+        def drawn(rows, live_rows, live_cols, pivots):
+            s = len(pivots)
+            return (r[s] - 1, c[s] - 1) if s < t and rows[r[s] - 1][c[s] - 1] else None
+
+        rows, reference = [list(row) for row in A._rows], [list(row) for row in A._rows]
+        assert _bareiss(rows, drawn) == bareiss_reference(reference, drawn)
+        assert rows == reference
 
 
 class TestRankAndMatmul:
@@ -520,6 +524,10 @@ class TestScalarsAndText:
             as_scalar(0.5)
         with pytest.raises(TypeError):
             Mat(1, 1, [0.5])
+        for make in (lambda: Mat(1, 1, [True]), lambda: Mat.from_rows([[False]])):
+            with pytest.raises(TypeError) as raised:
+                make()
+            assert str(raised.value) == "exact rational expected, got bool"
 
     def test_entry_access_is_one_based(self):
         A = Mat.from_rows([[1, 2], [3, 4]])
@@ -531,6 +539,9 @@ class TestScalarsAndText:
             A.entry(0, 1)
         with pytest.raises(IndexError):
             A.entry(1, 3)
+        one = Mat.identity(1)
+        assert outcome(one.row, 2) == (IndexError, "row 2 out of range for 1x1")
+        assert outcome(one.col, 2) == (IndexError, "column 2 out of range for 1x1")
 
     def test_matrix_text_round_trip(self):
         rng = seeded(9)
@@ -541,6 +552,8 @@ class TestScalarsAndText:
     def test_parse_matrix_example(self):
         A = parse_matrix("2 3\n1 0 1/2\n-2 3/4 5\n")
         assert A == Mat.from_rows([[1, 0, Fraction(1, 2)], [-2, Fraction(3, 4), 5]])
+        # trailing blank lines are dropped
+        assert parse_matrix("1 1\n5\n\n  \n") == Mat.from_rows([[5]])
 
     def test_parse_matrix_errors(self):
         for text in (
@@ -557,6 +570,13 @@ class TestScalarsAndText:
         ):
             with pytest.raises(ParseError):
                 parse_matrix(text)
+
+    def test_malformed_mats_are_refused_by_name(self):
+        assert outcome(Mat, 2, 2, [1, 2, 3]) == (ValueError, "expected 4 entries for 2x2, got 3")
+        assert outcome(Mat.from_rows, [[1], [1, 2]]) == (ValueError, "rows have unequal lengths")
+        assert outcome(lambda: Mat.from_rows([[1, 2]], ncols=3)) == (ValueError, "declared 3 columns, rows have 2")
+        # and no Mat equals a scalar
+        assert (Mat.identity(1) == 1) is False
 
     def test_zero_dimension_round_trip(self):
         for A in (Mat.zeros(0, 3), Mat.zeros(3, 0), Mat.zeros(0, 0)):

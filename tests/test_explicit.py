@@ -76,25 +76,28 @@ def test_not_in_class_checked():
         explicit_decompose(CRYER, ClassDesc(IndexSet((1,)), IndexSet((1,))))
     with pytest.raises(NotInClassError):
         reconstruct_lu(CRYER, ClassDesc(IndexSet((1,)), IndexSet((1,))))
-    # each failed clause of the certificate is named
+    # a declared class other than A's is refused naming A's class, and a
+    # failed clause is refused the same way whether or not a class is declared
     column = Mat.from_rows([[1], [1]])
-    for A, desc, clause in (
-        (column, ClassDesc((2,), (1,)), r"L does not lead with 1 at rows \[2\]"),
-        (CRYER, ClassDesc((2,), (3,)), r"U does not lead at columns \[3\]"),
-        (Mat.identity(2), ClassDesc((1,), (1,)), r"A - L\*U is nonzero at \(2,2\)"),
+    for A, desc, message in (
+        (column, ClassDesc((2,), (1,)), "not in declared class: its class is r = [1], c = [1]"),
+        (CRYER, ClassDesc((2,), (3,)), "not in declared class: its class is r = [2], c = [1]"),
+        (Mat.identity(2), ClassDesc((1,), (1,)), "not in declared class: its class is r = [1, 2], c = [1, 2]"),
+        (Mat.from_rows([[0, 1], [1, 1]]), ClassDesc((1,), (2,)), "matrix belongs to no class: A - L*U is nonzero at (2,1)"),
+        (Mat.from_rows([[0, 1], [1, 1]]), None, "matrix belongs to no class: A - L*U is nonzero at (2,1)"),
     ):
         for method in (explicit_decompose, reconstruct_lu):
-            with pytest.raises(NotInClassError, match=f"^not in declared class: {clause}$"):
+            with pytest.raises(NotInClassError) as raised:
                 method(A, desc)
-    with pytest.raises(NotInClassError, match=r"^matrix belongs to no class: A - L\*U"):
-        reconstruct_lu(Mat.from_rows([[0, 1], [1, 1]]))
+            assert str(raised.value) == message
 
 
 def test_unchecked_hits_hard_error_on_zero_leading_minor():
     bad = ClassDesc(IndexSet((1,)), IndexSet((1,)))  # a[1,1] = 0
     for method in (explicit_decompose, reconstruct_lu):
-        with pytest.raises(NotInClassError, match=r"zero pivot at \(1,1\)"):
+        with pytest.raises(NotInClassError) as raised:
             method(CRYER, bad)
+        assert str(raised.value) == "not in declared class: its class is r = [2], c = [1]"
 
 
 def test_factorization_invariants_on_corpus():

@@ -296,6 +296,11 @@ class TestReplayAndTraceText:
             replay(A4, parse_trace("D 2"))
         assert str(excinfo.value) == "step 1: row 2 is not a zero row"
 
+    def test_replay_rejects_deleting_a_row_past_the_matrix(self):
+        with pytest.raises(ReplayError) as excinfo:
+            replay(Mat.identity(2), parse_trace("D 3"))
+        assert str(excinfo.value) == "step 1: row 3 out of range"
+
     def test_replay_checks_every_move_inside_a_sweep(self):
         # decomposition trusts a sweep's later moves; replay still checks each
         pascal = Mat.from_rows([[comb(i + j, i) for j in range(5)] for i in range(5)])
@@ -345,6 +350,8 @@ class TestReplayAndTraceText:
         text = format_trace(trace)
         assert text == "E 3 2 3\nE 2 2 1/2\nE 1 2 2\nD 2\nE 2 4 1\nD 3\n"
         assert parse_trace(text).moves == trace.moves
+        # blank lines are skipped
+        assert parse_trace(text.replace("\nD 2\n", "\n\n  \nD 2\n")).moves == trace.moves
 
     def test_parse_trace_errors(self):
         for bad in ("X 1", "D", "E 1 2", "E 1 2 0.5", "D one", "D 1_0", "E \u0661 2 1"):

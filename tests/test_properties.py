@@ -200,7 +200,7 @@ def test_certificate_matches_exhaustive_search_on_rationals(A):
 def certificate_inputs(draw):
     """(A, desc): signed A up to 6x6, zero at least half the time, or a
     product of m x t and t x n factors with t < min(m, n), so of lower rank;
-    desc None or random leaders, which may name a zero pivot."""
+    desc None or random leaders, A's certified class or not."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 6))
     entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3)))
@@ -242,26 +242,31 @@ def test_table_certificate_matches_the_factor_clauses():
     @given(certificate_inputs())
     def check(sample):
         A, desc = sample
+        pair = eliminate(A)
+        clause = factor_clauses(A, pair)
         try:
-            pair = eliminate(A, desc)
-        except NotInClassError:
-            seen["zero pivot"] += 1
-            return
-        try:
-            certify(A, desc)
+            # a member's pair is the scan's, with or without its own class
+            assert certify(A, desc) == pair
             failure = None
         except NotInClassError as exc:
-            verdict, _, failure = str(exc).partition(": ")
-            expected = "matrix belongs to no class" if desc is None else "not in declared class"
-            assert verdict == expected
-        assert failure == factor_clauses(A, pair)
-        clause = "none" if failure is None else failure[0]
+            failure = str(exc)
+        # a declared class is checked against the scan's, not pivoted on: it
+        # passes iff the scan's pair passes and names that class
+        if clause is not None:
+            assert failure == f"matrix belongs to no class: {clause}"
+        elif desc is not None and desc != pair.desc:
+            r, c = list(pair.desc.r), list(pair.desc.c)
+            assert failure == f"not in declared class: its class is r = {r}, c = {c}"
+        else:
+            assert failure is None
         # the scan skips a row only where it is zero right of the last pivot
-        assert not (desc is None and clause == "L")
-        seen[clause] += 1
+        assert not (clause or "").startswith("L")
+        outcome = "none" if failure is None else clause[0] if clause else "another class"
+        seen["scan" if desc is None else "declared", outcome] += 1
 
     check()
-    assert set(seen) == {"zero pivot", "L", "U", "A", "none"}, seen
+    scan, declared = {"U", "A", "none"}, {"U", "A", "none", "another class"}
+    assert set(seen) == {("scan", o) for o in scan} | {("declared", o) for o in declared}, seen
 
 
 @SETTINGS
@@ -709,7 +714,9 @@ def test_check_tnn_means_what_it_says(A, guard):
         assert accept
         return
     assert within and not accept
-    rows, cols, value = WITNESS_LINE.fullmatch(out).groups()
+    witness = WITNESS_LINE.fullmatch(out)
+    assert witness, out
+    rows, cols, value = witness.groups()
     assert minor(A, map(int, rows.split(",")), map(int, cols.split(","))) == Fraction(value) < 0
 
 
@@ -747,7 +754,9 @@ def test_detect_and_decompose_mean_what_they_say(A):
             code, out, err = run_cli("decompose", "--method", method, *trace, stdin=stdin)
             if method == "neville" and not accept:
                 assert code == 5 and out == "", err
-                rows, cols, value = NEVILLE_WITNESS.fullmatch(err).groups()
+                witness = NEVILLE_WITNESS.fullmatch(err)
+                assert witness, err
+                rows, cols, value = witness.groups()
                 assert minor(A, map(int, rows.split(", ")), map(int, cols.split(", "))) == Fraction(value) < 0
                 continue
             if oracle is None:
