@@ -382,10 +382,12 @@ def minor(A: Mat, rows: IndexSetLike, cols: IndexSetLike) -> Fraction:
 
 def _minor_num(A: Mat, I: Sequence[int], J: Sequence[int]) -> int:
     """The minor on ascending 1-based rows I and columns J of equal length, times
-    those rows' denominators, off A's integer rows: by cofactors to order 3, then
-    as the last `_bareiss` pivot signed by the order of the pivot rows, 0 if a
-    column runs out.  An index past A raises `minor`'s IndexError."""
-    _in_range(A, I, J)
+    those rows' denominators, off A's integer rows: by cofactors to order 3, at
+    order 4 as the six products of 2x2 minors on its first two rows and its last
+    two (Laplace), then as the last `_bareiss` pivot signed by the order of the
+    pivot rows, 0 if a column runs out.  An index past A raises `minor`'s IndexError."""
+    if I and I[-1] > A.nrows or J and J[-1] > A.ncols:  # only to raise: the test is cheaper than the call
+        _in_range(A, I, J)
     if len(I) < 2:
         return A._rows[I[0] - 1][J[0] - 1] if I else 1
     if len(I) == 2:
@@ -396,6 +398,14 @@ def _minor_num(A: Mat, I: Sequence[int], J: Sequence[int]) -> int:
         r, s, t = A._rows[h - 1], A._rows[i - 1], A._rows[k - 1]
         return (r[a] * (s[b] * t[c] - s[c] * t[b]) - r[b] * (s[a] * t[c] - s[c] * t[a])
                 + r[c] * (s[a] * t[b] - s[b] * t[a]))
+    if len(I) == 4:
+        (a, b, c, d), (r, s, t, u) = [j - 1 for j in J], [A._rows[i - 1] for i in I]
+        return ((r[a] * s[b] - r[b] * s[a]) * (t[c] * u[d] - t[d] * u[c])
+                - (r[a] * s[c] - r[c] * s[a]) * (t[b] * u[d] - t[d] * u[b])
+                + (r[a] * s[d] - r[d] * s[a]) * (t[b] * u[c] - t[c] * u[b])
+                + (r[b] * s[c] - r[c] * s[b]) * (t[a] * u[d] - t[d] * u[a])
+                - (r[b] * s[d] - r[d] * s[b]) * (t[a] * u[c] - t[c] * u[a])
+                + (r[c] * s[d] - r[d] * s[c]) * (t[a] * u[b] - t[b] * u[a]))
     entries = [[A._rows[i - 1][j - 1] for j in J] for i in I]
     pivots = _bareiss(entries, _next_column)
     if len(pivots) < len(I):

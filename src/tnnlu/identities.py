@@ -20,17 +20,15 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .core import (
-    IndexSet, IndexSetLike, Mat, _in_range, _minor_num, _reduce, inversion_count, minor,
+    IndexSet, IndexSetLike, Mat, _in_range, _minor_num, inversion_count, minor,
 )
 
 IndexPair = tuple[IndexSet, IndexSet]
-
-
-def _sign(count: int) -> int:
-    return -1 if count % 2 else 1
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 class MinorTerm(
@@ -58,7 +56,8 @@ def _lift(A: Mat) -> tuple[Mat, int]:
     order-k minors are D^k times A's, so each homogeneous identity holds on
     it exactly when on A."""
     D = math.lcm(*A._dens)
-    return Mat._of(A.nrows, A.ncols, [([x * (D // d) for x in row], 1) for row, d in zip(A._rows, A._dens)]), D
+    rows = [(row if d == D else [x * (D // d) for x in row], 1) for row, d in zip(A._rows, A._dens)]
+    return Mat._of(A.nrows, A.ncols, rows), D
 
 
 def evaluate_identity(identity: TermIdentity, A: Mat) -> Fraction:
@@ -70,11 +69,10 @@ def evaluate_identity(identity: TermIdentity, A: Mat) -> Fraction:
     top = max(degrees, default=0)
     Q = math.lcm(*[term.coefficient.denominator for term in identity.terms])
     total = 0
-    for term, degree in zip(identity.terms, degrees):
-        c = term.coefficient
+    for (c, first, second), degree in zip(identity.terms, degrees):
         total += (
             c.numerator * (Q // c.denominator) * D ** (top - degree)
-            * _minor_num(B, *term.first) * _minor_num(B, *term.second)
+            * _minor_num(B, *first) * _minor_num(B, *second)
         )
     return Fraction(total, Q * D**top)
 
@@ -90,13 +88,13 @@ def laplace_three_term(i: int, s: int, j: int, k: int) -> TermIdentity:
         raise ValueError(f"need i < s, got i={i}, s={s}")
     if not j < k:
         raise ValueError(f"need j < k, got j={j}, k={k}")
-    one, of = Fraction(1), IndexSet._of
+    of, term = IndexSet._of, MinorTerm._make  # each minor square as written, so `_make` skips the check
     jk, i_s = IndexSet((j, k)), IndexSet((i, s))  # every index validated here, so the rest are made as is
     return TermIdentity(
         (
-            MinorTerm(one, (of((i,)), of((j,))), (of((s, s + 1)), jk)),
-            MinorTerm(-one, (of((s,)), of((j,))), (of((i, s + 1)), jk)),
-            MinorTerm(one, (of((s + 1,)), of((j,))), (i_s, jk)),
+            term((_ONE, (of((i,)), of((j,))), (of((s, s + 1)), jk))),
+            term((_MINUS_ONE, (of((s,)), of((j,))), (of((i, s + 1)), jk))),
+            term((_ONE, (of((s + 1,)), of((j,))), (i_s, jk))),
         )
     )
 
@@ -139,11 +137,11 @@ def laplace_sum_rows(A: Mat, I: IndexSetLike, J1: IndexSetLike, J2: IndexSetLike
     J2 = IndexSet.coerce(J2)
     if len(J1) + len(J2) != len(I):
         raise ValueError(f"|J1| + |J2| must equal |I|: {J1!r}, {J2!r}, {I!r}")
-    total = 0
-    for chosen in combinations(I, len(J1)):
-        I1 = IndexSet._of(chosen)
-        I2 = I.difference(I1)
-        total += _sign(inversion_count(I1, I2)) * _minor_num(A, I1, J1) * _minor_num(A, I2, J2)
+    total, of = 0, IndexSet._of
+    # the complements of I's subsets in lexicographic order come in reverse lexicographic order
+    for I1, I2 in zip(combinations(I, len(J1)), reversed(list(combinations(I, len(J2))))):
+        I1, I2 = of(I1), of(I2)
+        total += (-1) ** inversion_count(I1, I2) * _minor_num(A, I1, J1) * _minor_num(A, I2, J2)
     return Fraction(total, math.prod(A._dens[i - 1] for i in I))
 
 
@@ -188,11 +186,14 @@ def cauchy_binet_check(A: Mat, B: Mat, I: IndexSetLike, J: IndexSetLike) -> bool
         raise ValueError(f"|I| must equal |J|: {I!r}, {J!r}")
     if len(I) > A.ncols:
         raise ValueError(f"minor order {len(I)} exceeds inner dimension {A.ncols}")
-    # on A's integer rows and F·B, both sides scale by F^|I| and A's row denominators on I
+    if I and I[-1] > A.nrows or J and J[-1] > B.ncols:
+        _in_range(Mat.zeros(A.nrows, B.ncols), I, J)  # an index past A·B names its shape
+    # on A's integer rows and F·B, both sides scale by F^|I| and A's row denominators on I;
+    # AB is the block of their product on rows I and columns J
     B = _lift(B)[0]
-    cols = list(zip(*B._rows)) or [()] * B.ncols
-    AB = Mat._of(A.nrows, B.ncols, [([sum([x * y for x, y in zip(r, c)]) for c in cols], 1) for r in A._rows])
-    return _minor_num(AB, I, J) == sum(
+    cols = [[row[j - 1] for row in B._rows] for j in J]
+    AB = Mat._of(len(I), len(J), [([sum(map(mul, A._rows[i - 1], c)) for c in cols], 1) for i in I])
+    return _minor_num(AB, range(1, len(I) + 1), range(1, len(J) + 1)) == sum(
         _minor_num(A, I, K) * _minor_num(B, K, J) for K in combinations(range(1, A.ncols + 1), len(I))
     )
 
@@ -209,7 +210,7 @@ def sylvester_check(A: Mat, m: int) -> bool:
     n = A.nrows
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n = {n}, got m = {m}")
-    A = _lift(A)[0]
+    # A's integer rows scale both sides alike: each has degree n - m in rows 1..m and 1 in the others
     lead, rest = tuple(range(1, m + 1)), range(m + 1, n + 1)
     B = Mat._of(n - m, n - m, [([_minor_num(A, lead + (i,), lead + (j,)) for j in rest], 1) for i in rest])
     left = _minor_num(B, range(1, n - m + 1), range(1, n - m + 1))
@@ -228,13 +229,27 @@ def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> Mat:
             while (q := bits(3)) > 3:
                 pass
             row.append((p - 4) * (6, 6, 3, 2)[q])
-        pairs.append(_reduce(row, 6))
+        g = math.gcd(6, *row)  # `_reduce(row, 6)`, inline
+        pairs.append((row if g == 1 else [v // g for v in row], 6 // g))
     return Mat._of(nrows, ncols, pairs)
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)`'s draw, as `_random_matrix` draws its cells."""
+    k = (hi - lo + 1).bit_length()
+    while (r := rng.getrandbits(k)) > hi - lo:
+        pass
+    return lo + r
+
+
 def _random_subset(rng: random.Random, pool: range | list[int], size: int) -> IndexSet:
-    """``size`` indices sampled from ``pool``, distinct positive ints."""
-    return IndexSet._of(tuple(sorted(rng.sample(pool, size))))
+    """``size`` indices of ``pool``, distinct positive ints, drawn as `rng.sample`
+    draws them from a pool this small: each pick swapped to the end of the pool."""
+    pool = list(pool)
+    for last in range(len(pool) - 1, len(pool) - 1 - size, -1):
+        j = _randint(rng, 0, last)
+        pool[j], pool[last] = pool[last], pool[j]
+    return IndexSet._of(tuple(sorted(pool[len(pool) - size :])))
 
 
 # Largest instance dimension; muir_extended uses exactly this, and needs >= 4.
@@ -259,11 +274,11 @@ def selftest(seed: int = 0, instances: int = 100) -> dict[str, dict[str, int]]:
         results[name] = {"instances": instances, "failures": failures}
 
     def laplace_instance(dual: bool) -> bool:
-        n = rng.randint(2, _SIZE)
+        n = _randint(rng, 2, _SIZE)
         A = _random_matrix(rng, n, n)
-        si = rng.randint(1, n)
+        si = _randint(rng, 1, n)
         I = _random_subset(rng, range(1, n + 1), si)
-        s1 = rng.randint(0, si)
+        s1 = _randint(rng, 0, si)
         J1 = _random_subset(rng, range(1, n + 1), s1)
         if rng.random() < 0.5 and s1 and si - s1:
             J2 = _random_subset(rng, range(1, n + 1), si - s1)  # overlap allowed
@@ -274,35 +289,33 @@ def selftest(seed: int = 0, instances: int = 100) -> dict[str, dict[str, int]]:
         if not J1.isdisjoint(J2):
             return value == 0
         union = J1.disjoint_union(J2)
-        return value == _sign(inversion_count(J1, J2)) * (minor(A, union, I) if dual else minor(A, I, union))
+        return value == (-1) ** inversion_count(J1, J2) * (minor(A, union, I) if dual else minor(A, I, union))
 
     def cauchy_binet_instance() -> bool:
-        m = rng.randint(1, _SIZE)
-        t = rng.randint(1, _SIZE)
-        n = rng.randint(1, _SIZE)
+        m = _randint(rng, 1, _SIZE)
+        t = _randint(rng, 1, _SIZE)
+        n = _randint(rng, 1, _SIZE)
         A = _random_matrix(rng, m, t)
         B = _random_matrix(rng, t, n)
-        k = rng.randint(0, min(m, t, n))
+        k = _randint(rng, 0, min(m, t, n))
         I = _random_subset(rng, range(1, m + 1), k)
         J = _random_subset(rng, range(1, n + 1), k)
         return cauchy_binet_check(A, B, I, J)
 
     def sylvester_instance() -> bool:
-        n = rng.randint(2, _SIZE)
+        n = _randint(rng, 2, _SIZE)
         A = _random_matrix(rng, n, n)
-        return sylvester_check(A, rng.randint(1, n - 1))
+        return sylvester_check(A, _randint(rng, 1, n - 1))
 
     def muir_instance() -> bool:
         n = _SIZE
         A = _random_matrix(rng, n, n)
-        i, s = 1, rng.randint(2, n - 2)
-        j, k = 1, rng.randint(2, n)
+        i, s = 1, _randint(rng, 2, n - 2)
+        j, k = 1, _randint(rng, 2, n)
         base = laplace_three_term(i, s, j, k)
-        used_rows = {i, s, s + 1}
-        used_cols = {j, k}
-        free_rows = [x for x in range(1, n + 1) if x not in used_rows]
-        free_cols = [x for x in range(1, n + 1) if x not in used_cols]
-        ext = rng.randint(0, min(len(free_rows), len(free_cols)))
+        free_rows = [x for x in range(1, n + 1) if x not in (i, s, s + 1)]
+        free_cols = [x for x in range(1, n + 1) if x not in (j, k)]
+        ext = _randint(rng, 0, min(len(free_rows), len(free_cols)))
         P = _random_subset(rng, free_rows, ext)
         Q = _random_subset(rng, free_cols, ext)
         return evaluate_identity(muir_extend(base, P, Q), A) == 0

@@ -436,7 +436,7 @@ class TestAllMinors:
     @given(st.one_of(small_integer_matrices(), small_rational_matrices()), st.data())
     def test_matches_single_minor_calls(self, A, data):
         # `iter_minor_layers` expands along each row set's last row, a path apart
-        # from `_minor_num`'s closed forms (orders 2 and 3) and `_bareiss` (4 on)
+        # from `_minor_num`'s closed forms (orders 2 to 4) and `_bareiss` (5 on)
         table = all_minors(A)
         assert table[((), ())] == 1
         for _, layer in iter_minor_layers(A):

@@ -20,6 +20,7 @@ test that kills it, never by dropping the mutant.
 | `_step` skips the multiplier match       | `test_neville`'s replay refusals                  |
 | `_pair` ignores one `DeleteRow`          | `test_detect_and_decompose_mean_what_they_say`    |
 | `iter_minor_layers` one row set short    | `test_check_tnn_means_what_it_says`               |
+| `_minor_num` flips one order-4 term      | `test_core.TestAllMinors`'s single minor calls    |
 
 A mutant that edits a line or two of its function is that function
 recompiled from its edited source (`edited`).
@@ -38,13 +39,17 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import test_cli
+import test_core
 import test_mclass
 import test_neville
 import test_properties
+from conftest import small_integer_matrices, small_rational_matrices
 from tnnlu import DeleteRow, Eliminate, NotInClassError, NotTotallyNonnegativeError, detect_class, format_scalar
-from tnnlu.core import first_minor, iter_minor_layers
+from tnnlu.core import _minor_num, first_minor, iter_minor_layers
 from tnnlu.mclass import _factors, _table, certify
 from tnnlu.neville import _move_precondition_failure, _not_tnn, _pair, _run, _step, _tnn_gate
 
@@ -177,3 +182,22 @@ def test_iter_minor_layers_one_row_set_short(monkeypatch):
 
     mutate(monkeypatch, iter_minor_layers, one_row_set_short)
     assert_killed(test_properties.test_check_tnn_means_what_it_says)
+
+
+def test_minor_num_flips_one_order_4_term(monkeypatch):
+    flipped = edited(_minor_num, (
+        "- (r[a] * s[c] - r[c] * s[a]) * (t[b] * u[d] - t[d] * u[b])",
+        "+ (r[a] * s[c] - r[c] * s[a]) * (t[b] * u[d] - t[d] * u[b])",
+    ))
+    mutate(monkeypatch, _minor_num, flipped)
+    # the test's body under a @given of its own, which does not shrink what it
+    # finds: hypothesis refuses to run one @given method from a second instance
+    # of its class
+    body = test_core.TestAllMinors.test_matches_single_minor_calls.hypothesis.inner_test
+
+    @settings(test_core.SETTINGS, phases=(Phase.generate,))
+    @given(st.one_of(small_integer_matrices(), small_rational_matrices()), st.data())
+    def single_minor_calls(A, data):
+        body(test_core.TestAllMinors(), A, data)
+
+    assert_killed(single_minor_calls)

@@ -5,8 +5,9 @@ factoring method prints the same pair, 8x8 Pascal with one entry raised and a
 3x3 with one negative minor, whose refusals name a minor, 9x9 all-ones and
 64x64 Pascal, which check-tnn accepts past the size guard, a 9x9 with one
 negative minor, which it refuses there, and small console calls with their
-exact stdout.  The selftest's instance stream is pinned too: a changed
-digest means a seed no longer runs the instances it always ran.  So is
+exact stdout.  The selftest's instance stream is pinned too, its matrices and
+every evaluator call it makes: a changed digest means a seed no longer runs
+the instances it always ran.  So is
 `det` and `rank` on 40x40 Pascal, in process."""
 
 import hashlib
@@ -25,6 +26,7 @@ from tnnlu import (
     Mat, det, format_matrix, format_trace, neville_decompose, parse_matrix, parse_trace, rank, reconstruct_lu,
     replay,
 )
+from tnnlu import identities
 from tnnlu.identities import _random_matrix
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(tnnlu.__file__).resolve().parent.parent))
@@ -273,3 +275,22 @@ def test_the_selftest_instance_stream_is_pinned():
     text = "".join(format_matrix(_random_matrix(rng, m, n)) for m in range(1, 6) for n in range(1, 6))
     digest = sha256((text + repr(rng.random())).encode())
     assert digest == "ae56e6f06e8e4fffdee395ae4507d5cddc736ffde737122de4a00c2bd2ea01a5"
+
+
+def test_every_selftest_call_is_pinned(monkeypatch):
+    # each call of a public evaluator, with its arguments and result, over 300 seeds of 6 instances
+    digest = hashlib.sha256()
+
+    def logged(name, evaluator):
+        def call(*args):
+            result = evaluator(*args)
+            digest.update(repr((name, args, result)).encode())
+            return result
+        return call
+
+    for name in ("laplace_sum_rows", "laplace_sum_cols", "cauchy_binet_check", "sylvester_check",
+                 "laplace_three_term", "muir_extend", "evaluate_identity"):
+        monkeypatch.setattr(identities, name, logged(name, getattr(identities, name)))
+    for seed in range(300):
+        identities.selftest(seed, 6)
+    assert digest.hexdigest() == "13b2b065a79caab850cc762b3de8b5d160e0966964e200826bb03edab53705e4"
