@@ -156,8 +156,8 @@ def _cmd_selftest(args: argparse.Namespace) -> dict:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and reused by `main`."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its commands' own parsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tnnlu",
         description="Exact LU decomposition of totally nonnegative matrices.",
@@ -226,7 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=100)
     p.set_defaults(func=_cmd_selftest)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by `main`."""
+    return _parsers()[0]
 
 
 def emit_structured(payload: dict) -> str:
@@ -240,8 +245,16 @@ def emit_structured(payload: dict) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` if None) and return its exit code.  Its command's
+    own parser parses it once; a line with no command first, or one with arguments left over,
+    goes to the top parser, so usage errors read as they always have."""
+    parser, commands = _parsers()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args, extras = None, True
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        args = parser.parse_args(argv)
     try:
         if getattr(args, "max_bruteforce", 0) < 0:
             raise ValueError(f"--max-bruteforce must be nonnegative, got {args.max_bruteforce}")

@@ -442,18 +442,19 @@ def iter_minor_layers(
     of a size.  Keys are ascending 1-based index tuples, yielded in
     lexicographic (rows, cols) order.
 
-    Each size s >= 2 first builds its expansion table: for each column set J
+    Each size s >= 3 first builds its expansion table: for each column set J
     the terms (column, index of J minus that column among the size s-1 sets,
     sign).  A row set's minors are a list aligned with the column sets, each
     s list reads and products off its last row and the previous size's list.
-    Size 1 reads A's rows; only the previous size's lists are kept.
+    Size 1 reads A's rows, and size 2 the closed form u[a]·v[b] - u[b]·v[a]
+    on each pair of rows u above v; only the previous size's lists are kept.
     """
     m, n = A.nrows, A.ncols
     top = min(m, n) if max_order is None else min(max_order, m, n)
     yield 0, {((), ()): 1}
     for s in range(1, top + 1):
         cols = list(combinations(range(1, n + 1), s))
-        if s > 1:
+        if s > 2:
             index = {J: k for k, J in enumerate(prev_cols)}
             table = [[(J[pos] - 1, index[J[:pos] + J[pos + 1 :]], 1 if (s + pos) % 2 else -1)
                       for pos in range(s)] for J in cols]
@@ -462,6 +463,9 @@ def iter_minor_layers(
             row = A._rows[I[-1] - 1]
             if s == 1:
                 values: Sequence[int] = row
+            elif s == 2:
+                above = A._rows[I[0] - 1]
+                values = [above[a] * row[b] - above[b] * row[a] for a, b in combinations(range(n), 2)]
             else:
                 below, values = prev[I[:-1]], []
                 for terms in table:
@@ -470,7 +474,7 @@ def iter_minor_layers(
                         if entry := row[col]:
                             acc += sign * entry * below[k]
                     values.append(acc)
-            if s < top:
+            if 1 < s < top:  # size 2 reads no earlier list
                 layer[I] = values
             yield s, dict(zip(zip(repeat(I), cols), values))
         prev, prev_cols = layer, cols

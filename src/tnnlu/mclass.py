@@ -75,9 +75,10 @@ def _table(A: Mat) -> tuple:
 
     The pivots are the leads: L's column s is 1 at row i_s, and U's row s
     is nonzero at column j_s.  So U fails iff a column k < j_s pivoted
-    after step s, or never, has R[i_s, k] != 0.  L in L*(r) needs no
-    clause: a row the scan skips is zero right of the last pivot, and
-    later updates keep it zero."""
+    after step s, or never, has R[i_s, k] != 0; pivot columns increase,
+    so only never-pivoted columns can.  L in L*(r) needs no clause: a row
+    the scan skips is zero right of the last pivot, and later updates keep
+    it zero."""
     m, n = A.nrows, A.ncols
     R = [list(row) for row in A._rows]
 
@@ -91,11 +92,12 @@ def _table(A: Mat) -> tuple:
     row_step, col_step = [t] * m, [t] * n
     for s, (i, j) in enumerate(pivots):
         row_step[i], col_step[j] = s, s
-    live = ((h, k) for h in range(m) for k in range(n) if row_step[h] == col_step[k] == t)
-    residue = next(((h + 1, k + 1) for h, k in live if R[h][k]), None)
-    found = ClassDesc([i + 1 for i, _ in pivots], [j + 1 for _, j in pivots])
+    free_cols = [k for k in range(n) if col_step[k] == t]
+    residue = next(((h + 1, k + 1) for h in range(m) if row_step[h] == t for k in free_cols if R[h][k]), None)
+    rows, cols = [i + 1 for i, _ in pivots], [j + 1 for _, j in pivots]  # lists, as in `Mat._of`
+    found = ClassDesc._make((IndexSet._of(tuple(rows)), IndexSet._of(tuple(cols))))  # not re-validated
     failure = None
-    if any(R[i][k] for s, (i, j) in enumerate(pivots) for k in range(j) if col_step[k] > s):
+    if any(R[i][k] for i, j in pivots for k in free_cols if k < j):
         failure = f"U does not lead at columns {list(found.c)}"
     elif residue is not None:
         failure = "A - L*U is nonzero at ({},{})".format(*residue)

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -561,6 +563,80 @@ def test_negative_max_bruteforce_is_bad_input(capsys, argv):
 )
 def test_refusals_of_malformed_arguments_are_exact(capsys, argv, code, err):
     assert run_cli(capsys, *argv) == (code, "", err)
+
+
+# Command lines that `main` parses with the command's own parser, or that it
+# hands to the top parser: every subcommand, each way of spelling an option
+# or an input, then misuse.
+DISPATCH = [
+    ("decompose", "--inline", A4_INLINE, "--method=neville", "--trace"),
+    ("decompose", "--meth", "explicit", "--format=structured", "--inline", A4_INLINE),
+    ("decompose", "-", "--unchecked", "--max-bruteforce=2"),
+    ("detect",),
+    ("detect", "--", "-"),
+    ("check-tnn", "--inline", "-2/3 1; 1 1"),
+    ("check-tnn", "-", "--format", "structured"),
+    ("generate", "--size", "2", "3", "--seed=4", "--factors", "5"),
+    ("identities-selftest", "--instances", "5", "--seed", "2"),
+    ("check-tnn", "-h"),
+    ("decompose", "--method", "bogus", "--inline", "1"),
+    ("check-tnn", "--max-bruteforce", "x"),
+    ("check-tnn", "--inline"),
+    ("generate",),
+    (),
+    ("-h",),
+    ("bogus",),
+    ("decomp", "--inline", "1"),
+    ("check-tnn", "--bogus"),
+    ("check-tnn", "a", "b"),
+    ("identities-selftest", "--instances", "5", "extra"),
+    ("--format", "text", "detect"),
+    ("detect", "--inline", "1", "--", "--inline"),
+]
+
+
+def answer(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of one `main` call on `CRYER_TEXT` as stdin."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(CRYER_TEXT))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH, ids=" ".join)
+def test_one_parse_answers_as_the_top_parser(capsys, monkeypatch, argv):
+    mine, parser = answer(capsys, monkeypatch, list(argv)), tnnlu.cli.build_parser()
+    monkeypatch.setattr(tnnlu.cli, "_parsers", lambda: (parser, {}))  # no command map: the top parser only
+    assert mine == answer(capsys, monkeypatch, list(argv))
+
+
+def test_no_argv_parses_sys_argv(capsys, monkeypatch):
+    argv = ["check-tnn", "--inline", "0 1; 1 1"]
+    monkeypatch.setattr("sys.argv", ["tnnlu", *argv])
+    want = (0, "is_tnn: false\nwitness: [{1,2}|{1,2}] = -1\n", "")
+    assert answer(capsys, monkeypatch, None) == answer(capsys, monkeypatch, argv) == want
+
+
+def test_a_command_line_is_parsed_once(capsys, monkeypatch):
+    parses, parse = [], argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert answer(capsys, monkeypatch, ["check-tnn", "--inline", "1"])[0] == 0
+    assert parses == ["tnnlu check-tnn"]
+    # arguments left over: the top parser parses again, and its command's parser under it
+    parses.clear()
+    assert answer(capsys, monkeypatch, ["check-tnn", "a", "b"])[0] == 2
+    assert parses == ["tnnlu check-tnn", "tnnlu", "tnnlu check-tnn"]
+    parses.clear()
+    assert answer(capsys, monkeypatch, ["bogus"])[0] == 2
+    assert parses == ["tnnlu"]
 
 
 def test_generate_round_trips(capsys):

@@ -435,15 +435,19 @@ class TestAllMinors:
     @SETTINGS
     @given(st.one_of(small_integer_matrices(), small_rational_matrices()), st.data())
     def test_matches_single_minor_calls(self, A, data):
-        # `iter_minor_layers` expands along each row set's last row, a path apart
-        # from `_minor_num`'s closed forms (orders 2 to 4) and `_bareiss` (5 on)
+        # from order 3 on `iter_minor_layers` expands along each row set's last row,
+        # a path apart from `_minor_num`'s closed forms (orders 3 and 4) and
+        # `_bareiss` (5 on); at order 2 both take the same closed form, so there
+        # the cofactor oracle of `tests/` is the independent side
         table = all_minors(A)
         assert table[((), ())] == 1
-        for _, layer in iter_minor_layers(A):
+        for size, layer in iter_minor_layers(A):
             for (rows, cols), value in layer.items():
                 assert _minor_num(A, rows, cols) == value
                 scaled = Fraction(value, prod(A._dens[i - 1] for i in rows))
                 assert minor(A, rows, cols) == table[rows, cols] == scaled
+                if size <= 2:
+                    assert minor_cofactor(A, rows, cols) == scaled
         if A.nrows == A.ncols:
             full = tuple(range(1, A.nrows + 1))
             assert det(A) == det_cofactor(A.to_rows()) == table[full, full]

@@ -21,6 +21,9 @@ test that kills it, never by dropping the mutant.
 | `_pair` ignores one `DeleteRow`          | `test_detect_and_decompose_mean_what_they_say`    |
 | `iter_minor_layers` one row set short    | `test_check_tnn_means_what_it_says`               |
 | `_minor_num` flips one order-4 term      | `test_core.TestAllMinors`'s single minor calls    |
+| `iter_minor_layers` flips one order-2    | `test_core.TestAllMinors`'s single minor calls    |
+| product                                  |                                                   |
+| `_table`'s residue one free column short | `test_detect_and_decompose_mean_what_they_say`    |
 
 A mutant that edits a line or two of its function is that function
 recompiled from its edited source (`edited`).
@@ -184,15 +187,10 @@ def test_iter_minor_layers_one_row_set_short(monkeypatch):
     assert_killed(test_properties.test_check_tnn_means_what_it_says)
 
 
-def test_minor_num_flips_one_order_4_term(monkeypatch):
-    flipped = edited(_minor_num, (
-        "- (r[a] * s[c] - r[c] * s[a]) * (t[b] * u[d] - t[d] * u[b])",
-        "+ (r[a] * s[c] - r[c] * s[a]) * (t[b] * u[d] - t[d] * u[b])",
-    ))
-    mutate(monkeypatch, _minor_num, flipped)
-    # the test's body under a @given of its own, which does not shrink what it
-    # finds: hypothesis refuses to run one @given method from a second instance
-    # of its class
+def assert_single_minor_calls_killed():
+    """`test_core.TestAllMinors.test_matches_single_minor_calls`' body under a
+    @given of its own, which does not shrink what it finds: hypothesis refuses
+    to run one @given method from a second instance of its class."""
     body = test_core.TestAllMinors.test_matches_single_minor_calls.hypothesis.inner_test
 
     @settings(test_core.SETTINGS, phases=(Phase.generate,))
@@ -201,3 +199,24 @@ def test_minor_num_flips_one_order_4_term(monkeypatch):
         body(test_core.TestAllMinors(), A, data)
 
     assert_killed(single_minor_calls)
+
+
+def test_minor_num_flips_one_order_4_term(monkeypatch):
+    flipped = edited(_minor_num, (
+        "- (r[a] * s[c] - r[c] * s[a]) * (t[b] * u[d] - t[d] * u[b])",
+        "+ (r[a] * s[c] - r[c] * s[a]) * (t[b] * u[d] - t[d] * u[b])",
+    ))
+    mutate(monkeypatch, _minor_num, flipped)
+    assert_single_minor_calls_killed()
+
+
+def test_iter_minor_layers_flips_one_order_2_product(monkeypatch):
+    flipped = edited(iter_minor_layers, ("above[a] * row[b] - above[b]", "above[a] * row[b] + above[b]"))
+    mutate(monkeypatch, iter_minor_layers, flipped)
+    assert_single_minor_calls_killed()
+
+
+def test_table_scans_the_residue_one_unpivoted_column_short(monkeypatch):
+    short = edited(_table, ("for k in free_cols if R[h][k]", "for k in free_cols[:-1] if R[h][k]"))
+    mutate(monkeypatch, _table, short)
+    assert_killed(test_properties.test_detect_and_decompose_mean_what_they_say)
